@@ -10,7 +10,7 @@ from .invariants import (InvariantSet, classical_invariants,
                          contraction_invariants, g1_invariants_check,
                          noncommutativity_witness, nreg_subalgebra,
                          top_component, verify_central)
-from .poisson import (ShiftFamily, differential_at, jacobian_rank_at, mf_family,
+from .poisson import (ShiftFamily, jacobian_rank_at, mf_family,
                       pairwise_commuting, poisson_bracket,
                       regularity_via_differentials, shift, trdeg_lower_bound)
 from .poly import Poly
@@ -18,7 +18,7 @@ from .structure import (Involution, LieAlgebra, MatrixRealization,
                         PairRealization, Z2Grading, b_value, build_pair,
                         check_regular_stabilizer_index, coadjoint_check,
                         contract, graded_centralizer, index, is_regular,
-                        kirillov_matrix, matrix_algebra, stabilizer)
+                        matrix_algebra, stabilizer)
 
 __version__ = "0.1.0"
 
@@ -30,9 +30,9 @@ __all__ = [
     "ShiftFamily", "UnsupportedPairError", "Z2Grading", "Z2PoissonError",
     "b_value", "build_pair", "check_regular_stabilizer_index",
     "classical_invariants", "classify", "coadjoint_check", "contract",
-    "contraction_invariants", "differential_at", "g1_invariants_check",
+    "contraction_invariants", "g1_invariants_check",
     "graded_centralizer", "index", "is_regular", "jacobian_rank_at",
-    "kirillov_matrix", "matrix_algebra", "mf_family",
+    "matrix_algebra", "mf_family",
     "noncommutativity_witness", "nreg_subalgebra", "pairwise_commuting",
     "parse_pair_name", "parse_satake", "poisson_bracket",
     "regularity_via_differentials", "satake_of", "shift", "stabilizer",

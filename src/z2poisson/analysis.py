@@ -23,10 +23,9 @@ from .invariants import (contraction_invariants, noncommutativity_witness,
 from .poisson import (jacobian_rank_at, mf_family, pairwise_commuting,
                       poisson_bracket)
 from .poly import Poly
-from .structure import (PairRealization, b_value, build_pair,
+from .structure import (PairRealization, build_pair,
                         check_regular_stabilizer_index, contract, index,
-                        is_regular, pair_name, sample_covector, stabilizer,
-                        subalgebra)
+                        pair_name, sample_covector, stabilizer, subalgebra)
 
 
 @dataclass
@@ -105,22 +104,22 @@ def verify_summary(pair: PairId, seed: int = 1,
                    exact: bool = False) -> VerificationReport:
     """Index and degree-sum facts for one contraction: index equals the rank
     of the ambient algebra, b is preserved, and the central generator pool
-    has the right degree sum when it is full.
+    has the right degree sum when it is full.  The contraction's index is
+    the one certified by its central generators (``contraction_invariants``).
 
     With ``exact`` the sampled generic-stabilizer dimensions are re-derived
     by symbolic rank over the Cartan coefficients.
     """
     t0 = time.monotonic()
     rep = VerificationReport("summary", pair_name(pair), seed)
-    pr = build_pair(pair, seed=seed)
-    k = contract(pr.g, pr.grading)
+    pr = build_pair(pair)
     rk = pr.rank_g
-    rep.add("index(k) = rk g", rk, index(k))
-    rep.add("b(k) = b(g)", Q(pr.g.dim + rk, 2), b_value(k),
+    inv = contraction_invariants(pr, seed=seed)
+    rep.add("index(k) = rk g", rk, inv.meta["index"])
+    rep.add("b(k) = b(g)", Q(pr.g.dim + rk, 2), Q(inv.meta["b"]),
             note="b(g) from dim and rank")
     if pr.g.dim <= 10:
         rep.add("index(g) = rk g", rk, index(pr.g))
-    inv = contraction_invariants(pr, seed=seed)
     rep.add("central generator count", rk, inv.meta["count"])
     if inv.meta["full"]:
         rep.add("sum of generator degrees = b(k)", inv.meta["b"],
@@ -196,7 +195,7 @@ def verify_dim_stab(pair: PairId, samples: int = 20,
     inside the even stabilizer of beta."""
     t0 = time.monotonic()
     rep = VerificationReport("dimstab", pair_name(pair), seed)
-    pr = build_pair(pair, seed=seed)
+    pr = build_pair(pair)
     k = contract(pr.g, pr.grading)
     rng = random.Random(seed)
     d0, d1 = pr.d0, pr.d1
@@ -235,7 +234,7 @@ def verify_nreg(pair: PairId, seed: int = 1,
     noncommutativity witness up to the degree bound."""
     t0 = time.monotonic()
     rep = VerificationReport("nreg", pair_name(pair), seed)
-    pr = build_pair(pair, seed=seed)
+    pr = build_pair(pair)
     inv = nreg_subalgebra(pr, seed=seed)
     m = len(pr.satake.arrows)
     rep.add("generator count = dim g1 + m", pr.d1 + m, inv.meta["count"])
@@ -268,7 +267,7 @@ def demonstrate_nonmaximality(pair: PairId, seed: int = 1,
     """
     t0 = time.monotonic()
     rep = VerificationReport("nonmax", pair_name(pair), seed)
-    pr = build_pair(pair, seed=seed)
+    pr = build_pair(pair)
     if pr.satake.arrows or "b" in pr.satake.colors:
         raise UnsupportedPairError(
             f"{pair_name(pair)} is not of maximal rank; the demonstration "
@@ -282,7 +281,7 @@ def demonstrate_nonmaximality(pair: PairId, seed: int = 1,
     for _ in range(attempts):
         cand = sample_covector(k.dim, rng)
         cand = [cand[i] if i in pr.grading.odd_idx else Q(0) for i in range(k.dim)]
-        if is_regular(k, cand):
+        if len(stabilizer(k, cand)) == inv.meta["index"]:
             xi = cand
             break
     if xi is None:
@@ -310,7 +309,7 @@ def demonstrate_nonmaximality(pair: PairId, seed: int = 1,
     if adjoined is not None:
         commutes = all(poisson_bracket(k, adjoined, p).is_zero() for p in polys)
         rep.add("adjoined coordinate commutes with the family", True, commutes)
-        b = int(b_value(k))
+        b = inv.meta["b"]
         rng2 = random.Random(seed + 1)
         got = max(jacobian_rank_at(polys + [adjoined],
                                    sample_covector(k.dim, rng2))

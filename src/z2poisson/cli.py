@@ -46,21 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebras.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=_default_seed(),
-                       help="random seed (env Z2C_SEED overrides the default 1)")
-        p.add_argument("--format", choices=("json", "markdown"), default="json")
-        p.add_argument("--out", help="directory for report files")
-        p.add_argument("--exact", action="store_true",
-                       help="re-derive genericity-dependent results symbolically")
-
     c = sub.add_parser("classify", help="classify a diagram or catalog pair")
     c.add_argument("diagram", nargs="?",
                    help="diagram DSL, e.g. \"A3 colors=wbw arrows=[(1,3)]\"")
     c.add_argument("--diagram", dest="diagram_flag", metavar="DIAGRAM",
                    help="diagram DSL (alternative to the positional form)")
     c.add_argument("--pair", help="catalog pair name, e.g. sl2,so2 or E6,F4")
-    common(c)
+    c.add_argument("--format", choices=("json", "markdown"), default="json")
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, choices=sorted(SUITES))
@@ -68,14 +60,18 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-nodes", type=int, default=6)
     v.add_argument("--samples", type=int, default=20)
     v.add_argument("--degree-bound", type=int, default=4)
-    common(v)
+    v.add_argument("--seed", type=int, default=_default_seed(),
+                   help="random seed (env Z2C_SEED overrides the default 1)")
+    v.add_argument("--format", choices=("json", "markdown"), default="json")
+    v.add_argument("--out", help="directory for report files")
+    v.add_argument("--exact", action="store_true",
+                   help="re-derive genericity-dependent results symbolically")
 
     b = sub.add_parser("bracket", help="Poisson bracket of two polynomials")
     b.add_argument("f")
     b.add_argument("g")
     b.add_argument("--pair", help="catalog pair; the bracket is taken in its contraction")
     b.add_argument("--algebra", help="structure-constant JSON file")
-    common(b)
 
     s = sub.add_parser("shift", help="argument-shift components of a polynomial")
     s.add_argument("f")
@@ -83,19 +79,37 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--algebra")
     s.add_argument("--xi", required=True,
                    help="comma-separated direction, e.g. 0,1,0")
-    common(s)
     return ap
+
+
+class _InputError(Exception):
+    """Unusable command-line input, with the exit code it maps to."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _load_algebra(args) -> LieAlgebra:
     if args.pair and args.algebra:
         raise UnsupportedPairError("give either --pair or --algebra, not both")
     if args.pair:
-        pr = build_pair(parse_pair_name(args.pair), seed=args.seed)
+        pr = build_pair(parse_pair_name(args.pair))
         return contract(pr.g, pr.grading)
     if args.algebra:
-        with open(args.algebra) as fh:
-            return LieAlgebra.from_json(json.load(fh))
+        try:
+            with open(args.algebra) as fh:
+                data = json.load(fh)
+        except OSError as e:
+            raise _InputError(EXIT_VALIDATION,
+                              f"cannot read {args.algebra}: {e.strerror}")
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise _InputError(EXIT_PARSE, f"{args.algebra} is not JSON: {e}")
+        try:
+            return LieAlgebra.from_json(data)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+            raise _InputError(EXIT_VALIDATION,
+                              f"{args.algebra} is not a Lie algebra: {e}")
     raise UnsupportedPairError("an algebra is required: --pair or --algebra")
 
 
@@ -173,9 +187,14 @@ def _cmd_bracket(args) -> int:
 def _cmd_shift(args) -> int:
     k = _load_algebra(args)
     f = Poly.parse(args.f, k.labels)
-    xi = [Q(part) for part in args.xi.split(",")]
+    try:
+        xi = [Q(part) for part in args.xi.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise _InputError(EXIT_PARSE,
+                          f"--xi {args.xi!r} is not a list of rationals")
     if len(xi) != k.dim:
-        raise DiagramValidationError(
+        raise _InputError(
+            EXIT_VALIDATION,
             f"direction has {len(xi)} coordinates, the algebra has {k.dim}")
     comps = shift(f, xi)
     sys.stdout.write(" ; ".join(p.to_text(k.labels) for p in comps) + "\n")
@@ -198,6 +217,10 @@ def main(argv=None) -> int:
     except DiagramValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    except _InputError as e:
+        kind = "parse error" if e.code == EXIT_PARSE else "validation error"
+        print(f"{kind}: {e}", file=sys.stderr)
+        return e.code
     except (UnsupportedPairError, GenericityError) as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -599,32 +599,10 @@ _EXCEPTIONAL = {
     "g2_sl2_sl2": ((("G", 2),), "ww", (), 2),
 }
 
-_DIAG_TYPES = {
-    "diag_sl": "A", "diag_so": None, "diag_sp": "C",
-    "diag_e6": "E", "diag_e7": "E", "diag_e8": "E",
-    "diag_f4": "F", "diag_g2": "G",
-}
-
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise UnsupportedPairError(message)
-
-
-def _simple_type(name: str, n: int) -> tuple[str, int]:
-    """Dynkin type of the simple algebra sl_n / so_n / sp_n."""
-    if name == "sl":
-        _require(n >= 2, "sl_n needs n >= 2")
-        return ("A", n - 1)
-    if name == "so":
-        _require(n >= 5, "so_n is supported for n >= 5")
-        if n % 2:
-            return ("B", n // 2)
-        return ("D", n // 2)
-    if name == "sp":
-        _require(n >= 4 and n % 2 == 0, "sp_n needs even n >= 4")
-        return ("C", n // 2)
-    raise UnsupportedPairError(f"unknown simple type {name!r}")
 
 
 def satake_of(pair: PairId) -> SatakeDiagram:

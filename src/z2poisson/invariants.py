@@ -17,7 +17,7 @@ from .poisson import (bracket_with_coordinate, jacobian_rank_at, pairwise_commut
                       poisson_bracket)
 from .poly import Poly
 from .structure import (LieAlgebra, MatrixRealization, PairRealization, Z2Grading,
-                        b_value, contract, sample_covector)
+                        contract, index, sample_covector, stabilizer)
 
 
 @dataclass
@@ -269,7 +269,13 @@ def contraction_invariants(pr: PairRealization, seed: int = 1,
 
     The returned metadata carries a Jacobian rank certificate at a sampled
     point; ``meta['full']`` is set when the pool has full rank (one free
-    generator per classical invariant, degree sum b)."""
+    generator per classical invariant, degree sum b).
+
+    ``meta['index']`` is the index of the contraction.  The generators are
+    central, so their differentials lie in the Kirillov kernel everywhere
+    and the Jacobian rank is a lower bound; the Kirillov corank at any point
+    is an upper bound.  When the two meet at the sampled point that value is
+    the index; otherwise it comes from the elimination in ``index``."""
     inv_g = classical_invariants(pr)
     k = contract(pr.g, pr.grading)
     tops = _weight_echelon_tops(inv_g.polys, pr.grading)
@@ -285,11 +291,14 @@ def contraction_invariants(pr: PairRealization, seed: int = 1,
             best_rank, best_point = r, mu
         if best_rank == len(tops):
             break
+    corank = len(stabilizer(k, best_point)) if best_point is not None else None
+    ind = best_rank if corank == best_rank else index(k)
     meta = {
         "certified_rank": best_rank,
         "count": len(tops),
         "sum_degrees": sum(p.degree() for p in tops),
-        "b": int(b_value(k)),
+        "index": ind,
+        "b": (k.dim + ind) // 2,          # dim - index is a skew rank: even
         "seed": seed,
         "sample_point": [str(c) for c in (best_point or [])],
         "full": best_rank == len(tops) == pr.rank_g,
@@ -308,7 +317,7 @@ def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
     k = contract(pr.g, pr.grading)
     coords = [Poly.var(k.dim, i) for i in pr.grading.odd_idx]
     pool = contraction_invariants(pr, seed=seed)
-    target = int(b_value(k))
+    target = pool.meta["b"]
     m = len(pr.satake.arrows)
     rng = random.Random(seed)
     points = [sample_covector(k.dim, rng, bound=10 ** 6) for _ in range(4)]

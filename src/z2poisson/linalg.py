@@ -22,10 +22,6 @@ Mat = list[list[Q]]
 # rational matrices
 # ----------------------------------------------------------------------
 
-def mat(rows) -> Mat:
-    return [[Q(x) for x in row] for row in rows]
-
-
 def rref(rows: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     m = [[x if isinstance(x, Q) else Q(x) for x in row] for row in rows]

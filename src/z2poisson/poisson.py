@@ -24,15 +24,10 @@ BRACKET_DEGREE_BUDGET = 10_000
 # re-exported here because the polynomial type is part of this module's
 # public surface
 __all__ = [
-    "Poly", "ShiftFamily", "poisson_bracket", "differential_at", "shift",
-    "mf_family", "pairwise_commuting", "jacobian_rank_at", "trdeg_lower_bound",
-    "regularity_via_differentials", "coordinate_poly",
+    "Poly", "ShiftFamily", "poisson_bracket", "shift", "mf_family",
+    "pairwise_commuting", "jacobian_rank_at", "trdeg_lower_bound",
+    "regularity_via_differentials",
 ]
-
-
-def coordinate_poly(q: LieAlgebra, i: int) -> Poly:
-    """The i-th coordinate function (0-based) on the dual space."""
-    return Poly.var(q.dim, i)
 
 
 def poisson_bracket(q: LieAlgebra, f: Poly, g: Poly) -> Poly:
@@ -88,11 +83,6 @@ def bracket_with_coordinate(q: LieAlgebra, i: int, f: Poly) -> Poly:
                        for k, c in entry.items()})
         out = out + lin * fj
     return out
-
-
-def differential_at(f: Poly, xi) -> list[Q]:
-    """Gradient vector of f at the point xi (an element of the algebra)."""
-    return f.grad_at(xi)
 
 
 def shift(f: Poly, xi) -> list[Poly]:

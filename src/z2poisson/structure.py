@@ -5,10 +5,12 @@ basis.  Symmetric pairs are realized as matrix algebras with the basis
 already adapted to the involution (fixed vectors first, anti-fixed second),
 so the involution matrix is diagonal and all eigenspace data is positional.
 
-The index of an algebra is computed symbolically: the Kirillov matrix with
-entries in the polynomial ring over the dual coordinates is reduced by
-deterministic fraction-free elimination, exploiting the zero block that a
-contraction's abelian ideal creates.
+``index`` is the reference route to the index of an algebra: the Kirillov
+matrix with entries in the polynomial ring over the dual coordinates is
+reduced by deterministic fraction-free elimination, exploiting the zero block
+that a contraction's abelian ideal creates.  The suites use it for ``g`` and
+for centralizers; the index of a contraction is certified from its central
+generators instead (``invariants.contraction_invariants``).
 """
 
 from __future__ import annotations
@@ -25,14 +27,12 @@ from .poly import Poly, coeff_num
 
 Covector = tuple[Q, ...]
 
-_JACOBI_EXHAUSTIVE_LIMIT = 30
-
 
 class LieAlgebra:
     """Finite-dimensional Lie algebra with sparse rational structure
     constants ``[e_i, e_j] = sum_k c_ij^k e_k`` stored for i < j only."""
 
-    def __init__(self, labels, sc, check: bool = True, seed: int = 1):
+    def __init__(self, labels, sc, check: bool = True):
         self.labels: tuple[str, ...] = tuple(labels)
         self.sc: dict[tuple[int, int], dict[int, Q]] = {
             (i, j): {k: coeff_num(c) for k, c in entry.items() if c != 0}
@@ -42,9 +42,8 @@ class LieAlgebra:
         for (i, j) in self.sc:
             if not 0 <= i < j < self.dim:
                 raise ValueError(f"bad structure-constant key ({i},{j})")
-        self._index: int | None = None
         if check:
-            self.check_jacobi(seed=seed)
+            self.check_jacobi()
 
     @property
     def dim(self) -> int:
@@ -76,19 +75,12 @@ class LieAlgebra:
                 for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
-    def check_jacobi(self, seed: int = 1) -> None:
-        """Exhaustive on all basis triples up to dimension 30, sampled above."""
+    def check_jacobi(self) -> None:
+        """Exhaustive on all basis triples."""
         n = self.dim
-        triples = None
-        if n > _JACOBI_EXHAUSTIVE_LIMIT:
-            rng = random.Random(seed)
-            triples = {tuple(sorted(rng.sample(range(n), 3))) for _ in range(2000)}
-        idx = range(n)
-        for i in idx:
+        for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    if triples is not None and (i, j, k) not in triples:
-                        continue
                     if not self._jacobi_triple(i, j, k):
                         raise ValueError(
                             f"Jacobi identity fails on basis triple ({i},{j},{k})")
@@ -253,7 +245,7 @@ def _mneg(m: Mat) -> Mat:
     return [[-x for x in row] for row in m]
 
 
-def algebra_from_matrices(matrices: list[Mat], labels, seed: int = 1) -> LieAlgebra:
+def algebra_from_matrices(matrices: list[Mat], labels) -> LieAlgebra:
     """Structure constants of the span of the given matrices (must be a
     linearly independent, bracket-closed family)."""
     n = len(matrices[0])
@@ -270,7 +262,7 @@ def algebra_from_matrices(matrices: list[Mat], labels, seed: int = 1) -> LieAlge
             entry = {k: v for k, v in enumerate(coords) if v != 0}
             if entry:
                 sc[(a, b)] = entry
-    return LieAlgebra(labels, sc, seed=seed)
+    return LieAlgebra(labels, sc)
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +335,7 @@ def matrix_algebra(name: str, n: int) -> MatrixRealization:
 # symmetric-pair builders
 # ----------------------------------------------------------------------
 
-def build_pair(pair: PairId | str, seed: int = 1) -> PairRealization:
+def build_pair(pair: PairId | str) -> PairRealization:
     """Matrix realization of a supported classical or diagonal pair, with
     the basis adapted to the involution."""
     if isinstance(pair, str):
@@ -356,7 +348,7 @@ def build_pair(pair: PairId | str, seed: int = 1) -> PairRealization:
     even, odd, even_labels, odd_labels, cartan_local = builder(pair)
     mats = even + odd
     labels = list(even_labels) + list(odd_labels)
-    alg = algebra_from_matrices(mats, labels, seed=seed)
+    alg = algebra_from_matrices(mats, labels)
     d0, d1 = len(even), len(odd)
     grading = Z2Grading(tuple(range(d0)), tuple(range(d0, d0 + d1)))
     grading.validate(alg)
@@ -680,10 +672,6 @@ def contract(g: LieAlgebra, grading: Z2Grading) -> LieAlgebra:
     return LieAlgebra(g.labels, sc)
 
 
-def kirillov_matrix(q: LieAlgebra, xi) -> Mat:
-    return q.kirillov_at(xi)
-
-
 def _greedy_zero_block(q: LieAlgebra) -> list[int]:
     """A large index set S with no structure constants inside S x S; for a
     contraction this finds the abelian ideal.  Any zero block is sound."""
@@ -703,27 +691,12 @@ def _greedy_zero_block(q: LieAlgebra) -> list[int]:
     return sorted(members)
 
 
-_INDEX_MEMO: dict[tuple, int] = {}
-
-
-def _fingerprint(q: LieAlgebra) -> tuple:
-    return (q.dim, tuple(sorted(
-        (key, tuple(sorted(entry.items()))) for key, entry in q.sc.items())))
-
-
 def index(q: LieAlgebra) -> int:
     """dim minus the rank of the Kirillov matrix over the rational function
     field, by exact fraction-free elimination."""
-    if q._index is not None:
-        return q._index
     n = q.dim
     if not q.sc:
-        q._index = n
         return n
-    fp = _fingerprint(q)
-    if fp in _INDEX_MEMO:
-        q._index = _INDEX_MEMO[fp]
-        return q._index
     kp = q.kirillov_poly()
     zero = _greedy_zero_block(q)
     if len(zero) >= 2:
@@ -733,9 +706,7 @@ def index(q: LieAlgebra) -> int:
         r = linalg.contraction_rank(a_block, b_block)
     else:
         r = linalg.poly_rank(kp)
-    q._index = n - r
-    _INDEX_MEMO[fp] = q._index
-    return q._index
+    return n - r
 
 
 def b_value(q: LieAlgebra) -> Q:

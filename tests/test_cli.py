@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from z2poisson.cli import main
 
 SL2_JSON = {
@@ -132,3 +134,34 @@ def test_seed_env_override(capsys, monkeypatch):
                        capsys)
     assert code == 0
     assert json.loads(out)["seed"] == 77
+
+
+def test_flags_only_where_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", "--pair", "sl2,so2", "--exact", "u", "v"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("xi", ["0,1/0,0", "0,x,0"])
+def test_shift_unparsable_direction(xi, capsys):
+    code, _, err = run(["shift", "--pair", "sl2,so2", "--xi", xi, "v^2+w^2"],
+                       capsys)
+    assert code == 2 and "parse error" in err
+
+
+NOT_JACOBI = {"dim": 3, "labels": ["a", "b", "c"],
+              "sc": [[1, 2, [[3, "1"]]], [1, 3, [[1, "1"]]]]}
+
+
+@pytest.mark.parametrize("text, code, message", [
+    (json.dumps(dict(SL2_JSON, labels=["e", "f"])), 3, "label count"),
+    ('{"dim": 3,', 2, "not JSON"),
+    (None, 3, "cannot read"),
+    (json.dumps(NOT_JACOBI), 3, "Jacobi"),
+], ids=["label-count", "invalid-json", "missing-file", "jacobi"])
+def test_bad_algebra_file(tmp_path, capsys, text, code, message):
+    path = tmp_path / "algebra.json"
+    if text is not None:
+        path.write_text(text)
+    got, _, err = run(["bracket", "--algebra", str(path), "e", "f"], capsys)
+    assert got == code and message in err

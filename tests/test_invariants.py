@@ -5,9 +5,9 @@ import pytest
 
 from z2poisson import (Poly, UnsupportedPairError, b_value, classical_invariants,
                        contract, contraction_invariants, g1_invariants_check,
-                       matrix_algebra, noncommutativity_witness, nreg_subalgebra,
-                       pairwise_commuting, poisson_bracket, top_component,
-                       verify_central)
+                       index, matrix_algebra, noncommutativity_witness,
+                       nreg_subalgebra, pairwise_commuting, poisson_bracket,
+                       top_component, verify_central)
 from z2poisson.invariants import pfaffian
 from z2poisson.poly import Poly as P
 
@@ -152,6 +152,16 @@ def test_diagonal_pool_contains_a_mixed_generator(pair):
     inv = contraction_invariants(pr)
     even = set(pr.grading.even_idx)
     assert any(p.weighted_degree(even) > 0 for p in inv.polys)
+
+
+def test_index_fallback_without_samples(pair):
+    # with no sampled point the certificate has no bounds, and the index
+    # comes from the elimination
+    pr = pair("sl3,so3")
+    inv = contraction_invariants(pr, trials=0)
+    assert inv.meta["certified_rank"] == 0
+    assert inv.meta["index"] == index(contract(pr.g, pr.grading)) == 2
+    assert inv.meta["b"] == 5
 
 
 def test_invariant_set_json(pair):

@@ -6,8 +6,9 @@ import pytest
 
 from z2poisson import (Involution, LieAlgebra, UnsupportedPairError, Z2Grading,
                        b_value, build_pair, check_regular_stabilizer_index,
-                       coadjoint_check, contract, graded_centralizer, index,
-                       is_regular, kirillov_matrix, matrix_algebra, stabilizer)
+                       coadjoint_check, contract, contraction_invariants,
+                       graded_centralizer, index, is_regular, matrix_algebra,
+                       stabilizer)
 from z2poisson.structure import (centralizer_of_cartan, sample_covector,
                                  subalgebra)
 
@@ -110,12 +111,12 @@ def test_kirillov_matrix_example(pair):
     pr = pair("sl2,so2")
     k = contract(pr.g, pr.grading)
     xu, xv, xw = Q(5), Q(7), Q(11)
-    m = kirillov_matrix(k, [xu, xv, xw])
+    m = k.kirillov_at([xu, xv, xw])
     assert m == [[0, -2 * xw, 2 * xv], [2 * xw, 0, 0], [-2 * xv, 0, 0]]
-    assert kirillov_matrix(k, [0, 0, 0]) == [[0] * 3 for _ in range(3)]
+    assert k.kirillov_at([0, 0, 0]) == [[0] * 3 for _ in range(3)]
     rng = random.Random(0)
     xi = sample_covector(3, rng)
-    m = kirillov_matrix(k, xi)
+    m = k.kirillov_at(xi)
     assert all(m[i][j] == -m[j][i] for i in range(3) for j in range(3))
 
 
@@ -127,19 +128,24 @@ def test_index_examples(pair):
     assert index(abelian) == 4
 
 
-def test_index_of_contraction_equals_rank(pair):
+def test_index_of_contraction_equals_rank(pair, eliminated_index):
+    # the certificate of the central generators, the elimination and rk g
+    # all agree
     for name in SUPPORTED:
         pr = pair(name)
-        assert index(contract(pr.g, pr.grading)) == pr.rank_g, name
+        meta = contraction_invariants(pr).meta
+        assert meta["index"] == eliminated_index(name) == pr.rank_g, name
+        assert meta["b"] == Q(pr.g.dim + pr.rank_g, 2), name
 
 
-def test_b_value(pair):
+def test_b_value(pair, eliminated_index):
     assert b_value(pair("sl3,so3").g) == 5
     k = contract(pair("sl2,so2").g, pair("sl2,so2").grading)
     assert b_value(k) == 2
     for name in SUPPORTED:
         pr = pair(name)
-        assert b_value(contract(pr.g, pr.grading)) == Q(pr.g.dim + pr.rank_g, 2)
+        b = Q(pr.g.dim + eliminated_index(name), 2)
+        assert b == Q(pr.g.dim + pr.rank_g, 2), name
 
 
 def test_stabilizer(pair):
@@ -217,14 +223,14 @@ def test_regular_stabilizer_index_exact_mode(pair):
 # structural identities
 # ----------------------------------------------------------------------
 
-def test_semidirect_index_formula(pair):
+def test_semidirect_index_formula(pair, eliminated_index):
     # index(k) = dim g1 - dim g0 + dim r + index(r), r the Cartan centralizer
     for name in SUPPORTED:
         pr = pair(name)
-        k = contract(pr.g, pr.grading)
         r_vectors = centralizer_of_cartan(pr)
         r = subalgebra(pr.g, r_vectors)
-        assert index(k) == pr.d1 - pr.d0 + r.dim + index(r), name
+        assert eliminated_index(name) == \
+            pr.d1 - pr.d0 + r.dim + index(r), name
 
 
 def test_maximal_rank_pairs_have_odd_dimension_b(pair):
