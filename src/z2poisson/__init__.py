@@ -3,16 +3,16 @@ of maximal Poisson-commutative subalgebras for their contractions."""
 
 from .diagram import (Classification, DynkinGraph, PairId, SatakeDiagram,
                       classify, parse_pair_name, parse_satake, satake_of)
-from .errors import (BudgetError, DiagramSyntaxError, DiagramValidationError,
-                     GenericityError, PolyParseError, UnsupportedPairError,
-                     Z2PoissonError)
+from .errors import (AlgebraValidationError, BudgetError, DiagramSyntaxError,
+                     DiagramValidationError, GenericityError, PolyParseError,
+                     UnsupportedPairError, Z2PoissonError)
 from .invariants import (InvariantSet, classical_invariants,
-                         contraction_invariants, g1_invariants_check,
-                         noncommutativity_witness, nreg_subalgebra,
-                         top_component, verify_central)
-from .poisson import (ShiftFamily, jacobian_rank_at, mf_family,
+                         contraction_invariants, noncommutativity_witness,
+                         nreg_subalgebra, top_component)
+from .poisson import (ShiftFamily, certified_index, jacobian_rank_at, mf_family,
                       pairwise_commuting, poisson_bracket,
-                      regularity_via_differentials, shift, trdeg_lower_bound)
+                      regularity_via_differentials, shift, trdeg_lower_bound,
+                      verify_central)
 from .poly import Poly
 from .structure import (Involution, LieAlgebra, MatrixRealization,
                         PairRealization, Z2Grading, b_value, build_pair,
@@ -23,18 +23,17 @@ from .structure import (Involution, LieAlgebra, MatrixRealization,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetError", "Classification", "DiagramSyntaxError",
-    "DiagramValidationError", "DynkinGraph", "GenericityError", "InvariantSet",
-    "Involution", "LieAlgebra", "MatrixRealization", "PairId",
-    "PairRealization", "Poly", "PolyParseError", "SatakeDiagram",
-    "ShiftFamily", "UnsupportedPairError", "Z2Grading", "Z2PoissonError",
-    "b_value", "build_pair", "check_regular_stabilizer_index",
-    "classical_invariants", "classify", "coadjoint_check", "contract",
-    "contraction_invariants", "g1_invariants_check",
+    "AlgebraValidationError", "BudgetError", "Classification",
+    "DiagramSyntaxError", "DiagramValidationError", "DynkinGraph",
+    "GenericityError", "InvariantSet", "Involution", "LieAlgebra",
+    "MatrixRealization", "PairId", "PairRealization", "Poly", "PolyParseError",
+    "SatakeDiagram", "ShiftFamily", "UnsupportedPairError", "Z2Grading",
+    "Z2PoissonError", "b_value", "build_pair", "certified_index",
+    "check_regular_stabilizer_index", "classical_invariants", "classify",
+    "coadjoint_check", "contract", "contraction_invariants",
     "graded_centralizer", "index", "is_regular", "jacobian_rank_at",
-    "matrix_algebra", "mf_family",
-    "noncommutativity_witness", "nreg_subalgebra", "pairwise_commuting",
-    "parse_pair_name", "parse_satake", "poisson_bracket",
-    "regularity_via_differentials", "satake_of", "shift", "stabilizer",
-    "top_component", "trdeg_lower_bound", "verify_central",
+    "matrix_algebra", "mf_family", "noncommutativity_witness",
+    "nreg_subalgebra", "pairwise_commuting", "parse_pair_name", "parse_satake",
+    "poisson_bracket", "regularity_via_differentials", "satake_of", "shift",
+    "stabilizer", "top_component", "trdeg_lower_bound", "verify_central",
 ]

@@ -19,8 +19,9 @@ from fractions import Fraction as Q
 
 from .analysis import SUITES, VerificationReport, report_to_json_text
 from .diagram import classify, parse_pair_name, parse_satake, satake_of
-from .errors import (BudgetError, DiagramSyntaxError, DiagramValidationError,
-                     GenericityError, PolyParseError, UnsupportedPairError)
+from .errors import (AlgebraValidationError, BudgetError, DiagramSyntaxError,
+                     DiagramValidationError, GenericityError, PolyParseError,
+                     UnsupportedPairError)
 from .poisson import poisson_bracket, shift
 from .poly import Poly
 from .structure import LieAlgebra, build_pair, contract
@@ -36,6 +37,14 @@ EXIT_BUDGET = 5
 def _default_seed() -> int:
     env = os.environ.get("Z2C_SEED")
     return int(env) if env else 1
+
+
+def _count(text: str) -> int:
+    """A count flag: an integer of at least 1 (argparse exits 2 otherwise)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, choices=sorted(SUITES))
     v.add_argument("--pair", help="catalog pair name (suites other than 'main')")
-    v.add_argument("--max-nodes", type=int, default=6)
-    v.add_argument("--samples", type=int, default=20)
-    v.add_argument("--degree-bound", type=int, default=4)
+    v.add_argument("--max-nodes", type=_count, default=6)
+    v.add_argument("--samples", type=_count, default=20)
+    v.add_argument("--degree-bound", type=_count, default=4)
     v.add_argument("--seed", type=int, default=_default_seed(),
                    help="random seed (env Z2C_SEED overrides the default 1)")
     v.add_argument("--format", choices=("json", "markdown"), default="json")
@@ -105,11 +114,7 @@ def _load_algebra(args) -> LieAlgebra:
                               f"cannot read {args.algebra}: {e.strerror}")
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise _InputError(EXIT_PARSE, f"{args.algebra} is not JSON: {e}")
-        try:
-            return LieAlgebra.from_json(data)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-            raise _InputError(EXIT_VALIDATION,
-                              f"{args.algebra} is not a Lie algebra: {e}")
+        return LieAlgebra.from_json(data)
     raise UnsupportedPairError("an algebra is required: --pair or --algebra")
 
 
@@ -214,7 +219,7 @@ def main(argv=None) -> int:
     except (DiagramSyntaxError, PolyParseError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except DiagramValidationError as e:
+    except (DiagramValidationError, AlgebraValidationError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except _InputError as e:

@@ -17,6 +17,11 @@ class DiagramValidationError(Z2PoissonError):
     """A structurally invalid diagram: names the violated invariant."""
 
 
+class AlgebraValidationError(Z2PoissonError):
+    """A structure-constant description that is malformed or not a Lie
+    algebra."""
+
+
 class UnsupportedPairError(Z2PoissonError):
     """The requested pair is outside the catalog, or has no structure-level
     realization (exceptional types exist only at the diagram layer)."""

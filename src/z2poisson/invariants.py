@@ -13,11 +13,11 @@ from fractions import Fraction as Q
 
 from . import linalg
 from .errors import BudgetError, UnsupportedPairError
-from .poisson import (bracket_with_coordinate, jacobian_rank_at, pairwise_commuting,
-                      poisson_bracket)
+from .poisson import (bracket_with_coordinate, certified_index, pairwise_commuting,
+                      poisson_bracket, trdeg_lower_bound, verify_central)
 from .poly import Poly
 from .structure import (LieAlgebra, MatrixRealization, PairRealization, Z2Grading,
-                        contract, index, sample_covector, stabilizer)
+                        contract, sample_covector)
 
 
 @dataclass
@@ -193,16 +193,6 @@ def top_component(f: Poly, grading: Z2Grading) -> Poly:
     return f.weight_component(odd, w)
 
 
-def verify_central(k: LieAlgebra, f: Poly) -> bool:
-    """True iff {x_i, f} = 0 symbolically for every coordinate."""
-    return all(bracket_with_coordinate(k, i, f).is_zero() for i in range(k.dim))
-
-
-def g1_invariants_check(k: LieAlgebra, grading: Z2Grading, f: Poly) -> bool:
-    """True iff f commutes with every odd coordinate."""
-    return all(bracket_with_coordinate(k, i, f).is_zero() for i in grading.odd_idx)
-
-
 def _products_of_degree(gens: list[Poly], d: int) -> list[Poly]:
     """All products of at least two of the given polynomials with total
     degree exactly d (repetition allowed)."""
@@ -271,11 +261,9 @@ def contraction_invariants(pr: PairRealization, seed: int = 1,
     point; ``meta['full']`` is set when the pool has full rank (one free
     generator per classical invariant, degree sum b).
 
-    ``meta['index']`` is the index of the contraction.  The generators are
-    central, so their differentials lie in the Kirillov kernel everywhere
-    and the Jacobian rank is a lower bound; the Kirillov corank at any point
-    is an upper bound.  When the two meet at the sampled point that value is
-    the index; otherwise it comes from the elimination in ``index``."""
+    ``meta['index']`` is the index of the contraction, certified by the
+    central generators at the sampled point (``certified_index``), or by
+    elimination when that certificate does not close."""
     inv_g = classical_invariants(pr)
     k = contract(pr.g, pr.grading)
     tops = _weight_echelon_tops(inv_g.polys, pr.grading)
@@ -283,16 +271,8 @@ def contraction_invariants(pr: PairRealization, seed: int = 1,
     if not all(flags):
         raise AssertionError("top component is not central in the contraction")
     rng = random.Random(seed)
-    best_rank, best_point = 0, None
-    for _ in range(trials):
-        mu = sample_covector(k.dim, rng, bound=10 ** 6)
-        r = jacobian_rank_at(tops, mu)
-        if r > best_rank:
-            best_rank, best_point = r, mu
-        if best_rank == len(tops):
-            break
-    corank = len(stabilizer(k, best_point)) if best_point is not None else None
-    ind = best_rank if corank == best_rank else index(k)
+    points = (sample_covector(k.dim, rng, bound=10 ** 6) for _ in range(trials))
+    ind, best_rank, best_point = certified_index(k, tops, points)
     meta = {
         "certified_rank": best_rank,
         "count": len(tops),
@@ -323,7 +303,7 @@ def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
     points = [sample_covector(k.dim, rng, bound=10 ** 6) for _ in range(4)]
 
     def rank_of(polys: list[Poly]) -> int:
-        return max(jacobian_rank_at(polys, mu) for mu in points)
+        return trdeg_lower_bound(polys, points)[0]
 
     selected = list(coords)
     current = rank_of(selected)
@@ -343,7 +323,7 @@ def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
     ok, witness = pairwise_commuting(k, selected)
     if not ok:
         raise AssertionError("selected generators fail to commute")
-    flags = [g1_invariants_check(k, pr.grading, p) for p in selected]
+    flags = [verify_central(k, p, pr.grading.odd_idx) for p in selected]
     return InvariantSet(k, selected, flags,
                         [p.degree() for p in selected],
                         meta={"certified_rank": current, "m": m, "b": target,

@@ -5,6 +5,10 @@ Polynomials live in the dual coordinates of a fixed structure-constant
 algebra.  The bracket is the unique biderivation extending the structure
 constants; shifting an argument expands f(mu + a*xi) exactly and collects
 the coefficients of the powers of a.
+
+One route each: brackets go through ``bracket_with_coordinate``, centrality
+through ``verify_central``, and the index that central polynomials certify
+through ``certified_index``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction as Q
 from . import linalg
 from .errors import BudgetError
 from .poly import Poly
-from .structure import LieAlgebra, index, b_value, is_regular, sample_covector
+from .structure import LieAlgebra, index, sample_covector, stabilizer
 
 BRACKET_TERM_BUDGET = 1_000_000
 BRACKET_DEGREE_BUDGET = 10_000
@@ -26,50 +30,13 @@ BRACKET_DEGREE_BUDGET = 10_000
 __all__ = [
     "Poly", "ShiftFamily", "poisson_bracket", "shift", "mf_family",
     "pairwise_commuting", "jacobian_rank_at", "trdeg_lower_bound",
-    "regularity_via_differentials",
+    "certified_index", "regularity_via_differentials", "verify_central",
 ]
 
 
-def poisson_bracket(q: LieAlgebra, f: Poly, g: Poly) -> Poly:
-    """{f, g} extended from {x_i, x_j} = sum_k c_ij^k x_k by the Leibniz
-    rule; raises :class:`BudgetError` when the term-count product is too
-    large to expand symbolically."""
-    if f.nvars != q.dim or g.nvars != q.dim:
-        raise ValueError("variable-count mismatch")
-    if len(f.terms) * len(g.terms) > BRACKET_TERM_BUDGET:
-        raise BudgetError(
-            f"bracket of {len(f.terms)} x {len(g.terms)} terms exceeds the budget")
-    if f.degree() * g.degree() > BRACKET_DEGREE_BUDGET:
-        raise BudgetError(
-            f"bracket of degrees {f.degree()} x {g.degree()} exceeds the budget")
-    n = q.dim
-    df = {}
-    dg = {}
-
-    def partial(poly: Poly, i: int, cache: dict) -> Poly:
-        if i not in cache:
-            cache[i] = poly.partial(i)
-        return cache[i]
-
-    out = Poly.zero(n)
-    for (i, j), entry in q.sc.items():
-        fi = partial(f, i, df)
-        gj = partial(g, j, dg)
-        fj = partial(f, j, df)
-        gi = partial(g, i, dg)
-        if (fi.is_zero() or gj.is_zero()) and (fj.is_zero() or gi.is_zero()):
-            continue
-        wedge = fi * gj - fj * gi
-        if wedge.is_zero():
-            continue
-        lin = Poly(n, {tuple(1 if t == k else 0 for t in range(n)): c
-                       for k, c in entry.items()})
-        out = out + lin * wedge
-    return out
-
-
 def bracket_with_coordinate(q: LieAlgebra, i: int, f: Poly) -> Poly:
-    """{x_i, f}, computed directly; cheaper than the generic bracket."""
+    """{x_i, f} = sum_j {x_i, x_j} d_j f; every bracket and centrality check
+    goes through it."""
     n = q.dim
     out = Poly.zero(n)
     for j in range(n):
@@ -83,6 +50,33 @@ def bracket_with_coordinate(q: LieAlgebra, i: int, f: Poly) -> Poly:
                        for k, c in entry.items()})
         out = out + lin * fj
     return out
+
+
+def poisson_bracket(q: LieAlgebra, f: Poly, g: Poly) -> Poly:
+    """{f, g} = sum_i d_i f * {x_i, g}, the Leibniz rule in the first
+    argument; raises :class:`BudgetError` when the term-count product is too
+    large to expand symbolically."""
+    if f.nvars != q.dim or g.nvars != q.dim:
+        raise ValueError("variable-count mismatch")
+    if len(f.terms) * len(g.terms) > BRACKET_TERM_BUDGET:
+        raise BudgetError(
+            f"bracket of {len(f.terms)} x {len(g.terms)} terms exceeds the budget")
+    if f.degree() * g.degree() > BRACKET_DEGREE_BUDGET:
+        raise BudgetError(
+            f"bracket of degrees {f.degree()} x {g.degree()} exceeds the budget")
+    out = Poly.zero(q.dim)
+    for i in range(q.dim):
+        fi = f.partial(i)
+        if not fi.is_zero():
+            out = out + fi * bracket_with_coordinate(q, i, g)
+    return out
+
+
+def verify_central(q: LieAlgebra, f: Poly, coords=None) -> bool:
+    """True iff {x_i, f} = 0 symbolically for every coordinate index i in
+    ``coords`` (all coordinates by default)."""
+    coords = range(q.dim) if coords is None else coords
+    return all(bracket_with_coordinate(q, i, f).is_zero() for i in coords)
 
 
 def shift(f: Poly, xi) -> list[Poly]:
@@ -113,16 +107,11 @@ class ShiftFamily:
 def mf_family(q: LieAlgebra, gens: list[Poly], xi) -> ShiftFamily:
     """Shift family of Poisson-central generators in direction xi.
 
-    Every generator is first verified to be central; the offending
-    coordinate bracket is reported otherwise.
+    Every generator is first verified to be central.
     """
     for g in gens:
-        for i in range(q.dim):
-            br = bracket_with_coordinate(q, i, g)
-            if not br.is_zero():
-                raise ValueError(
-                    f"generator {g.to_text(q.labels)} is not central: "
-                    f"{{{q.labels[i]}, f}} = {br.to_text(q.labels)}")
+        if not verify_central(q, g):
+            raise ValueError(f"generator {g.to_text(q.labels)} is not central")
     fam = ShiftFamily(q, tuple(Q(x) for x in xi), list(gens))
     for gi, g in enumerate(gens):
         comps = shift(g, xi)
@@ -148,18 +137,34 @@ def jacobian_rank_at(polys: list[Poly], mu) -> int:
     return linalg.rank(rows)
 
 
-def trdeg_lower_bound(polys: list[Poly], trials: int = 8, seed: int = 1) -> int:
-    """Certified lower bound for the transcendence degree: the maximum
-    Jacobian rank over sampled points."""
-    if not polys:
-        return 0
-    rng = random.Random(seed)
-    nvars = polys[0].nvars
-    best = 0
-    for _ in range(trials):
-        mu = sample_covector(nvars, rng, bound=997)
-        best = max(best, jacobian_rank_at(polys, mu))
-    return best
+def trdeg_lower_bound(polys: list[Poly], points) -> tuple[int, list | None]:
+    """Certified lower bound for the transcendence degree: the largest
+    Jacobian rank over the points, with the first point that reaches it
+    (None when no point gives a positive rank).  Stops once the rank is
+    len(polys)."""
+    best, best_point = 0, None
+    for mu in points:
+        r = jacobian_rank_at(polys, mu)
+        if r > best:
+            best, best_point = r, mu
+        if best == len(polys):
+            break
+    return best, best_point
+
+
+def certified_index(q: LieAlgebra, central: list[Poly], points):
+    """(index, rank, point) from verified-central polynomials.
+
+    Their differentials lie in the Kirillov kernel everywhere, so their
+    Jacobian rank is a lower bound for the index, and the Kirillov corank at
+    any point is an upper bound.  When the two meet at the point that reached
+    the rank, that value is the index; otherwise the elimination in
+    ``index`` decides.
+    """
+    rank, point = trdeg_lower_bound(central, points)
+    if point is not None and len(stabilizer(q, point)) == rank:
+        return rank, rank, point
+    return index(q), rank, point
 
 
 def regularity_via_differentials(q: LieAlgebra, free_gens: list[Poly], xi) -> bool:
@@ -169,24 +174,25 @@ def regularity_via_differentials(q: LieAlgebra, free_gens: list[Poly], xi) -> bo
 
     Preconditions (asserted): the generators are central, there are
     index-many of them, their degrees sum to b(q), and they are
-    algebraically independent.  The verdict is cross-checked against the
-    Kirillov-kernel notion of regularity.
+    algebraically independent.  The index comes from the generators' own
+    certificate (``certified_index``).  The verdict is cross-checked against
+    the Kirillov-kernel notion of regularity.
     """
-    l = index(q)
+    if not all(verify_central(q, g) for g in free_gens):
+        raise ValueError("generator is not central")
+    rng = random.Random(7)
+    points = (sample_covector(q.dim, rng, bound=997) for _ in range(12))
+    l, rank, _ = certified_index(q, free_gens, points)
     if len(free_gens) != l:
         raise ValueError(f"need index-many generators: got {len(free_gens)}, want {l}")
     total = sum(p.degree() for p in free_gens)
-    b = b_value(q)
+    b = Q(q.dim + l, 2)
     if total != b:
         raise ValueError(f"degree sum {total} does not match b = {b}")
-    for g in free_gens:
-        for i in range(q.dim):
-            if not bracket_with_coordinate(q, i, g).is_zero():
-                raise ValueError("generator is not central")
-    if trdeg_lower_bound(free_gens, trials=12, seed=7) != l:
+    if rank < l:
         raise ValueError("generators are not algebraically independent")
     verdict = jacobian_rank_at(free_gens, xi) == l
-    if verdict != is_regular(q, xi):
+    if verdict != (len(stabilizer(q, xi)) == l):
         raise AssertionError(
             "differential criterion disagrees with the Kirillov-kernel test")
     return verdict

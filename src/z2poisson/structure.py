@@ -10,7 +10,7 @@ matrix with entries in the polynomial ring over the dual coordinates is
 reduced by deterministic fraction-free elimination, exploiting the zero block
 that a contraction's abelian ideal creates.  The suites use it for ``g`` and
 for centralizers; the index of a contraction is certified from its central
-generators instead (``invariants.contraction_invariants``).
+generators instead (``poisson.certified_index``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction as Q
 
 from . import linalg
 from .diagram import PairId, SatakeDiagram, satake_of, rank_of_g, STRUCTURE_FAMILIES
-from .errors import GenericityError, UnsupportedPairError
+from .errors import AlgebraValidationError, GenericityError, UnsupportedPairError
 from .linalg import ColumnSolver, Mat
 from .poly import Poly, coeff_num
 
@@ -39,9 +39,11 @@ class LieAlgebra:
             for (i, j), entry in sc.items()
         }
         self.sc = {key: entry for key, entry in self.sc.items() if entry}
-        for (i, j) in self.sc:
-            if not 0 <= i < j < self.dim:
+        for (i, j), entry in self.sc.items():
+            if not (i in range(self.dim) and j in range(self.dim) and i < j):
                 raise ValueError(f"bad structure-constant key ({i},{j})")
+            if any(k not in range(self.dim) for k in entry):
+                raise ValueError(f"bad structure-constant target in ({i},{j})")
         if check:
             self.check_jacobi()
 
@@ -126,13 +128,19 @@ class LieAlgebra:
 
     @staticmethod
     def from_json(data: dict) -> "LieAlgebra":
-        labels = data["labels"]
-        if len(labels) != data["dim"]:
-            raise ValueError("label count does not match dim")
-        sc: dict[tuple[int, int], dict[int, Q]] = {}
-        for i, j, entry in data["sc"]:
-            sc[(i - 1, j - 1)] = {k - 1: Q(c) for k, c in entry}
-        return LieAlgebra(labels, sc)
+        """Inverse of ``to_json``; any malformed or non-Lie input raises
+        :class:`AlgebraValidationError`."""
+        try:
+            labels = data["labels"]
+            if len(labels) != data["dim"]:
+                raise ValueError("label count does not match dim")
+            sc = {(i - 1, j - 1): {k - 1: Q(c) for k, c in entry}
+                  for i, j, entry in data["sc"]}
+            return LieAlgebra(labels, sc)
+        except KeyError as e:
+            raise AlgebraValidationError(f"not a Lie algebra: missing {e}") from None
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise AlgebraValidationError(f"not a Lie algebra: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -800,7 +808,8 @@ def check_regular_stabilizer_index(pr: PairRealization, seed: int = 1,
     dimension rk(g, g0) and the even centralizer has index rk g - rk(g, g0).
 
     Returns a report dict with both numbers; retries sampling on genericity
-    failure, with an optional symbolic cross-check of the generic dimensions.
+    failure, with an optional symbolic cross-check of the generic
+    odd-centralizer dimension.
     """
     rng = random.Random(seed)
     rk_pair = pr.rank_pair
@@ -824,19 +833,18 @@ def check_regular_stabilizer_index(pr: PairRealization, seed: int = 1,
             "pass": len(odd_c) == rk_pair and got_ind == expected_ind,
         }
         if exact:
-            result["symbolic_dim_g1z"] = _symbolic_centralizer_dim(pr, odd=True)
-            result["symbolic_dim_g0z"] = _symbolic_centralizer_dim(pr, odd=False)
+            result["symbolic_dim_g1z"] = _symbolic_odd_centralizer_dim(pr)
         return result
     raise GenericityError(
         "no generic Cartan point found within the attempt budget")
 
 
-def _symbolic_centralizer_dim(pr: PairRealization, odd: bool) -> int:
-    """Generic centralizer dimension over the Cartan subspace, by symbolic
-    rank in the Cartan coefficients."""
+def _symbolic_odd_centralizer_dim(pr: PairRealization) -> int:
+    """Generic odd-centralizer dimension over the Cartan subspace, by
+    symbolic rank in the Cartan coefficients."""
     r = len(pr.cartan_subspace)
     dim = pr.g.dim
-    cols = list(pr.grading.odd_idx if odd else pr.grading.even_idx)
+    cols = list(pr.grading.odd_idx)
     rows = [[Poly.zero(r) for _ in cols] for _ in range(dim)]
     for t, vec in enumerate(pr.cartan_subspace):
         ad = pr.g.ad_matrix(vec)

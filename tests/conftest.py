@@ -1,6 +1,6 @@
 import pytest
 
-from z2poisson import build_pair, contract, index
+from z2poisson import build_pair
 
 
 @pytest.fixture(scope="session")
@@ -15,17 +15,3 @@ def pair():
 
     return get
 
-
-@pytest.fixture(scope="session")
-def eliminated_index(pair):
-    """index of a pair's contraction by symbolic elimination, computed once
-    per pair for the whole session: the library keeps no index cache."""
-    cache = {}
-
-    def get(name: str):
-        if name not in cache:
-            pr = pair(name)
-            cache[name] = index(contract(pr.g, pr.grading))
-        return cache[name]
-
-    return get

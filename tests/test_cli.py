@@ -158,10 +158,25 @@ NOT_JACOBI = {"dim": 3, "labels": ["a", "b", "c"],
     ('{"dim": 3,', 2, "not JSON"),
     (None, 3, "cannot read"),
     (json.dumps(NOT_JACOBI), 3, "Jacobi"),
-], ids=["label-count", "invalid-json", "missing-file", "jacobi"])
+    (json.dumps(dict(SL2_JSON, sc=[[1, 2, [[0, "1"]]]])), 3, "target"),
+    (json.dumps(dict(SL2_JSON, sc=[[1, 2, [[4, "1"]]]])), 3, "target"),
+], ids=["label-count", "invalid-json", "missing-file", "jacobi", "target-0",
+        "target-past-dim"])
 def test_bad_algebra_file(tmp_path, capsys, text, code, message):
     path = tmp_path / "algebra.json"
     if text is not None:
         path.write_text(text)
     got, _, err = run(["bracket", "--algebra", str(path), "e", "f"], capsys)
     assert got == code and message in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--suite", "dimstab", "--pair", "sl2,so2", "--samples", "-3"],
+    ["--suite", "main", "--max-nodes", "0"],
+    ["--suite", "nreg", "--pair", "sl2,so2", "--degree-bound", "-1"],
+], ids=["samples", "max-nodes", "degree-bound"])
+def test_counts_must_be_positive(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"] + flags)
+    assert exc.value.code == 2
+    assert "not a positive count" in capsys.readouterr().err

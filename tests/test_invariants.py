@@ -4,10 +4,10 @@ from fractions import Fraction as Q
 import pytest
 
 from z2poisson import (Poly, UnsupportedPairError, b_value, classical_invariants,
-                       contract, contraction_invariants, g1_invariants_check,
-                       index, matrix_algebra, noncommutativity_witness,
-                       nreg_subalgebra, pairwise_commuting, poisson_bracket,
-                       top_component, verify_central)
+                       contract, contraction_invariants, index, matrix_algebra,
+                       noncommutativity_witness, nreg_subalgebra,
+                       pairwise_commuting, poisson_bracket, top_component,
+                       verify_central)
 from z2poisson.invariants import pfaffian
 from z2poisson.poly import Poly as P
 
@@ -116,12 +116,14 @@ def test_verify_central(pair):
 
 
 def test_g1_invariants_check(pair):
+    # centrality restricted to the odd coordinates
     pr = pair("sl2,so2")
     k = contract(pr.g, pr.grading)
-    for i in pr.grading.odd_idx:
-        assert g1_invariants_check(k, pr.grading, Poly.var(k.dim, i))
-    assert g1_invariants_check(k, pr.grading, P.parse("v^2+w^2", k.labels))
-    assert not g1_invariants_check(k, pr.grading, P.parse("u", k.labels))
+    odd = pr.grading.odd_idx
+    for i in odd:
+        assert verify_central(k, Poly.var(k.dim, i), odd)
+    assert verify_central(k, P.parse("v^2+w^2", k.labels), odd)
+    assert not verify_central(k, P.parse("u", k.labels), odd)
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +194,8 @@ def test_nreg_subalgebra_diagonal(pair):
     assert inv.meta["count"] == pr.d1 + 1 == 4 == inv.meta["b"]
     assert inv.meta["certified_rank"] == 4
     assert pairwise_commuting(inv.algebra, inv.polys)[0]
-    assert all(g1_invariants_check(inv.algebra, pr.grading, p) for p in inv.polys)
+    assert all(verify_central(inv.algebra, p, pr.grading.odd_idx)
+               for p in inv.polys)
 
 
 def test_nreg_subalgebra_row1_unbalanced(pair):
@@ -232,8 +235,8 @@ def test_witness_found_for_quaternionic_pair(pair):
     k = contract(pr.g, pr.grading)
     assert not br.is_zero()
     assert poisson_bracket(k, f, g) == br
-    assert g1_invariants_check(k, pr.grading, f)
-    assert g1_invariants_check(k, pr.grading, g)
+    assert verify_central(k, f, pr.grading.odd_idx)
+    assert verify_central(k, g, pr.grading.odd_idx)
 
 
 def test_witness_absent_for_commutative_cases(pair):

@@ -3,10 +3,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import (BudgetError, LieAlgebra, Poly, b_value, contract,
-                       jacobian_rank_at, mf_family,
-                       pairwise_commuting, poisson_bracket,
-                       regularity_via_differentials, shift, trdeg_lower_bound)
+from z2poisson import (BudgetError, LieAlgebra, Poly, b_value, certified_index,
+                       contract, contraction_invariants, jacobian_rank_at,
+                       mf_family, pairwise_commuting, poisson,
+                       poisson_bracket, regularity_via_differentials, shift,
+                       trdeg_lower_bound)
 from z2poisson.invariants import classical_invariants
 from z2poisson.poisson import bracket_with_coordinate
 from z2poisson.structure import sample_covector
@@ -71,14 +72,18 @@ def test_bracket_axioms_randomized(pair):
 
 
 def test_bracket_with_coordinate_agrees_with_generic(pair):
+    # {x_i, f}(xi) is row i of the Kirillov form at xi against df(xi)
     pr = pair("sp4,sp2+sp2")
     k = contract(pr.g, pr.grading)
     rng = random.Random(5)
+    points = random.Random(6)
     for _ in range(20):
         f = rand_poly(rng, k.dim, max_deg=2, terms=3)
         i = rng.randrange(k.dim)
-        assert bracket_with_coordinate(k, i, f) == \
-            poisson_bracket(k, Poly.var(k.dim, i), f)
+        xi = sample_covector(k.dim, points, bound=50)
+        row = k.kirillov_at(xi)[i]
+        assert bracket_with_coordinate(k, i, f).eval(xi) == \
+            sum(a * b for a, b in zip(row, f.grad_at(xi)))
 
 
 def test_bracket_variable_count_mismatch():
@@ -216,7 +221,6 @@ def test_jacobian_rank(pair):
 def test_commuting_family_rank_bounded_by_b(pair):
     pr = pair("sl3,gl2")
     k = contract(pr.g, pr.grading)
-    from z2poisson import contraction_invariants
     inv = contraction_invariants(pr)
     fam = mf_family(k, inv.polys, sample_covector(k.dim, random.Random(2), 99))
     rng = random.Random(7)
@@ -227,8 +231,24 @@ def test_commuting_family_rank_bounded_by_b(pair):
 
 def test_trdeg_lower_bound():
     coords = [Poly.var(3, i) for i in range(3)]
-    assert trdeg_lower_bound(coords) == 3
-    assert trdeg_lower_bound([]) == 0
+    points = [[0, 0, 0], [1, 2, 3], [4, 5, 6]]
+    assert trdeg_lower_bound(coords, points) == (3, [0, 0, 0])
+    assert trdeg_lower_bound([], points) == (0, None)
+    # the first point reaching the best rank is returned; the loop stops at
+    # full rank, so later points are never drawn
+    square = [Poly.parse("x^2", ["x"])]
+    draws = iter([[0], [2], [3], None])
+    assert trdeg_lower_bound(square, draws) == (1, [2])
+    assert next(draws) == [3]
+
+
+def test_certified_index(pair):
+    pr = pair("sl2,so2")
+    k = contract(pr.g, pr.grading)
+    gen = Poly.parse("v^2+w^2", k.labels)
+    assert certified_index(k, [gen], [[0, 0, 0], [0, 1, 0]]) == (1, 1, [0, 1, 0])
+    # no positive rank: the elimination decides
+    assert certified_index(k, [gen], [[0, 0, 0]]) == (1, 0, None)
 
 
 def test_regularity_via_differentials(pair):
@@ -253,3 +273,21 @@ def test_regularity_preconditions(pair):
         regularity_via_differentials(k, [gen * gen], [0, 1, 0])
     with pytest.raises(ValueError, match="not central"):
         regularity_via_differentials(k, [Poly.parse("u^2", k.labels)], [0, 1, 0])
+    # no generators certify nothing: the elimination supplies the index
+    with pytest.raises(ValueError, match="index-many"):
+        regularity_via_differentials(k, [], [0, 1, 0])
+
+
+def test_regularity_via_differentials_needs_no_elimination(pair, monkeypatch):
+    # the generators' own certificate closes the index, so the elimination
+    # in `index` is never reached
+    def no_elimination(q):
+        raise AssertionError("index was eliminated")
+
+    monkeypatch.setattr(poisson, "index", no_elimination)
+    pr = pair("sl3,so3")
+    k = contract(pr.g, pr.grading)
+    gens = contraction_invariants(pr).polys
+    xi = sample_covector(k.dim, random.Random(4))
+    assert regularity_via_differentials(k, gens, xi)
+    assert not regularity_via_differentials(k, gens, [0] * k.dim)
