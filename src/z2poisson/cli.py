@@ -201,6 +201,8 @@ def _cmd_shift(args) -> int:
         raise _InputError(
             EXIT_VALIDATION,
             f"direction has {len(xi)} coordinates, the algebra has {k.dim}")
+    if f.is_zero():
+        raise _InputError(EXIT_VALIDATION, "the zero polynomial has no shift")
     comps = shift(f, xi)
     sys.stdout.write(" ; ".join(p.to_text(k.labels) for p in comps) + "\n")
     return EXIT_OK

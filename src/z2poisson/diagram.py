@@ -172,115 +172,76 @@ class SatakeDiagram:
         return "b" not in self.colors
 
     # -- connectivity ---------------------------------------------------
-    def _union_adj(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n_nodes + 1)}
-        for a, b, _, _ in self.graph.edges():
-            adj[a].add(b)
-            adj[b].add(a)
-        for a, b in self.arrows:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
     def is_connected(self) -> bool:
         """Connectivity of the graph with arrows counted as edges."""
-        n = self.n_nodes
-        if n <= 1:
-            return True
-        adj = self._union_adj()
-        seen = {1}
-        stack = [1]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == n
+        pairs = self.graph.edges() + list(self.arrows)
+        return len(_components(range(1, self.n_nodes + 1), pairs)) <= 1
 
     def decompose(self) -> list["SatakeDiagram"]:
         """Connected components (arrows included), each canonicalized."""
-        adj = self._union_adj()
-        seen: set[int] = set()
-        parts: list[set[int]] = []
-        for v in range(1, self.n_nodes + 1):
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                for u in adj[stack.pop()]:
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            seen |= comp
-            parts.append(comp)
-        out = []
-        for comp in parts:
-            keep = sorted(comp)
-            edges = [e for e in self.graph.edges() if e[0] in comp]
-            colors = {v: self.color(v) for v in keep}
-            arrows = [p for p in self.arrows if p[0] in comp]
-            out.append(_canonical_from_raw(keep, edges, colors, arrows))
-        return out
-
-    def inert_components(self) -> list["SatakeDiagram"]:
-        """Connected components consisting only of black nodes (retained in
-        subdiagram calculus but irrelevant to the predicates)."""
-        return [c for c in self.decompose() if "w" not in c.colors]
+        pairs = self.graph.edges() + list(self.arrows)
+        return [_canonical_from_raw(*self._restrict(comp))
+                for comp in _components(range(1, self.n_nodes + 1), pairs)]
 
     # -- subdiagram calculus ---------------------------------------------
+    # A removal unit is an arrow-free white node or an arrow pair.  Units
+    # are disjoint, and removing one leaves every other unit removable and
+    # creates none, so iterated one-step removals reach exactly the
+    # diagrams left by removing some subset of the units.
+    def _removals(self, sizes) -> list[list[int]]:
+        """The sorted node lists left by removing ``r`` removal units, for
+        each ``r`` in ``sizes``."""
+        arrowed = self.arrowed_nodes()
+        units = [{v} for v in self.white_nodes() if v not in arrowed]
+        units += [set(p) for p in self.arrows]
+        out = []
+        for r in sizes:
+            for chosen in itertools.combinations(units, r):
+                gone = set().union(*chosen)
+                out.append([v for v in range(1, self.n_nodes + 1) if v not in gone])
+        return out
+
+    def _restrict(self, keep: list[int]):
+        """The raw ``(nodes, edges, colors, arrows)`` on the node list ``keep``."""
+        kept = set(keep)
+        edges = [e for e in self.graph.edges() if e[0] in kept and e[1] in kept]
+        colors = {v: self.color(v) for v in keep}
+        arrows = [p for p in self.arrows if p[0] in kept and p[1] in kept]
+        return keep, edges, colors, arrows
+
     def subdiagrams_one_step(self) -> list["SatakeDiagram"]:
         """All diagrams obtained by one legal removal: a single arrow-free
         white node, or a pair of arrow-joined nodes.  Canonical, deduplicated,
         sorted by serialization."""
-        arrowed = self.arrowed_nodes()
-        removals: list[set[int]] = []
-        for v in self.white_nodes():
-            if v not in arrowed:
-                removals.append({v})
-        for a, b in self.arrows:
-            removals.append({a, b})
         seen: dict[str, SatakeDiagram] = {}
-        all_edges = self.graph.edges()
-        for gone in removals:
-            keep = [v for v in range(1, self.n_nodes + 1) if v not in gone]
-            edges = [e for e in all_edges if e[0] not in gone and e[1] not in gone]
-            colors = {v: self.color(v) for v in keep}
-            arrows = [p for p in self.arrows if p[0] not in gone and p[1] not in gone]
-            sub = _canonical_from_raw(keep, edges, colors, arrows)
+        for keep in self._removals((1,)):
+            sub = _canonical_from_raw(*self._restrict(keep))
             seen[sub.serialize()] = sub
         return [seen[k] for k in sorted(seen)]
 
     def reduced_subpairs(self, proper: bool = False) -> set["SatakeDiagram"]:
-        """Transitive closure of one-step removals.  Includes the diagram
-        itself (the zero-iteration case) unless ``proper`` is set."""
-        start = self.canonical()
-        out: set[SatakeDiagram] = set()
-        frontier = [start]
-        visited = {start}
-        while frontier:
-            nxt = []
-            for d in frontier:
-                for s in d.subdiagrams_one_step():
-                    if s not in visited:
-                        visited.add(s)
-                        nxt.append(s)
-            out.update(nxt)
-            frontier = nxt
-        if not proper:
-            out.add(start)
-        return out
+        """Transitive closure of one-step removals: every union of removal
+        units taken away, canonicalized.  Includes the diagram itself (the
+        empty union) unless ``proper`` is set."""
+        sizes = range(1 if proper else 0, self.n_nodes + 1)
+        return {_canonical_from_raw(*self._restrict(keep))
+                for keep in self._removals(sizes)}
 
     def has_bad_rank1_subpair(self) -> bool:
         """Whether some reduced subpair is a single isolated white node plus
         an all-black rest.  Equivalent to the failure of ``has_codim3`` but
         computed through the subdiagram closure instead of locally."""
-        for s in self.reduced_subpairs():
-            whites = s.white_nodes()
-            if len(whites) != 1 or s.arrows:
+        edges = self.graph.edges()
+        for keep in self._removals(range(self.n_nodes + 1)):
+            whites = [v for v in keep if self.color(v) == "w"]
+            if len(whites) != 1:
                 continue
             w = whites[0]
-            if all(w not in (a, b) for a, b, _, _ in s.graph.edges()):
+            kept = set(keep)
+            if any(a in kept and b in kept for a, b in self.arrows):
+                continue
+            if all(w not in (a, b) for a, b, _, _ in edges
+                   if a in kept and b in kept):
                 return True
         return False
 
@@ -423,13 +384,12 @@ def _identify_component(nodes: list[int], edges: list[Edge]):
     raise DiagramValidationError("unrecognized simply-laced component")
 
 
-def _canonical_from_raw(nodes: list[int], edges: list[Edge],
-                        colors: dict[int, str], arrows) -> SatakeDiagram:
-    if not nodes:
-        return SatakeDiagram(DynkinGraph(()), "", ())
-    # split into graph components
+def _components(nodes, pairs) -> list[list[int]]:
+    """Connected components of the graph on ``nodes`` whose edges are the
+    first two entries of each item of ``pairs``; each component is sorted,
+    and they come in the order of their first node in ``nodes``."""
     adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for a, b, _, _ in edges:
+    for a, b, *_ in pairs:
         adj[a].append(b)
         adj[b].append(a)
     seen: set[int] = set()
@@ -437,20 +397,26 @@ def _canonical_from_raw(nodes: list[int], edges: list[Edge],
     for v in nodes:
         if v in seen:
             continue
-        comp = [v]
         seen.add(v)
-        stack = [v]
+        comp, stack = [v], [v]
         while stack:
             for u in adj[stack.pop()]:
                 if u not in seen:
                     seen.add(u)
                     comp.append(u)
                     stack.append(u)
-        parts.append(comp)
+        parts.append(sorted(comp))
+    return parts
+
+
+def _canonical_from_raw(nodes: list[int], edges: list[Edge],
+                        colors: dict[int, str], arrows) -> SatakeDiagram:
+    if not nodes:
+        return SatakeDiagram(DynkinGraph(()), "", ())
     comps = []
-    for comp in parts:
+    for comp in _components(nodes, edges):
         comp_edges = [e for e in edges if e[0] in comp]
-        letter, rank, maps = _identify_component(sorted(comp), comp_edges)
+        letter, rank, maps = _identify_component(comp, comp_edges)
         colorkey = min("".join(colors[v] for v in m) for m in maps)
         comps.append((letter, rank, colorkey, maps))
     comps.sort(key=lambda t: (t[0], t[1], t[2]))
@@ -1024,10 +990,7 @@ def enumerate_valid_diagrams(max_nodes: int):
             colors = "".join(bits)
             whites = [i + 1 for i, c in enumerate(colors) if c == "w"]
             for matching in _partial_matchings(whites):
-                try:
-                    d = SatakeDiagram.make(comps, colors, matching)
-                except DiagramValidationError:
-                    continue
+                d = SatakeDiagram.make(comps, colors, matching)
                 if not d.is_connected():
                     continue
                 c = d.canonical()

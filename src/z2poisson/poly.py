@@ -17,6 +17,9 @@ from .errors import PolyParseError
 
 Exponents = tuple[int, ...]
 
+# a variable name that ``Poly.parse`` reads as one token
+NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
+
 
 def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
@@ -334,7 +337,8 @@ class Poly:
             index.setdefault(f"x{i+1}", i)
         tokens = []
         pos = 0
-        token_re = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-)|(\S))")
+        token_re = re.compile(
+            rf"\s*(?:(\d+/\d+|\d+)|({NAME_PATTERN})|(\^)|(\*)|(\+)|(-)|(\S))")
         while pos < len(text):
             m = token_re.match(text, pos)
             if not m:
@@ -380,7 +384,11 @@ class Poly:
                 if not expect_factor:
                     break
                 if kind == "num":
-                    coeff *= coeff_num(Q(val))
+                    try:
+                        value = Q(val)
+                    except ZeroDivisionError:
+                        raise PolyParseError(f"zero denominator in {val!r}", at) from None
+                    coeff *= coeff_num(value)
                     saw_factor = True
                     expect_factor = False
                     i += 1

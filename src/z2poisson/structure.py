@@ -16,6 +16,7 @@ generators instead (``poisson.certified_index``).
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
@@ -23,7 +24,7 @@ from . import linalg
 from .diagram import PairId, SatakeDiagram, satake_of, rank_of_g, STRUCTURE_FAMILIES
 from .errors import AlgebraValidationError, GenericityError, UnsupportedPairError
 from .linalg import ColumnSolver, Mat
-from .poly import Poly, coeff_num
+from .poly import NAME_PATTERN, Poly, coeff_num
 
 Covector = tuple[Q, ...]
 
@@ -34,6 +35,11 @@ class LieAlgebra:
 
     def __init__(self, labels, sc, check: bool = True):
         self.labels: tuple[str, ...] = tuple(labels)
+        for label in self.labels:
+            if not (isinstance(label, str) and re.fullmatch(NAME_PATTERN, label)):
+                raise ValueError(f"label {label!r} is not a variable name")
+        if len(set(self.labels)) != self.dim:
+            raise ValueError("labels are not distinct")
         self.sc: dict[tuple[int, int], dict[int, Q]] = {
             (i, j): {k: coeff_num(c) for k, c in entry.items() if c != 0}
             for (i, j), entry in sc.items()

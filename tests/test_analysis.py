@@ -30,11 +30,13 @@ def test_summary_propagates_unsupported():
 
 
 def test_main_theorem_small_counts():
-    rep = verify_main_combinatorics(max_nodes=2)
-    assert rep.passed
-    assert "17 diagrams" in rep.checks[0].note
-    rep3 = verify_main_combinatorics(max_nodes=3)
-    assert rep3.passed
+    counts = {2: (17, 13), 3: (65, 40), 4: (343, 191), 5: (1545, 712),
+              6: (8755, 3580)}
+    for max_nodes, (total, codim3) in counts.items():
+        rep = verify_main_combinatorics(max_nodes=max_nodes)
+        assert rep.passed
+        assert rep.checks[0].note == \
+            f"{total} diagrams enumerated, {codim3} with codim-3"
     with pytest.raises(UnsupportedPairError):
         verify_main_combinatorics(max_nodes=9)
 

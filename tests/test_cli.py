@@ -74,6 +74,11 @@ def test_bracket_parse_error(capsys):
     assert code == 2
 
 
+def test_bracket_zero_denominator(capsys):
+    code, _, err = run(["bracket", "--pair", "sl2,so2", "1/0*u", "v"], capsys)
+    assert code == 2 and "zero denominator" in err
+
+
 def test_bracket_budget_exit(capsys):
     code, _, err = run(["bracket", "--pair", "sl2,so2", "u^101", "v^101"], capsys)
     assert code == 5 and "budget" in err
@@ -89,6 +94,12 @@ def test_shift_bad_direction_length(capsys):
     code, _, err = run(["shift", "--pair", "sl2,so2", "--xi", "0,1",
                         "v^2+w^2"], capsys)
     assert code == 3
+
+
+def test_shift_zero_polynomial(capsys):
+    code, _, err = run(["shift", "--pair", "sl2,so2", "--xi", "0,1,0", "0"],
+                       capsys)
+    assert code == 3 and "zero polynomial" in err
 
 
 def test_verify_summary_writes_reports(tmp_path, capsys):
@@ -160,8 +171,10 @@ NOT_JACOBI = {"dim": 3, "labels": ["a", "b", "c"],
     (json.dumps(NOT_JACOBI), 3, "Jacobi"),
     (json.dumps(dict(SL2_JSON, sc=[[1, 2, [[0, "1"]]]])), 3, "target"),
     (json.dumps(dict(SL2_JSON, sc=[[1, 2, [[4, "1"]]]])), 3, "target"),
+    (json.dumps(dict(SL2_JSON, labels=["e", "e", "h"])), 3, "not distinct"),
+    (json.dumps(dict(SL2_JSON, labels=["e f", "f", "h"])), 3, "variable name"),
 ], ids=["label-count", "invalid-json", "missing-file", "jacobi", "target-0",
-        "target-past-dim"])
+        "target-past-dim", "duplicate-label", "label-not-a-name"])
 def test_bad_algebra_file(tmp_path, capsys, text, code, message):
     path = tmp_path / "algebra.json"
     if text is not None:

@@ -263,6 +263,27 @@ def test_has_bad_rank1_subpair_examples():
     assert satake_of(PairId("e8_e7_sl2")).has_bad_rank1_subpair()
 
 
+def _bad_shape(s):
+    whites = s.white_nodes()
+    return (len(whites) == 1 and not s.arrows
+            and all(whites[0] not in (a, b) for a, b, _, _ in s.graph.edges()))
+
+
+def test_closure_matches_one_step_fixpoint():
+    # the closure as iterated one-step removals, found by breadth-first search
+    for d in enumerate_valid_diagrams(5):
+        reached = set()
+        frontier = {d}
+        while frontier:
+            frontier = {s for t in frontier
+                        for s in t.subdiagrams_one_step()} - reached
+            reached |= frontier
+        assert d.reduced_subpairs(proper=True) == reached, d.serialize()
+        assert d.reduced_subpairs() == reached | {d}, d.serialize()
+        assert d.has_bad_rank1_subpair() == any(
+            _bad_shape(s) for s in reached | {d}), d.serialize()
+
+
 def test_predicate_equivalence_small():
     for d in enumerate_valid_diagrams(4):
         assert d.has_codim3() == (not d.has_bad_rank1_subpair()), d.serialize()
@@ -282,7 +303,10 @@ def test_decompose():
     d = parse_satake("A1 x A2 colors=wbb arrows=[]")
     parts = sorted(p.serialize() for p in d.decompose())
     assert parts == ["A1 colors=w arrows=[]", "A2 colors=bb arrows=[]"]
-    assert [p.serialize() for p in d.inert_components()] == ["A2 colors=bb arrows=[]"]
+    # an arrow ties two graph components into one part
+    d = parse_satake("A1 x A2 x A1 colors=wbww arrows=[(1,4)]")
+    parts = sorted(p.serialize() for p in d.decompose())
+    assert parts == ["A1 x A1 colors=ww arrows=[(1,2)]", "A2 colors=bw arrows=[]"]
 
 
 def test_canonical_identifies_isomorphic_labelings():

@@ -67,6 +67,9 @@ def test_parse_errors_carry_position():
         Poly.parse("", LABELS)
     with pytest.raises(PolyParseError):
         Poly.parse("v w", LABELS)
+    with pytest.raises(PolyParseError) as e:
+        Poly.parse("u + 3/0*v", LABELS)
+    assert e.value.position == 4
 
 
 def test_partial_and_gradient():

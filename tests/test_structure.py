@@ -292,8 +292,12 @@ def test_structure_constants_json_round_trip(pair):
     {"dim": 3, "labels": ["e", "f", "h"]},
     {"dim": 3, "labels": ["e", "f", "h"], "sc": [[1, 2, [[3, None]]]]},
     ["not", "a", "dict"],
+    {"dim": 3, "labels": ["e", "e", "h"], "sc": [[1, 2, [[3, "1"]]]]},
+    {"dim": 3, "labels": ["e f", "f", "h"], "sc": [[1, 2, [[3, "1"]]]]},
+    {"dim": 3, "labels": ["e", 2, "h"], "sc": [[1, 2, [[3, "1"]]]]},
 ], ids=["target-0", "target-past-dim", "fractional-key", "zero-denominator",
-        "missing-sc", "null-coefficient", "not-a-dict"])
+        "missing-sc", "null-coefficient", "not-a-dict", "duplicate-label",
+        "label-with-space", "label-not-a-string"])
 def test_from_json_rejects_malformed(data):
     with pytest.raises(AlgebraValidationError, match="not a Lie algebra"):
         LieAlgebra.from_json(data)
