@@ -34,11 +34,6 @@ EXIT_UNSUPPORTED = 4
 EXIT_BUDGET = 5
 
 
-def _default_seed() -> int:
-    env = os.environ.get("Z2C_SEED")
-    return int(env) if env else 1
-
-
 def _count(text: str) -> int:
     """A count flag: an integer of at least 1 (argparse exits 2 otherwise)."""
     value = int(text)
@@ -69,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-nodes", type=_count, default=6)
     v.add_argument("--samples", type=_count, default=20)
     v.add_argument("--degree-bound", type=_count, default=4)
-    v.add_argument("--seed", type=int, default=_default_seed(),
+    v.add_argument("--seed", type=int,
                    help="random seed (env Z2C_SEED overrides the default 1)")
     v.add_argument("--format", choices=("json", "markdown"), default="json")
     v.add_argument("--out", help="directory for report files")
@@ -118,17 +113,23 @@ def _load_algebra(args) -> LieAlgebra:
     raise UnsupportedPairError("an algebra is required: --pair or --algebra")
 
 
+def _cannot_write(out: str, e: OSError) -> _InputError:
+    return _InputError(EXIT_VALIDATION, f"cannot write {out}: {e.strerror}")
+
+
 def _emit_report(rep: VerificationReport, args) -> None:
     md = rep.to_markdown()
     js = report_to_json_text(rep)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         slug = f"{rep.suite}_{rep.pair}".replace(" ", "").replace(",", "_")
         slug = "".join(ch for ch in slug if ch.isalnum() or ch in "_-")
-        with open(os.path.join(args.out, slug + ".json"), "w") as fh:
-            fh.write(js)
-        with open(os.path.join(args.out, slug + ".md"), "w") as fh:
-            fh.write(md)
+        try:
+            with open(os.path.join(args.out, slug + ".json"), "w") as fh:
+                fh.write(js)
+            with open(os.path.join(args.out, slug + ".md"), "w") as fh:
+                fh.write(md)
+        except OSError as e:
+            raise _cannot_write(args.out, e) from None
     sys.stdout.write(md if args.format == "markdown" else js)
 
 
@@ -160,22 +161,43 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _seed(args) -> int:
+    """``--seed``, else the ``Z2C_SEED`` environment variable, else 1."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("Z2C_SEED")
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise _InputError(EXIT_PARSE,
+                          f"Z2C_SEED={env!r} is not an integer") from None
+
+
 def _cmd_verify(args) -> int:
     suite = SUITES[args.suite]
-    if args.suite == "main":
-        rep = suite(max_nodes=args.max_nodes, seed=args.seed)
-    else:
+    seed = _seed(args)
+    pair = None
+    if args.suite != "main":
         if not args.pair:
             raise UnsupportedPairError(f"suite {args.suite!r} needs --pair")
         pair = parse_pair_name(args.pair)
-        if args.suite == "dimstab":
-            rep = suite(pair, samples=args.samples, seed=args.seed)
-        elif args.suite == "summary":
-            rep = suite(pair, seed=args.seed, exact=args.exact)
-        elif args.suite == "nreg":
-            rep = suite(pair, seed=args.seed, degree_bound=args.degree_bound)
-        else:
-            rep = suite(pair, seed=args.seed)
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as e:
+            raise _cannot_write(args.out, e) from None
+    if args.suite == "main":
+        rep = suite(max_nodes=args.max_nodes, seed=seed)
+    elif args.suite == "dimstab":
+        rep = suite(pair, samples=args.samples, seed=seed)
+    elif args.suite == "summary":
+        rep = suite(pair, seed=seed, exact=args.exact)
+    elif args.suite == "nreg":
+        rep = suite(pair, seed=seed, degree_bound=args.degree_bound)
+    else:
+        rep = suite(pair, seed=seed)
     _emit_report(rep, args)
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 

@@ -354,8 +354,6 @@ def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
     candidates: list[Poly] = []
     for d in range(1, degree_bound + 1):
         monos = list(_monomials(k.dim, d))
-        cols = {e: c for c, e in enumerate(monos)}
-        rows: list[list[Q]] = []
         row_index: dict[tuple[int, tuple], int] = {}
         mat_rows: list[dict[int, Q]] = []
         for e_i in odd:
@@ -367,7 +365,8 @@ def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
                         row_index[key] = len(mat_rows)
                         mat_rows.append({})
                     mat_rows[row_index[key]][c] = coeff
-        dense = [[row.get(c, Q(0)) for c in range(len(monos))] for row in mat_rows]
+        zero = Q(0)
+        dense = [[row.get(c, zero) for c in range(len(monos))] for row in mat_rows]
         for kv in linalg.kernel(dense, ncols=len(monos)):
             candidates.append(Poly(k.dim, {monos[c]: kv[c]
                                            for c in range(len(monos)) if kv[c] != 0}))

@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals and over polynomial rings.
 
-Rational matrices go through plain Gaussian elimination with Fraction
-arithmetic.  Matrices with polynomial entries go through fraction-free
-(Bareiss) elimination with full pivoting: every intermediate entry is a
-minor of the input, divisions are exact, and the pivot count is the rank
-over the rational function field.  Kernels of polynomial matrices are
-assembled from Cramer-style maximal minors, which keeps every entry a
-polynomial of bounded degree.
+Rational matrices go through Gauss-Jordan elimination with Fraction
+arithmetic on sparse rows: each row is a map from column to nonzero entry,
+and eliminating with a pivot row touches only that row's support.  The
+reduced row echelon form is unique, so this returns exactly the rows and
+pivots a dense elimination would.  Matrices with polynomial entries go
+through fraction-free (Bareiss) elimination with full pivoting: every
+intermediate entry is a minor of the input, divisions are exact, and the
+pivot count is the rank over the rational function field.  Kernels of
+polynomial matrices are assembled from Cramer-style maximal minors, which
+keeps every entry a polynomial of bounded degree.
 """
 
 from __future__ import annotations
@@ -23,28 +26,45 @@ Mat = list[list[Q]]
 # ----------------------------------------------------------------------
 
 def rref(rows: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [[x if isinstance(x, Q) else Q(x) for x in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
+    """Reduced row echelon form and the list of pivot columns.
+
+    Rows are eliminated as ``{column: nonzero}`` maps; the pivot for each
+    column is the sparsest candidate row, which keeps fill-in low and does
+    not change the (unique) result.  Returns dense rows, pivot rows first in
+    pivot order and zero rows at the bottom.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pending = [r for r in ({j: x if isinstance(x, Q) else Q(x)
+                            for j, x in enumerate(row) if x} for row in rows) if r]
+    done: list[dict[int, Q]] = []
     pivots: list[int] = []
-    r = 0
     for c in range(nc):
-        p = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
+        if not pending:
             break
-    return m, pivots
+        hits = [i for i, row in enumerate(pending) if c in row]
+        if not hits:
+            continue
+        p = min(hits, key=lambda i: len(pending[i]))
+        inv = 1 / pending[p][c]
+        prow = {j: x * inv for j, x in pending[p].items()}
+        targets = [pending[i] for i in hits if i != p]
+        targets += [row for row in done if c in row]
+        for row in targets:
+            f = row[c]
+            for j, x in prow.items():
+                v = row.get(j, 0) - f * x
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        pending = [row for i, row in enumerate(pending) if i != p and row]
+        done.append(prow)
+        pivots.append(c)
+    zero = Q(0)
+    out = [[row.get(j, zero) for j in range(nc)] for row in done]
+    out.extend([zero] * nc for _ in range(nr - len(done)))
+    return out, pivots
 
 
 def rank(rows: Mat) -> int:
@@ -93,7 +113,8 @@ class ColumnSolver:
 
     def solve(self, b: list[Q]) -> list[Q] | None:
         """Coordinates of b in the column basis, or None if b is outside."""
-        y = [sum((op[i] * b[i] for i in range(self.nrows) if b[i] != 0), Q(0))
+        nonzero = [(i, x) for i, x in enumerate(b) if x]
+        y = [sum((op[i] * x for i, x in nonzero if op[i]), Q(0))
              for op in self.ops]
         x = [Q(0)] * self.ncols
         for r, c in enumerate(self.pivots):
@@ -261,8 +282,18 @@ def contraction_rank(a_block: list[list[Poly]], b_block: list[list[Poly]]) -> in
 # ----------------------------------------------------------------------
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
+    """The product ``a b``, accumulating only products of nonzero entries."""
+    ncols = len(b[0])
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [Q(0)] * ncols
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_nonzero[k]:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from math import prod
 
 from . import linalg
 from .errors import BudgetError
@@ -83,10 +84,18 @@ def shift(f: Poly, xi) -> list[Poly]:
     """The argument-shift components f_xi^j for j = 0..deg(f)-1.
 
     These are the coefficients of a^j in f(mu + a*xi); the top coefficient
-    j = deg(f) is a constant and is discarded.
+    j = deg(f) is a constant and is discarded.  Raises :class:`BudgetError`
+    before expanding when the expansion would create more than
+    ``BRACKET_TERM_BUDGET`` terms: a term with exponents e creates
+    prod (e_i + 1) over the i with e_i > 0 and xi_i != 0.
     """
     if f.is_zero():
         raise ValueError("shift of the zero polynomial")
+    created = sum(prod(e + 1 for e, x in zip(exps, xi) if e and x)
+                  for exps in f.terms)
+    if created > BRACKET_TERM_BUDGET:
+        raise BudgetError(
+            f"shift expansion of {created} terms exceeds the budget")
     comps = f.shift_components(xi)
     return comps[: f.degree()] if f.degree() >= 1 else comps[:1]
 

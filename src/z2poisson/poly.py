@@ -271,8 +271,9 @@ class Poly:
                 if p == 0:
                     continue
                 nxt: list[tuple[Exponents, Q, int]] = []
+                top = p if xi[i] else 0     # a zero xi_i adds no power of a
                 for base_e, base_c, base_j in partial:
-                    for b in range(p + 1):
+                    for b in range(top + 1):
                         coef = base_c * comb(p, b) * (xi[i] ** b) if b else base_c
                         if coef == 0:
                             continue

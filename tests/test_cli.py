@@ -147,6 +147,32 @@ def test_seed_env_override(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 77
 
 
+def test_bad_seed_env_is_a_verify_parse_error(capsys, monkeypatch):
+    monkeypatch.setenv("Z2C_SEED", "abc")
+    code, _, err = run(["verify", "--suite", "summary", "--pair", "sl2,so2"],
+                       capsys)
+    assert code == 2 and "Z2C_SEED" in err
+    code, out, _ = run(["verify", "--suite", "summary", "--pair", "sl2,so2",
+                        "--seed", "3"], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 3
+    code, out, _ = run(["classify", "--pair", "sl2,so2"], capsys)
+    assert code == 0 and json.loads(out)["rank"] == 1
+
+
+def test_verify_unwritable_out(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(["verify", "--suite", "summary", "--pair", "sl2,so2",
+                          "--out", str(blocker / "x")], capsys)
+    assert code == 3 and "cannot write" in err and out == ""
+
+
+def test_shift_budget_exit(capsys):
+    code, out, err = run(["shift", "--pair", "sl2,so2", "--xi", "1,1,1",
+                          "u^100*v^100*w^100"], capsys)
+    assert code == 5 and "budget" in err and out == ""
+
+
 def test_flags_only_where_read(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bracket", "--pair", "sl2,so2", "--exact", "u", "v"])

@@ -143,6 +143,18 @@ def test_shift_components(pair):
         shift(Poly.zero(3), [0, 1, 0])
 
 
+def test_shift_budget():
+    # the expansion of u^100 v^100 w^100 along (1,1,1) has 101^3 terms, over
+    # the budget; a zero direction coordinate expands nothing, so the same
+    # monomial along (1,1,0) creates 101^2 terms and stays inside it
+    f = Poly(3, {(100, 100, 100): Q(1)})
+    with pytest.raises(BudgetError, match="1030301 terms"):
+        shift(f, [1, 1, 1])
+    comps = shift(f, [1, 1, 0])
+    assert len(comps) == 300
+    assert sum(len(p.terms) for p in comps) == 101 ** 2
+
+
 def test_shift_penultimate_equals_gradient_constant_one():
     # for homogeneous f the last retained shift component IS the
     # differential at the direction, with proportionality constant exactly 1
