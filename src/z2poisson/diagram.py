@@ -11,16 +11,22 @@ codimension-3 regularity property of the associated contraction.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DiagramSyntaxError, DiagramValidationError, UnsupportedPairError
+from .errors import (BudgetError, DiagramSyntaxError, DiagramValidationError,
+                     UnsupportedPairError)
 
 # node ids are global and 1-based; components are numbered left to right,
 # Bourbaki numbering inside each component.
 
 Edge = tuple[int, int, int, int | None]  # (a, b, bond, arrow-target or None)
+
+# a canonical form tries every relabeling; repeated equal components make
+# that count factorial (nine A1 would be 9! = 362,880)
+CANONICAL_RELABELING_BUDGET = 100_000
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"E": 8, "F": 4, "G": 2}
@@ -427,6 +433,11 @@ def _canonical_from_raw(nodes: list[int], edges: list[Edge],
             groups[-1].append(i)
         else:
             groups.append([i])
+    relabelings = (math.prod(math.factorial(len(g)) for g in groups)
+                   * math.prod(len(c[3]) for c in comps))
+    if relabelings > CANONICAL_RELABELING_BUDGET:
+        raise BudgetError(f"canonical form needs {relabelings} relabelings, "
+                          f"over the budget of {CANONICAL_RELABELING_BUDGET}")
     arrow_pairs = [tuple(sorted(p)) for p in arrows]
     best = None
     group_perms = [list(itertools.permutations(g)) for g in groups]
@@ -963,6 +974,46 @@ def _partial_matchings(items: list[int]):
             yield [(head, other)] + m
 
 
+def _diagram_automorphisms(graph: DynkinGraph) -> list[tuple[int, ...]]:
+    """The automorphism group of ``graph`` (equal components adjacent):
+    permutations of equal components times each component's own
+    relabelings onto itself.  An element ``g`` puts the 0-based node
+    ``g[p]`` at position ``p``."""
+    comps, offsets = graph.components, graph.offsets()
+    own = [_identify_component(list(range(1, r + 1)),
+                               list(component_edges(letter, r)))[2]
+           for letter, r in comps]
+    blocks = [list(g) for _, g in itertools.groupby(range(len(comps)),
+                                                   key=comps.__getitem__)]
+    out = []
+    for arrangement in itertools.product(*(itertools.permutations(b)
+                                           for b in blocks)):
+        order = [i for b in arrangement for i in b]
+        for choice in itertools.product(*(own[i] for i in order)):
+            out.append(tuple(offsets[i] + v - 1
+                             for i, m in zip(order, choice) for v in m))
+    return out
+
+
+def _joins_all(arrows, comp_of: list[int], k: int) -> bool:
+    """Whether ``arrows`` tie all ``k`` components together (union-find on
+    component indices; ``comp_of`` is indexed by 1-based node)."""
+    parent = list(range(k))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    joined = 0
+    for a, b in arrows:
+        ra, rb = find(comp_of[a]), find(comp_of[b])
+        if ra != rb:
+            parent[ra] = rb
+            joined += 1
+    return joined == k - 1
+
+
 def enumerate_valid_diagrams(max_nodes: int):
     """Yield every structurally valid Satake diagram (up to isomorphism)
     whose underlying graph has at most ``max_nodes`` nodes and which is
@@ -970,6 +1021,14 @@ def enumerate_valid_diagrams(max_nodes: int):
 
     Products of connected Dynkin graphs appear only when arrows tie the
     factors together; pure disjoint unions reduce to their components.
+
+    Orderly generation: each isomorphism class is yielded once, as the
+    lexicographically least ``(colors, arrows)`` in its orbit under the
+    automorphism group of the component multiset.  That is the key
+    ``canonical`` minimizes over the same relabelings, so every yielded
+    diagram is its own canonical form, and no set of earlier diagrams is
+    kept.  The order is by component multiset, then by coloring, then by
+    matching.
     """
     types = connected_dynkin_types(max_nodes)
     sizes = {t: t[1] for t in types}
@@ -983,18 +1042,36 @@ def enumerate_valid_diagrams(max_nodes: int):
                 extend(partial + [t], remaining - sizes[t], pool[i:])
 
     extend([], max_nodes, types)
-    seen: set[SatakeDiagram] = set()
     for comps in multisets:
-        n = sum(r for _, r in comps)
+        n, k = sum(r for _, r in comps), len(comps)
+        if 2 * (k - 1) > n:  # k - 1 arrows cannot fit on n nodes
+            continue
+        graph = DynkinGraph(comps)
+        group = _diagram_automorphisms(graph)
+        identity = tuple(range(n))
+        comp_of = [0] + [i for i, (_, r) in enumerate(comps) for _ in range(r)]
         for bits in itertools.product("wb", repeat=n):
             colors = "".join(bits)
-            whites = [i + 1 for i, c in enumerate(colors) if c == "w"]
-            for matching in _partial_matchings(whites):
-                d = SatakeDiagram.make(comps, colors, matching)
-                if not d.is_connected():
-                    continue
-                c = d.canonical()
-                if c in seen:
-                    continue
-                seen.add(c)
-                yield c
+            # keep the least coloring of its orbit, and its stabilizer as
+            # maps from 1-based node to 1-based position
+            stab = []
+            for g in group:
+                image = "".join(colors[v] for v in g)
+                if image < colors:
+                    break
+                if image == colors and g != identity:
+                    relabel = [0] * (n + 1)
+                    for p, v in enumerate(g, start=1):
+                        relabel[v + 1] = p
+                    stab.append(relabel)
+            else:
+                whites = [i + 1 for i, c in enumerate(colors) if c == "w"]
+                for matching in _partial_matchings(whites):
+                    if len(matching) < k - 1 or not _joins_all(matching, comp_of, k):
+                        continue
+                    arrows = tuple(matching)
+                    if any(tuple(sorted(tuple(sorted((h[a], h[b])))
+                                        for a, b in arrows)) < arrows
+                           for h in stab):
+                        continue
+                    yield SatakeDiagram(graph, colors, arrows)

@@ -31,7 +31,7 @@ def test_summary_propagates_unsupported():
 
 def test_main_theorem_small_counts():
     counts = {2: (17, 13), 3: (65, 40), 4: (343, 191), 5: (1545, 712),
-              6: (8755, 3580)}
+              6: (8755, 3580), 7: (50757, 17915)}
     for max_nodes, (total, codim3) in counts.items():
         rep = verify_main_combinatorics(max_nodes=max_nodes)
         assert rep.passed

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -171,6 +172,19 @@ def test_shift_budget_exit(capsys):
     code, out, err = run(["shift", "--pair", "sl2,so2", "--xi", "1,1,1",
                           "u^100*v^100*w^100"], capsys)
     assert code == 5 and "budget" in err and out == ""
+
+
+def test_classify_canonical_budget_exit(capsys):
+    # the canonical form of k equal components tries k! relabelings
+    def copies(k):
+        return " x ".join(["A1"] * k) + f" colors={'w' * k} arrows=[]"
+
+    t0 = time.monotonic()
+    code, out, err = run(["classify", copies(10)], capsys)
+    assert code == 5 and "budget" in err and out == ""
+    assert time.monotonic() - t0 < 1.0
+    code, out, _ = run(["classify", copies(8)], capsys)
+    assert code == 0 and json.loads(out)["codim3"] is False
 
 
 def test_flags_only_where_read(capsys):

@@ -1,13 +1,13 @@
+import itertools
 import json
-import random
 
 import pytest
 
 from z2poisson import (Classification, DiagramSyntaxError, DiagramValidationError,
                        PairId, SatakeDiagram, UnsupportedPairError, classify,
                        parse_pair_name, parse_satake, satake_of)
-from z2poisson.diagram import (connected_dynkin_types, enumerate_valid_diagrams,
-                               rank_of_g)
+from z2poisson.diagram import (_partial_matchings, connected_dynkin_types,
+                               enumerate_valid_diagrams, rank_of_g)
 
 
 # ----------------------------------------------------------------------
@@ -236,9 +236,7 @@ def test_subdiagrams_one_step():
 
 
 def test_subdiagram_rank_drops_by_one():
-    rng = random.Random(4)
-    pool = list(enumerate_valid_diagrams(4))
-    for d in rng.sample(pool, 60):
+    for d in enumerate_valid_diagrams(4):
         for s in d.subdiagrams_one_step():
             assert s.rank() == d.rank() - 1
             s.validate()
@@ -323,8 +321,52 @@ def test_canonical_identifies_isomorphic_labelings():
 
 
 def test_canonical_idempotent():
-    for d in enumerate_valid_diagrams(3):
-        assert d.canonical() == d
+    for d in enumerate_valid_diagrams(6):
+        d.validate()
+        assert d.canonical() == d, d.serialize()
+
+
+# ----------------------------------------------------------------------
+# enumeration
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def brute_force_6():
+    """Every valid diagram with at most 6 nodes, by brute force: each
+    coloring and partial matching of each component multiset, kept when
+    connected and the first of its canonical form."""
+    types = connected_dynkin_types(6)
+    seen = set()
+    for k in range(1, 7):
+        for comps in itertools.combinations_with_replacement(types, k):
+            n = sum(r for _, r in comps)
+            if n > 6:
+                continue
+            for bits in itertools.product("wb", repeat=n):
+                colors = "".join(bits)
+                whites = [i + 1 for i, c in enumerate(colors) if c == "w"]
+                for matching in _partial_matchings(whites):
+                    d = SatakeDiagram.make(comps, colors, matching)
+                    if d.is_connected():
+                        seen.add(d.canonical())
+    return seen
+
+
+@pytest.mark.parametrize("max_nodes", range(1, 7))
+def test_enumeration_matches_brute_force(max_nodes, brute_force_6):
+    # lists, not sets, so that a class yielded twice shows
+    expected = sorted(d.serialize() for d in brute_force_6
+                      if d.n_nodes <= max_nodes)
+    got = sorted(d.serialize() for d in enumerate_valid_diagrams(max_nodes))
+    assert got == expected
+
+
+def test_enumeration_counts_at_7_nodes():
+    total = codim3 = 0
+    for d in enumerate_valid_diagrams(7):
+        total += 1
+        codim3 += d.has_codim3()
+    assert (total, codim3) == (50757, 17915)
 
 
 # ----------------------------------------------------------------------
