@@ -154,7 +154,7 @@ def _cmd_classify(args) -> int:
         sys.stdout.write(
             "| pair | satake | rank | r | codim3 | n_regular | m |\n"
             "|---|---|---|---|---|---|---|\n"
-            f"| {shown} | {d.canonical().serialize()} | {r['rank']} | {rtype} "
+            f"| {shown} | {record.satake.serialize()} | {r['rank']} | {rtype} "
             f"| {r['codim3']} | {r['n_regular']} | {r['m']} |\n")
     else:
         sys.stdout.write(json.dumps(record.to_json(), indent=2) + "\n")

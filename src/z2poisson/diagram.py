@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (BudgetError, DiagramSyntaxError, DiagramValidationError,
@@ -853,6 +853,8 @@ class Classification:
     codim3: bool
     n_regular: bool
     m: int | None
+    # the canonical form that was classified; not part of the record's JSON
+    satake: SatakeDiagram | None = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -935,6 +937,7 @@ def classify(d: SatakeDiagram) -> Classification:
         codim3=d.has_codim3(),
         n_regular=nreg,
         m=len(d.arrows) if nreg else None,
+        satake=d,
     )
 
 

@@ -10,12 +10,13 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from math import factorial, lcm, perm
 
 from . import linalg
 from .errors import BudgetError, UnsupportedPairError
 from .poisson import (bracket_with_coordinate, certified_index, pairwise_commuting,
                       poisson_bracket, trdeg_lower_bound, verify_central)
-from .poly import Poly
+from .poly import Poly, coeff_num
 from .structure import (LieAlgebra, MatrixRealization, PairRealization, Z2Grading,
                         contract, sample_covector)
 
@@ -53,23 +54,47 @@ def _generic_matrix(mats, nvars: int, rows: range, cols: range) -> list[list[Pol
 
 
 def char_coefficients(x: list[list[Poly]]) -> dict[int, Poly]:
-    """Elementary symmetric functions e_k of the eigenvalues of X, computed
-    by the Faddeev-LeVerrier recursion (divisions by integers only)."""
+    """Elementary symmetric functions e_k of the eigenvalues of X, k = 1..n.
+
+    Newton's identities on the power traces p_k = tr X^k,
+    ``k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i``, run over the integers:
+    X is scaled by the common denominator d of its entries, and
+    ``E_k = k! e_k(dX)`` obeys
+    ``E_k = sum_i (-1)^(i-1) (k-1)!/(k-i)! E_(k-i) p_i(dX)``, so
+    ``e_k = E_k / (k! d^k)`` is the only division.  Only X^2 .. X^m with
+    m = ceil(n/2) are formed; each later trace is
+    ``p_k = tr(X^m X^(k-m)) = sum_ab (X^m)_ab (X^(k-m))_ba``, n^2 entry
+    products.  Every sum of products is accumulated in place.
+    """
     n = len(x)
     nvars = x[0][0].nvars
-    ident = [[Poly.const(nvars, 1 if i == j else 0) for j in range(n)]
-             for i in range(n)]
-    b = ident
-    out: dict[int, Poly] = {}
+    d = lcm(1, *(c.denominator for row in x for f in row for c in f.terms.values()))
+    x = [[Poly(nvars, {e: int(c * d) for e, c in f.terms.items()}) for f in row]
+         for row in x]
+    m = (n + 1) // 2
+    powers = {1: x}
+    for k in range(2, m + 1):
+        prev = powers[k - 1]
+        powers[k] = [[Poly.sum_of_products(nvars, ((prev[a][t], x[t][b])
+                                                   for t in range(n)))
+                      for b in range(n)] for a in range(n)]
+    one = Poly.const(nvars, 1)
+    traces = {}
     for k in range(1, n + 1):
-        a = [[sum((x[i][t] * b[t][j] for t in range(n)
-                   if not x[i][t].is_zero() and not b[t][j].is_zero()),
-                  Poly.zero(nvars)) for j in range(n)] for i in range(n)]
-        tr = sum((a[i][i] for i in range(n)), Poly.zero(nvars))
-        pk = tr * Q(-1, k)
-        out[k] = pk if k % 2 == 0 else -pk   # e_k = (-1)^k p_k
-        b = [[a[i][j] + (pk if i == j else Poly.zero(nvars)) for j in range(n)]
-             for i in range(n)]
+        if k <= m:
+            pairs = ((powers[k][a][a], one) for a in range(n))
+        else:
+            top, low = powers[m], powers[k - m]
+            pairs = ((top[a][b], low[b][a]) for a in range(n) for b in range(n))
+        traces[k] = Poly.sum_of_products(nvars, pairs)
+    big = {0: one}
+    out = {}
+    for k in range(1, n + 1):
+        big[k] = Poly.sum_of_products(
+            nvars, ((big[k - i], traces[i] * ((-1) ** (i - 1) * perm(k - 1, i - 1)))
+                    for i in range(1, k + 1)))
+        den = factorial(k) * d ** k
+        out[k] = Poly(nvars, {e: coeff_num(Q(c, den)) for e, c in big[k].terms.items()})
     return out
 
 

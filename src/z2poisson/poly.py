@@ -167,24 +167,30 @@ class Poly:
             return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
         if other.nvars != self.nvars:
             raise ValueError("variable-count mismatch")
-        out: dict[Exponents, Q] = {}
-        # iterate the smaller factor on the outside
-        a, b = (self.terms, other.terms)
-        if len(a) > len(b):
-            a, b = b, a
-        get = out.get
-        bitems = list(b.items())
-        for ea, ca in a.items():
-            for eb, cb in bitems:
-                e = tuple(map(_add, ea, eb))
-                s = get(e, 0) + ca * cb
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(self.nvars, out)
+        return Poly.sum_of_products(self.nvars, ((self, other),))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(cls, nvars: int, pairs) -> "Poly":
+        """The sum of f*g over the (f, g) pairs, accumulated in one dict."""
+        out: dict[Exponents, Q] = {}
+        get = out.get
+        for f, g in pairs:
+            # iterate the smaller factor on the outside
+            a, b = f.terms, g.terms
+            if len(a) > len(b):
+                a, b = b, a
+            bitems = list(b.items())
+            for ea, ca in a.items():
+                for eb, cb in bitems:
+                    e = tuple(map(_add, ea, eb))
+                    s = get(e, 0) + ca * cb
+                    if s == 0:
+                        out.pop(e, None)
+                    else:
+                        out[e] = s
+        return cls(nvars, out)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:

@@ -19,6 +19,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cached_property
 
 from . import linalg
 from .diagram import PairId, SatakeDiagram, satake_of, rank_of_g, STRUCTURE_FAMILIES
@@ -76,6 +77,67 @@ class LieAlgebra:
                 for k, c in self.bracket_basis(i, j).items():
                     out[k] += xi * yj * c
         return out
+
+    @cached_property
+    def generating_set(self) -> tuple[int, ...]:
+        """Basis indices whose iterated brackets span the algebra.
+
+        Greedy over the basis in index order: an ``e_i`` outside the
+        subalgebra generated so far joins the set, and the subalgebra is
+        closed again by bracketing every new member of its basis with every
+        earlier one.  One incremental sparse echelon (each row keyed by its
+        least column) decides membership.  The pass over all basis vectors
+        always ends at the whole algebra; an abelian algebra needs every
+        index.
+        """
+        n = self.dim
+        rows: dict[int, dict[int, Q]] = {}   # pivot -> row with row[pivot] == 1
+        span: list[dict[int, Q]] = []        # the subalgebra's basis, unreduced
+        pending: list[dict[int, Q]] = []
+
+        def admit(v: dict[int, Q]) -> bool:
+            v = dict(v)
+            for p in sorted(rows):
+                c = v.get(p)
+                if c:
+                    for col, x in rows[p].items():
+                        s = v.get(col, 0) - c * x
+                        if s:
+                            v[col] = s
+                        else:
+                            del v[col]
+            if not v:
+                return False
+            lead = Q(v[min(v)])
+            rows[min(v)] = {col: x / lead for col, x in v.items()}
+            return True
+
+        def bracket(x: dict[int, Q], y: dict[int, Q]) -> dict[int, Q]:
+            out: dict[int, Q] = {}
+            for i, a in x.items():
+                for j, b in y.items():
+                    for k, c in self.bracket_basis(i, j).items():
+                        out[k] = out.get(k, 0) + a * b * c
+            return {k: c for k, c in out.items() if c}
+
+        def close(v: dict[int, Q]) -> None:
+            pending.extend(bracket(v, b) for b in span)
+            span.append(v)
+
+        gens = []
+        for i in range(n):
+            if len(rows) == n:
+                break
+            if not admit({i: 1}):
+                continue
+            gens.append(i)
+            close({i: 1})
+            while pending and len(rows) < n:
+                v = pending.pop()
+                if v and admit(v):
+                    close(v)
+            pending.clear()
+        return tuple(gens)
 
     def ad_matrix(self, v) -> Mat:
         """Matrix of ad(v): column j holds the coordinates of [v, e_j]."""

@@ -47,6 +47,28 @@ def test_classify_markdown(capsys):
     assert "| so7 |" in out.splitlines()[2]
 
 
+def test_classify_markdown_canonicalizes_once(capsys, monkeypatch):
+    # the markdown row shows the canonical form that classify computed
+    from z2poisson import diagram
+    calls = []
+    raw = diagram._canonical_from_raw
+
+    def counted(*args):
+        calls.append(1)
+        return raw(*args)
+
+    monkeypatch.setattr(diagram, "_canonical_from_raw", counted)
+    seen = {}
+    for fmt in ("json", "markdown"):
+        calls.clear()
+        code, out, _ = run(["classify", "A2 x A1 colors=www arrows=[(1,3)]",
+                            "--format", fmt], capsys)
+        assert code == 0
+        seen[fmt] = len(calls)
+    assert seen["markdown"] == seen["json"]
+    assert "| A1 x A2 colors=www arrows=[(1,2)] |" in out.splitlines()[2]
+
+
 def test_classify_exit_codes(capsys):
     code, _, err = run(["classify", "A2 colors=wb arrows=[(1,2)]"], capsys)
     assert code == 3 and "black" in err

@@ -1,14 +1,17 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import (Poly, UnsupportedPairError, b_value, classical_invariants,
-                       contract, contraction_invariants, index, matrix_algebra,
+from z2poisson import (LieAlgebra, Poly, UnsupportedPairError, b_value,
+                       classical_invariants, contract, contraction_invariants, index, matrix_algebra,
                        noncommutativity_witness, nreg_subalgebra,
                        pairwise_commuting, poisson_bracket, top_component,
                        verify_central)
-from z2poisson.invariants import pfaffian
+from z2poisson import linalg
+from z2poisson.invariants import (_dual_matrices, _generic_matrix, _weight_echelon_tops,
+                                  char_coefficients, pfaffian)
 from z2poisson.poly import Poly as P
 
 
@@ -81,9 +84,100 @@ def test_pfaffian_squares_to_determinant():
         assert pfaffian(m) * pfaffian(m) == linalg.poly_det(m)
 
 
+def _cofactor_det(m: list[list[Poly]], nvars: int) -> Poly:
+    if not m:
+        return Poly.const(nvars, 1)
+    total = Poly.zero(nvars)
+    for j, entry in enumerate(m[0]):
+        if entry.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = entry * _cofactor_det(minor, nvars)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("name,size", [("sl", 3), ("sp", 4)])
+def test_char_coefficients_are_principal_minor_sums(name, size):
+    # e_k = sum over k-subsets S of det X_S, on the trace-form dual generic
+    # element (fractional entries) and on a generic matrix of free variables
+    real = matrix_algebra(name, size)
+    nvars = real.algebra.dim
+    dual = _generic_matrix(_dual_matrices(real.matrices), nvars,
+                           range(size), range(size))
+    free = [[Poly.var(size * size, size * a + b, Q(a + 1, b + 2))
+             for b in range(size)] for a in range(size)]
+    for x, nv in ((dual, nvars), (free, size * size)):
+        coeffs = char_coefficients(x)
+        assert sorted(coeffs) == list(range(1, size + 1))
+        for k in range(1, size + 1):
+            minors = Poly.zero(nv)
+            for sub in itertools.combinations(range(size), k):
+                minors = minors + _cofactor_det([[x[a][b] for b in sub] for a in sub], nv)
+            assert coeffs[k] == minors
+
+
 # ----------------------------------------------------------------------
 # top components and centrality
 # ----------------------------------------------------------------------
+
+TIER1_PAIRS = ["sl2,so2", "sl3,so3", "sl3,gl2", "sl4,sp4", "so5,so4",
+               "sp4,sp2+sp2", "sl2+sl2,diag", "sl3+sl3,diag"]
+
+
+def _tier1_algebras(pair):
+    for name in TIER1_PAIRS:
+        pr = pair(name)
+        yield name, pr, pr.g
+        yield name, pr, contract(pr.g, pr.grading)
+
+
+def test_generating_set_spans(pair):
+    # the iterated brackets of the generating set reach rank dim q
+    for name, _, q in _tier1_algebras(pair):
+        gens = q.generating_set
+        assert list(gens) == sorted(set(gens)) and len(gens) < q.dim, name
+        unit = [[Q(1 if t == i else 0) for t in range(q.dim)] for i in gens]
+        # left-normed brackets [..[[s1, s2], s3].., sk] span the subalgebra
+        span, layer = list(unit), list(unit)
+        while layer:
+            fresh = []
+            for v in (q.bracket(a, b) for a in layer for b in unit):
+                if linalg.rank(span + [v]) > len(span):
+                    span.append(v)
+                    fresh.append(v)
+            layer = fresh
+        assert len(span) == q.dim, name
+
+
+def test_generating_set_of_abelian_algebra_is_every_coordinate():
+    q = LieAlgebra(("a", "b", "c", "d"), {})
+    assert q.generating_set == (0, 1, 2, 3)
+    f = Poly.var(4, 0) * Poly.var(4, 3) + Poly.var(4, 1) ** 3
+    assert verify_central(q, f)
+
+
+def test_central_on_generating_set_matches_all_coordinates(pair):
+    # every classical generator and every top gets the same verdict on the
+    # generating set as on all coordinates; a planted non-central
+    # polynomial (a generator plus a non-central coordinate) fails both
+    verdicts = set()
+    for name, pr, q in _tier1_algebras(pair):
+        everything = range(q.dim)
+        gens = classical_invariants(pr).polys
+        polys = gens + _weight_echelon_tops(gens, pr.grading)
+        outside = [i for i in everything
+                   if not verify_central(q, Poly.var(q.dim, i), everything)]
+        assert outside, name
+        for f in polys:
+            verdicts.add(verify_central(q, f))
+            assert verify_central(q, f) == verify_central(q, f, everything), name
+            for i in outside:
+                planted = f + Poly.var(q.dim, i, Q(1, 3))
+                assert not verify_central(q, planted), (name, i)
+                assert not verify_central(q, planted, everything), (name, i)
+    assert verdicts == {True, False}
+
 
 def test_top_component(pair):
     pr = pair("sl2,so2")

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -215,6 +216,50 @@ def test_pairwise_commuting_witness():
     assert (i, j) == (0, 1)
     assert br == Poly.var(3, 2)
     assert pairwise_commuting(g, [e])[0]
+
+
+def test_pairwise_commuting_witness_is_first_failing_pair(pair):
+    # the witness is (i, j, poisson_bracket(q, p_i, p_j)) for the
+    # lexicographically first pair whose bracket is nonzero
+    pr = pair("sl3,so3")
+    k = contract(pr.g, pr.grading)
+    central = contraction_invariants(pr).polys
+    rng = random.Random(5)
+    for trial in range(6):
+        polys = central + [rand_poly(rng, k.dim, max_deg=2, terms=3)
+                           for _ in range(3)]
+        rng.shuffle(polys)
+        first = next(((i, j) for i in range(len(polys))
+                      for j in range(i + 1, len(polys))
+                      if not poisson_bracket(k, polys[i], polys[j]).is_zero()),
+                     None)
+        ok, witness = pairwise_commuting(k, polys)
+        if first is None:
+            assert ok and witness is None
+            continue
+        i, j = first
+        assert not ok
+        assert witness == (i, j, poisson_bracket(k, polys[i], polys[j])), trial
+
+
+def test_pairwise_commuting_budget_before_any_bracket(monkeypatch):
+    # every pair is checked against the budgets before the first bracket,
+    # so a family that would fail early on a small pair still stops at the
+    # oversized pair (exit 5 on the command line)
+    def no_bracket(*args):
+        raise AssertionError("a bracket was computed")
+
+    monkeypatch.setattr(poisson, "bracket_with_coordinate", no_bracket)
+    g = sl2_efh()
+    e, f = Poly.var(3, 0), Poly.var(3, 1)
+    big = Poly(3, {(a, b, 44 - a - b): 1 for a in range(45) for b in range(45 - a)})
+    assert len(big.terms) ** 2 > poisson.BRACKET_TERM_BUDGET
+    t0 = time.monotonic()
+    with pytest.raises(BudgetError, match="terms"):
+        pairwise_commuting(g, [e, f, big, big + e])
+    with pytest.raises(BudgetError, match="degrees"):
+        pairwise_commuting(g, [e ** 150, f ** 150])
+    assert time.monotonic() - t0 < 1.0
 
 
 # ----------------------------------------------------------------------
