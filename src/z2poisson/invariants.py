@@ -262,16 +262,14 @@ def _weight_echelon_tops(polys: list[Poly], grading: Z2Grading) -> list[Poly]:
         prods = _products_of_degree(earlier, d)
         monomials = sorted({e for p in prods + group for e in p.terms},
                            key=lambda e: (-sum(e[i] for i in odd), e))
-        rows = [[p.terms.get(e, Q(0)) for e in monomials] for p in prods + group]
+        column = {e: c for c, e in enumerate(monomials)}
+        rows = [{column[e]: x for e, x in p.terms.items()} for p in prods + group]
         red, pivots = linalg.rref(rows)
-        prod_pivots = set(linalg.rref([[p.terms.get(e, Q(0)) for e in monomials]
-                                       for p in prods])[1]) if prods else set()
-        for r, c in enumerate(pivots):
+        prod_pivots = set(linalg.rref(rows[:len(prods)])[1])
+        for row, c in zip(red, pivots):
             if c in prod_pivots:
                 continue
-            poly = Poly(group[0].nvars,
-                        {monomials[cc]: red[r][cc] for cc in range(len(monomials))
-                         if red[r][cc] != 0})
+            poly = Poly(group[0].nvars, {monomials[cc]: x for cc, x in row.items()})
             out.append(top_component(poly, grading))
         earlier.extend(group)
     return out
@@ -352,7 +350,8 @@ def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
     return InvariantSet(k, selected, flags,
                         [p.degree() for p in selected],
                         meta={"certified_rank": current, "m": m, "b": target,
-                              "seed": seed, "count": len(selected)})
+                              "commuting": ok, "seed": seed,
+                              "count": len(selected)})
 
 
 def _monomials(nvars: int, degree: int):
@@ -390,11 +389,8 @@ def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
                         row_index[key] = len(mat_rows)
                         mat_rows.append({})
                     mat_rows[row_index[key]][c] = coeff
-        zero = Q(0)
-        dense = [[row.get(c, zero) for c in range(len(monos))] for row in mat_rows]
-        for kv in linalg.kernel(dense, ncols=len(monos)):
-            candidates.append(Poly(k.dim, {monos[c]: kv[c]
-                                           for c in range(len(monos)) if kv[c] != 0}))
+        for kv in linalg.kernel(mat_rows, range(len(monos))):
+            candidates.append(Poly(k.dim, {monos[c]: x for c, x in kv.items()}))
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
             br = poisson_bracket(k, candidates[i], candidates[j])

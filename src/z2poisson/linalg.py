@@ -1,45 +1,47 @@
 """Exact linear algebra over the rationals and over polynomial rings.
 
-Rational matrices go through Gauss-Jordan elimination with Fraction
-arithmetic on sparse rows: each row is a map from column to nonzero entry,
-and eliminating with a pivot row touches only that row's support.  The
-reduced row echelon form is unique, so this returns exactly the rows and
-pivots a dense elimination would.  Matrices with polynomial entries go
-through fraction-free (Bareiss) elimination with full pivoting: every
-intermediate entry is a minor of the input, divisions are exact, and the
-pivot count is the rank over the rational function field.  Kernels of
-polynomial matrices are assembled from Cramer-style maximal minors, which
-keeps every entry a polynomial of bounded degree.
+Rational matrices are lists of ``{column: value}`` rows: zero entries may
+be left out, and columns need not be contiguous, so a row can stay keyed by
+positions in a larger space.  Gauss-Jordan elimination with Fraction
+arithmetic touches only the support of each pivot row.  The reduced row
+echelon form is unique, so this returns exactly the rows and pivots a dense
+elimination would; kernel vectors come back keyed by column.  Matrices with
+polynomial entries go through fraction-free (Bareiss) elimination with full
+pivoting: every intermediate entry is a minor of the input, divisions are
+exact, and the pivot count is the rank over the rational function field.
+Kernels of polynomial matrices are assembled from Cramer-style maximal
+minors, which keeps every entry a polynomial of bounded degree.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction as Q
 
 from .poly import Poly
 
 Mat = list[list[Q]]
+Row = dict[int, Q]
 
 
 # ----------------------------------------------------------------------
 # rational matrices
 # ----------------------------------------------------------------------
 
-def rref(rows: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the list of pivot columns.
+def rref(rows: Iterable[Mapping[int, Q]]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of ``{column: value}`` rows.
 
-    Rows are eliminated as ``{column: nonzero}`` maps; the pivot for each
-    column is the sparsest candidate row, which keeps fill-in low and does
-    not change the (unique) result.  Returns dense rows, pivot rows first in
-    pivot order and zero rows at the bottom.
+    Zero entries are dropped and the input is not mutated.  The pivot for
+    each column, in increasing column order, is the sparsest candidate row,
+    which keeps fill-in low and does not change the (unique) result.
+    Returns only the pivot rows, as maps in pivot order, and the pivot
+    columns.
     """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
     pending = [r for r in ({j: x if isinstance(x, Q) else Q(x)
-                            for j, x in enumerate(row) if x} for row in rows) if r]
-    done: list[dict[int, Q]] = []
+                            for j, x in row.items() if x} for row in rows) if r]
+    done: list[Row] = []
     pivots: list[int] = []
-    for c in range(nc):
+    for c in sorted({j for row in pending for j in row}):
         if not pending:
             break
         hits = [i for i, row in enumerate(pending) if c in row]
@@ -61,32 +63,31 @@ def rref(rows: Mat) -> tuple[Mat, list[int]]:
         pending = [row for i, row in enumerate(pending) if i != p and row]
         done.append(prow)
         pivots.append(c)
-    zero = Q(0)
-    out = [[row.get(j, zero) for j in range(nc)] for row in done]
-    out.extend([zero] * nc for _ in range(nr - len(done)))
-    return out, pivots
+    return done, pivots
 
 
-def rank(rows: Mat) -> int:
-    if not rows or not rows[0]:
-        return 0
+def rank(rows: Iterable[Mapping[int, Q]]) -> int:
     return len(rref(rows)[1])
 
 
-def kernel(rows: Mat, ncols: int | None = None) -> list[list[Q]]:
-    """Basis of the right kernel; one vector per free column, deterministic."""
-    if not rows:
-        n = ncols if ncols is not None else 0
-        return [[Q(1) if j == i else Q(0) for j in range(n)] for i in range(n)]
-    n = len(rows[0])
+def kernel(rows: Iterable[Mapping[int, Q]], columns: Iterable[int]) -> list[Row]:
+    """Basis of the right kernel of ``{column: value}`` rows whose keys all
+    lie in ``columns``.
+
+    One vector per free column, in the order of ``columns``: 1 at that
+    column, 0 at every other free column, and minus the reduced entries at
+    the pivots.  Vectors are ``{column: value}`` maps without zeros.
+    """
     red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+    pivoted = set(pivots)
     basis = []
-    for f in free:
-        v = [Q(0)] * n
-        v[f] = Q(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
+    for f in columns:
+        if f in pivoted:
+            continue
+        v = {f: Q(1)}
+        for row, c in zip(red, pivots):
+            if f in row:
+                v[c] = -row[f]
         basis.append(v)
     return basis
 
@@ -95,26 +96,29 @@ class ColumnSolver:
     """Solves ``B x = b`` for a fixed column basis B, exactly.
 
     Precomputes the row-reduction of B applied to an identity block so each
-    solve is a matrix-vector product plus a consistency check.
+    solve is a sparse matrix-vector product plus a consistency check.
     """
 
     def __init__(self, columns: list[list[Q]]):
         self.ncols = len(columns)
         self.nrows = len(columns[0]) if columns else 0
-        aug = [[columns[j][i] for j in range(self.ncols)]
-               + [Q(1) if k == i else Q(0) for k in range(self.nrows)]
-               for i in range(self.nrows)]
+        aug = [{self.ncols + i: Q(1)} for i in range(self.nrows)]
+        for j, col in enumerate(columns):
+            for i, x in enumerate(col):
+                if x:
+                    aug[i][j] = x
         red, pivots = rref(aug)
         bpiv = [p for p in pivots if p < self.ncols]
         if len(bpiv) != self.ncols:
             raise ValueError("columns are not linearly independent")
         self.pivots = bpiv
-        self.ops = [row[self.ncols:] for row in red]
+        self.ops = [{k - self.ncols: x for k, x in row.items() if k >= self.ncols}
+                    for row in red]
 
     def solve(self, b: list[Q]) -> list[Q] | None:
         """Coordinates of b in the column basis, or None if b is outside."""
         nonzero = [(i, x) for i, x in enumerate(b) if x]
-        y = [sum((op[i] * x for i, x in nonzero if op[i]), Q(0))
+        y = [sum((op[i] * x for i, x in nonzero if i in op), Q(0))
              for op in self.ops]
         x = [Q(0)] * self.ncols
         for r, c in enumerate(self.pivots):
@@ -324,11 +328,11 @@ def identity(n: int) -> Mat:
 def invert(a: Mat) -> Mat:
     """Exact inverse of a nonsingular rational matrix."""
     n = len(a)
-    red, pivots = rref([list(row) + [Q(1 if t == i else 0) for t in range(n)]
+    red, pivots = rref([{**dict(enumerate(row)), n + i: Q(1)}
                         for i, row in enumerate(a)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[red[i][n + j] for j in range(n)] for i in range(n)]
+    return [[row.get(n + j, Q(0)) for j in range(n)] for row in red]
 
 
 def min_poly_squarefree(a: Mat) -> bool:
@@ -338,22 +342,13 @@ def min_poly_squarefree(a: Mat) -> bool:
     powers = [identity(n)]
     for _ in range(n):
         powers.append(mat_mul(powers[-1], a))
-    vecs = [[p[i][j] for i in range(n) for j in range(n)] for p in powers]
-    # find the first power dependent on the previous ones
-    coeffs: list[Q] | None = None
-    for k in range(1, n + 1):
-        solver_cols = vecs[:k]
-        red, pivots = rref([[solver_cols[j][i] for j in range(k)] + [vecs[k][i]]
-                            for i in range(n * n)])
-        if all(p < k for p in pivots):
-            sol = [Q(0)] * k
-            for r, c in enumerate(pivots):
-                sol[c] = red[r][k]
-            coeffs = sol + [Q(-1)]  # a^k = sum sol_i a^i  =>  p(a) = 0
-            break
-    assert coeffs is not None
-    # minimal polynomial p(t) = t^k - sum sol_i t^i (up to sign); check gcd(p, p') = 1
-    p = [-c for c in coeffs]
+    # columns vec(I), vec(a), ..., vec(a^n): the powers below the degree of
+    # the minimal polynomial are the pivots, so the first kernel vector is
+    # zero at every later power and holds the monic minimal polynomial
+    rows = [{k: p[i][j] for k, p in enumerate(powers)}
+            for i in range(n) for j in range(n)]
+    v = kernel(rows, range(n + 1))[0]
+    p = [v.get(k, Q(0)) for k in range(max(v) + 1)]
     dp = [p[i] * i for i in range(1, len(p))]
     return _poly1_gcd_degree(p, dp) == 0
 

@@ -215,8 +215,7 @@ def pairwise_commuting(q: LieAlgebra, polys: list[Poly]):
 
 
 def jacobian_rank_at(polys: list[Poly], mu) -> int:
-    rows = [p.grad_at(mu) for p in polys]
-    return linalg.rank(rows)
+    return linalg.rank([dict(enumerate(p.grad_at(mu))) for p in polys])
 
 
 def trdeg_lower_bound(polys: list[Poly], points) -> tuple[int, list | None]:

@@ -34,7 +34,7 @@ class LieAlgebra:
     """Finite-dimensional Lie algebra with sparse rational structure
     constants ``[e_i, e_j] = sum_k c_ij^k e_k`` stored for i < j only."""
 
-    def __init__(self, labels, sc, check: bool = True):
+    def __init__(self, labels, sc):
         self.labels: tuple[str, ...] = tuple(labels)
         for label in self.labels:
             if not (isinstance(label, str) and re.fullmatch(NAME_PATTERN, label)):
@@ -51,8 +51,7 @@ class LieAlgebra:
                 raise ValueError(f"bad structure-constant key ({i},{j})")
             if any(k not in range(self.dim) for k in entry):
                 raise ValueError(f"bad structure-constant target in ({i},{j})")
-        if check:
-            self.check_jacobi()
+        self.check_jacobi()
 
     @property
     def dim(self) -> int:
@@ -793,9 +792,17 @@ def b_value(q: LieAlgebra) -> Q:
     return val
 
 
+def _kernel_on(rows: list[dict[int, Q]], cols, dim: int) -> list[list[Q]]:
+    """Kernel basis of rows keyed by the positions ``cols`` of a
+    ``dim``-dimensional space, as full-length vectors."""
+    zero = Q(0)
+    return [[v.get(j, zero) for j in range(dim)] for v in linalg.kernel(rows, cols)]
+
+
 def stabilizer(q: LieAlgebra, xi) -> list[list[Q]]:
     """Exact kernel basis of the Kirillov form at a point."""
-    return linalg.kernel(q.kirillov_at(xi), ncols=q.dim)
+    rows = [dict(enumerate(row)) for row in q.kirillov_at(xi)]
+    return _kernel_on(rows, range(q.dim), q.dim)
 
 
 def is_regular(q: LieAlgebra, xi) -> bool:
@@ -810,19 +817,9 @@ def graded_centralizer(pr: PairRealization, v) -> tuple[list[list[Q]], list[list
         if x != 0 and i not in pr.grading.odd_idx:
             raise ValueError("v must lie in the odd eigenspace")
     ad = pr.g.ad_matrix(v)
-    dim = pr.g.dim
 
     def restricted_kernel(idx):
-        cols = list(idx)
-        rows = [[ad[i][j] for j in cols] for i in range(dim)]
-        ker = linalg.kernel(rows, ncols=len(cols))
-        out = []
-        for kv in ker:
-            full = [Q(0)] * dim
-            for pos, c in zip(cols, kv):
-                full[pos] = c
-            out.append(full)
-        return out
+        return _kernel_on([{j: row[j] for j in idx} for row in ad], idx, pr.g.dim)
 
     return restricted_kernel(pr.grading.even_idx), restricted_kernel(pr.grading.odd_idx)
 
@@ -852,22 +849,10 @@ def sample_covector(dim: int, rng: random.Random, bound: int = 10 ** 6) -> list[
 
 def centralizer_of_cartan(pr: PairRealization) -> list[list[Q]]:
     """Basis of the centralizer of the Cartan subspace inside the even part."""
-    dim = pr.g.dim
-    rows: list[list[Q]] = []
-    cols = list(pr.grading.even_idx)
-    for c in pr.cartan_subspace:
-        ad = pr.g.ad_matrix(c)
-        rows.extend([ad[i][j] for j in cols] for i in range(dim))
-    if not rows:
-        rows = [[Q(0)] * len(cols)]
-    ker = linalg.kernel(rows, ncols=len(cols))
-    out = []
-    for kv in ker:
-        full = [Q(0)] * dim
-        for pos, c in zip(cols, kv):
-            full[pos] = c
-        out.append(full)
-    return out
+    even = pr.grading.even_idx
+    rows = [{j: row[j] for j in even}
+            for c in pr.cartan_subspace for row in pr.g.ad_matrix(c)]
+    return _kernel_on(rows, even, pr.g.dim)
 
 
 def check_regular_stabilizer_index(pr: PairRealization, seed: int = 1,
@@ -936,11 +921,10 @@ def coadjoint_check(pr: PairRealization) -> bool:
     dim = k.dim
     tform = [[linalg.trace_pair(mats[i], mats[j]) for j in range(dim)]
              for i in range(dim)]
-    red, pivots = linalg.rref([row[:] + [Q(1 if t == i else 0) for t in range(dim)]
-                               for i, row in enumerate(tform)])
-    if len(pivots) != dim or any(p >= dim for p in pivots):
-        raise ValueError("trace form is degenerate")
-    tinv = [[red[i][dim + j] for j in range(dim)] for i in range(dim)]
+    try:
+        tinv = linalg.invert(tform)
+    except ValueError:
+        raise ValueError("trace form is degenerate") from None
     parity = pr.grading.parity()
     even = set(pr.grading.even_idx)
     for m in range(dim):

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from z2poisson import PairId, UnsupportedPairError, parse_pair_name
+from z2poisson import (PairId, UnsupportedPairError, analysis, invariants,
+                       parse_pair_name)
 from z2poisson.analysis import (demonstrate_nonmaximality, report_to_json_text,
                                 verify_dim_stab, verify_main_combinatorics,
                                 verify_nreg, verify_summary)
+from z2poisson.poisson import pairwise_commuting
 
 
 def test_summary_sl2(pair):
@@ -52,6 +54,21 @@ def test_nreg_suite():
     assert rep.passed
     with pytest.raises(UnsupportedPairError):
         verify_nreg(parse_pair_name("sp4,sp2+sp2"))
+
+
+def test_verify_nreg_brackets_its_family_once(monkeypatch):
+    # nreg_subalgebra checks its generators commute; the report reuses that
+    calls = []
+
+    def counting(q, polys):
+        calls.append(len(polys))
+        return pairwise_commuting(q, polys)
+
+    monkeypatch.setattr(analysis, "pairwise_commuting", counting)
+    monkeypatch.setattr(invariants, "pairwise_commuting", counting)
+    rep = verify_nreg(parse_pair_name("sl2+sl2,diag"))
+    assert rep.passed
+    assert len(calls) == 1
 
 
 def test_nonmaximality_demonstration():

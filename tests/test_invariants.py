@@ -143,7 +143,7 @@ def test_generating_set_spans(pair):
         while layer:
             fresh = []
             for v in (q.bracket(a, b) for a in layer for b in unit):
-                if linalg.rank(span + [v]) > len(span):
+                if linalg.rank([dict(enumerate(r)) for r in span + [v]]) > len(span):
                     span.append(v)
                     fresh.append(v)
             layer = fresh

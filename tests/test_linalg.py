@@ -11,8 +11,18 @@ def rand_mat(rng, rows, cols, lo=-5, hi=5):
     return [[Q(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)]
 
 
+def sparse(m):
+    """Dense rows as ``{column: value}`` rows."""
+    return [dict(enumerate(row)) for row in m]
+
+
+def dense(vectors, n):
+    """``{column: value}`` vectors as dense lists of length n."""
+    return [[v.get(j, Q(0)) for j in range(n)] for v in vectors]
+
+
 def test_rref_and_rank():
-    m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    m = sparse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert linalg.rank(m) == 2
     red, pivots = linalg.rref(m)
     assert pivots == [0, 1]
@@ -22,9 +32,9 @@ def test_kernel_annihilates():
     rng = random.Random(2)
     for _ in range(25):
         m = rand_mat(rng, 4, 6)
-        for v in linalg.kernel(m):
+        for v in dense(linalg.kernel(sparse(m), range(6)), 6):
             assert all(sum(row[j] * v[j] for j in range(6)) == 0 for row in m)
-        assert linalg.rank(m) + len(linalg.kernel(m)) == 6
+        assert linalg.rank(sparse(m)) + len(linalg.kernel(sparse(m), range(6))) == 6
 
 
 def test_column_solver():
@@ -90,18 +100,19 @@ def oracle_cases():
 def test_rref_matches_dense_oracle():
     for m in oracle_cases():
         before = [list(row) for row in m]
-        red, pivots = linalg.rref(m)
+        red, pivots = linalg.rref(sparse(m))
+        red = dense(red, len(m[0])) + [[Q(0)] * len(m[0])] * (len(m) - len(red))
         assert (red, pivots) == dense_rref(m)
         assert all(isinstance(x, Q) for row in red for x in row)
         assert m == before
-        assert linalg.rank(m) == len(pivots)
+        assert linalg.rank(sparse(m)) == len(pivots)
 
 
 def test_kernel_matches_oracle_and_keeps_input():
     for m in oracle_cases():
         before = [list(row) for row in m]
         n = len(m[0])
-        basis = linalg.kernel(m)
+        basis = dense(linalg.kernel(sparse(m), range(n)), n)
         assert m == before
         red, pivots = dense_rref(m)
         free = [c for c in range(n) if c not in pivots]
@@ -144,7 +155,7 @@ def test_column_solver_sparse_and_out_of_span():
             assert s.solve([Q(0)] * nrows) == [0] * ncols
             if ncols < nrows:
                 # a vector outside the span: kernel of the transposed basis
-                normal = linalg.kernel(cols)[0]
+                normal = dense(linalg.kernel(sparse(cols), range(nrows)), nrows)[0]
                 assert s.solve(normal) is None
                 assert s.solve([x + y for x, y in zip(b, normal)]) is None
 
@@ -165,7 +176,7 @@ def test_poly_rank_on_constant_matrices_matches_rational_rank():
     rng = random.Random(9)
     for _ in range(20):
         m = rand_mat(rng, 4, 5, -3, 3)
-        assert linalg.poly_rank(_const_poly_matrix(m)) == linalg.rank(m)
+        assert linalg.poly_rank(_const_poly_matrix(m)) == linalg.rank(sparse(m))
 
 
 def test_poly_rank_symbolic():
@@ -229,3 +240,91 @@ def test_min_poly_squarefree():
     semisimple = [[Q(0), Q(1)], [Q(1), Q(0)]]
     assert linalg.min_poly_squarefree(semisimple)
     assert linalg.min_poly_squarefree([[Q(0), Q(0)], [Q(0), Q(0)]])
+
+
+def test_kernel_on_unsorted_column_subset_matches_oracle():
+    # a 3-column matrix whose columns sit at positions 1, 3, 5 of a larger
+    # space; columns are eliminated in increasing position order
+    columns = [5, 1, 3]
+    positions = sorted(columns)
+    for m in oracle_cases():
+        m = [row[:3] for row in m]
+        if len(m[0]) < 3:
+            continue
+        rows = [dict(zip(positions, row)) for row in m]
+        before = [dict(row) for row in rows]
+        basis = linalg.kernel(rows, columns)
+        assert rows == before
+        red, pivots = dense_rref(m)
+        want = {}
+        for f in range(3):
+            if f in pivots:
+                continue
+            v = {f: Q(1)}
+            v.update((c, -red[r][f]) for r, c in enumerate(pivots))
+            want[positions[f]] = {positions[t]: x for t, x in v.items() if x}
+        assert basis == [want[c] for c in columns if c in want]
+
+
+def test_kernel_of_no_rows_is_the_unit_basis():
+    assert linalg.kernel([], [5, 1, 3]) == [{5: 1}, {1: 1}, {3: 1}]
+    assert linalg.kernel([{}, {2: Q(0)}], range(3)) == [{0: 1}, {1: 1}, {2: 1}]
+
+
+def min_poly_squarefree_reference(a):
+    """The minimal polynomial found as the first power of a that depends on
+    the lower ones, one growing dense elimination per degree."""
+    n = len(a)
+    powers = [linalg.identity(n)]
+    for _ in range(n):
+        powers.append(linalg.mat_mul(powers[-1], a))
+    vecs = [[p[i][j] for i in range(n) for j in range(n)] for p in powers]
+    for k in range(1, n + 1):
+        red, pivots = dense_rref([[vecs[j][i] for j in range(k)] + [vecs[k][i]]
+                                  for i in range(n * n)])
+        if all(p < k for p in pivots):
+            sol = [Q(0)] * k
+            for r, c in enumerate(pivots):
+                sol[c] = red[r][k]
+            p = [-c for c in sol] + [Q(1)]
+            break
+    dp = [p[i] * i for i in range(1, len(p))]
+    return linalg._poly1_gcd_degree(p, dp) == 0
+
+
+def _jordan(blocks):
+    """Block-diagonal Jordan matrix from (eigenvalue, size) pairs."""
+    n = sum(size for _, size in blocks)
+    j = [[Q(0)] * n for _ in range(n)]
+    start = 0
+    for lam, size in blocks:
+        for t in range(size):
+            j[start + t][start + t] = Q(lam)
+            if t + 1 < size:
+                j[start + t][start + t + 1] = Q(1)
+        start += size
+    return j
+
+
+def test_min_poly_squarefree_matches_reference_on_conjugated_jordan_forms():
+    rng = random.Random(12)
+    forms = [
+        ([(1, 1), (2, 1), (-3, 1)], True),           # semisimple
+        ([(2, 2), (3, 1)], False),                   # one 2-block
+        ([(4, 1), (4, 1), (4, 1)], True),            # scalar
+        ([(1, 1), (1, 1), (-2, 1), (-2, 1)], True),  # repeated eigenvalues
+        ([(1, 2), (1, 1), (5, 1)], False),           # 2-block beside its eigenvalue
+        ([(0, 3)], False),                           # nilpotent 3-block
+        ([(0, 1), (0, 1)], True),                    # zero
+    ]
+    for blocks, want in forms:
+        j = _jordan(blocks)
+        n = len(j)
+        for _ in range(3):
+            while True:
+                p = rand_mat(rng, n, n, -3, 3)
+                if linalg.rank(sparse(p)) == n:
+                    break
+            a = linalg.mat_mul(linalg.mat_mul(p, j), linalg.invert(p))
+            assert linalg.min_poly_squarefree(a) == want, blocks
+            assert min_poly_squarefree_reference(a) == want, blocks
