@@ -18,14 +18,14 @@ from fractions import Fraction as Q
 from . import linalg
 from .diagram import PairId, enumerate_valid_diagrams
 from .errors import GenericityError, UnsupportedPairError
-from .invariants import (contraction_invariants, noncommutativity_witness,
-                         nreg_subalgebra)
-from .poisson import (mf_family, pairwise_commuting, poisson_bracket,
-                      trdeg_lower_bound)
+from .invariants import (classical_invariants, contraction_invariants,
+                         noncommutativity_witness, nreg_subalgebra)
+from .poisson import (certified_index, mf_family, pairwise_commuting,
+                      poisson_bracket, trdeg_lower_bound)
 from .poly import Poly
 from .structure import (PairRealization, _kernel_on, build_pair,
-                        check_regular_stabilizer_index, contract, index,
-                        pair_name, sample_covector, stabilizer, subalgebra)
+                        check_regular_stabilizer_index, contract, pair_name,
+                        sample_covector, stabilizer, subalgebra)
 
 
 @dataclass
@@ -106,6 +106,10 @@ def verify_summary(pair: PairId, seed: int = 1,
     of the ambient algebra, b is preserved, and the central generator pool
     has the right degree sum when it is full.  The contraction's index is
     the one certified by its central generators (``contraction_invariants``).
+    For g of dimension at most 10, index(g) is certified the same way by the
+    classical invariants of g at points sampled from the seed: their
+    Jacobian rank is a lower bound and the Kirillov corank an upper bound,
+    and elimination runs only if the two do not meet.
 
     With ``exact`` the sampled generic-stabilizer dimensions are re-derived
     by symbolic rank over the Cartan coefficients.
@@ -119,7 +123,11 @@ def verify_summary(pair: PairId, seed: int = 1,
     rep.add("b(k) = b(g)", Q(pr.g.dim + rk, 2), Q(inv.meta["b"]),
             note="b(g) from dim and rank")
     if pr.g.dim <= 10:
-        rep.add("index(g) = rk g", rk, index(pr.g))
+        rng = random.Random(seed)
+        points = (sample_covector(pr.g.dim, rng) for _ in range(6))
+        ind_g, _, _ = certified_index(pr.g, classical_invariants(pr).polys,
+                                      points)
+        rep.add("index(g) = rk g", rk, ind_g)
     rep.add("central generator count", rk, inv.meta["count"])
     if inv.meta["full"]:
         rep.add("sum of generator degrees = b(k)", inv.meta["b"],

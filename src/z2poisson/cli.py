@@ -61,15 +61,19 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, choices=sorted(SUITES))
     v.add_argument("--pair", help="catalog pair name (suites other than 'main')")
-    v.add_argument("--max-nodes", type=_count, default=6)
-    v.add_argument("--samples", type=_count, default=20)
-    v.add_argument("--degree-bound", type=_count, default=4)
+    v.add_argument("--max-nodes", type=_count,
+                   help="largest diagram size (main only; default 6)")
+    v.add_argument("--samples", type=_count,
+                   help="random points (dimstab only; default 20)")
+    v.add_argument("--degree-bound", type=_count,
+                   help="witness search degree (nreg only; default 4)")
     v.add_argument("--seed", type=int,
                    help="random seed (env Z2C_SEED overrides the default 1)")
     v.add_argument("--format", choices=("json", "markdown"), default="json")
     v.add_argument("--out", help="directory for report files")
-    v.add_argument("--exact", action="store_true",
-                   help="re-derive genericity-dependent results symbolically")
+    v.add_argument("--exact", action="store_true", default=None,
+                   help="re-derive genericity-dependent results symbolically "
+                        "(summary only)")
 
     b = sub.add_parser("bracket", help="Poisson bracket of two polynomials")
     b.add_argument("f")
@@ -175,29 +179,47 @@ def _seed(args) -> int:
                           f"Z2C_SEED={env!r} is not an integer") from None
 
 
+# verify flag -> (the one suite that reads it, its default there)
+SUITE_FLAGS = {
+    "max_nodes": ("main", 6),
+    "samples": ("dimstab", 20),
+    "degree_bound": ("nreg", 4),
+    "exact": ("summary", False),
+}
+
+
+def _suite_options(args) -> dict:
+    """Keyword arguments for the chosen suite: its own flags, given or
+    defaulted.  A flag that belongs to another suite is a parse error."""
+    options = {}
+    for dest, (owner, default) in SUITE_FLAGS.items():
+        value = getattr(args, dest)
+        if owner == args.suite:
+            options[dest] = default if value is None else value
+        elif value is not None:
+            flag = "--" + dest.replace("_", "-")
+            raise _InputError(EXIT_PARSE, f"{flag} applies to suite "
+                              f"{owner!r} only, not {args.suite!r}")
+    return options
+
+
 def _cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     seed = _seed(args)
-    pair = None
-    if args.suite != "main":
+    options = _suite_options(args)
+    if args.suite == "main":
+        if args.pair is not None:
+            raise _InputError(EXIT_PARSE, "--pair does not apply to suite 'main'")
+    else:
         if not args.pair:
             raise UnsupportedPairError(f"suite {args.suite!r} needs --pair")
-        pair = parse_pair_name(args.pair)
+        options["pair"] = parse_pair_name(args.pair)
     if args.out:
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as e:
             raise _cannot_write(args.out, e) from None
-    if args.suite == "main":
-        rep = suite(max_nodes=args.max_nodes, seed=seed)
-    elif args.suite == "dimstab":
-        rep = suite(pair, samples=args.samples, seed=seed)
-    elif args.suite == "summary":
-        rep = suite(pair, seed=seed, exact=args.exact)
-    elif args.suite == "nreg":
-        rep = suite(pair, seed=seed, degree_bound=args.degree_bound)
-    else:
-        rep = suite(pair, seed=seed)
+    rep = suite(seed=seed, **options)
     _emit_report(rep, args)
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 

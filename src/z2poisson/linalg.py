@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction as Q
 
-from .poly import Poly
+from .errors import BudgetError
+from .poly import TERM_BUDGET, Poly
 
 Mat = list[list[Q]]
 Row = dict[int, Q]
@@ -137,12 +138,28 @@ def _pivot_key(p: Poly) -> tuple[int, int]:
     return (len(p.terms), p.degree())
 
 
+def _bareiss_entry(pivot: Poly, head: Poly, a: Poly, b: Poly,
+                   prev: Poly | None) -> Poly:
+    """``(pivot*a - head*b) / prev``, exact by the Bareiss identity.
+
+    Raises :class:`BudgetError` before expanding when either product would
+    multiply more than ``TERM_BUDGET`` pairs of terms.
+    """
+    for f, g in ((pivot, a), (head, b)):
+        if len(f.terms) * len(g.terms) > TERM_BUDGET:
+            raise BudgetError(f"elimination product of {len(f.terms)} x "
+                              f"{len(g.terms)} terms exceeds the budget")
+    num = pivot * a - head * b
+    return num.div_exact(prev) if prev is not None else num
+
+
 def bareiss_pivots(rows: list[list[Poly]]) -> tuple[int, list[int], list[int]]:
     """Rank over the fraction field, plus row/column indices of a maximal
     nonsingular submatrix of the input.
 
     Full pivoting with a smallest-entry heuristic; divisions by the previous
-    pivot are exact by the Bareiss identity.
+    pivot are exact by the Bareiss identity.  Every entry update is checked
+    against ``TERM_BUDGET`` (:class:`BudgetError`).
     """
     if not rows or not rows[0]:
         return 0, [], []
@@ -175,8 +192,8 @@ def bareiss_pivots(rows: list[list[Poly]]) -> tuple[int, list[int], list[int]]:
         for i in range(step + 1, nr):
             head = work[i][step]
             for j in range(step + 1, nc):
-                num = pivot * work[i][j] - head * work[step][j]
-                work[i][j] = num.div_exact(prev) if prev is not None else num
+                work[i][j] = _bareiss_entry(pivot, head, work[i][j],
+                                            work[step][j], prev)
             work[i][step] = Poly.zero(pivot.nvars)
         prev = pivot
         step += 1
@@ -210,8 +227,8 @@ def poly_det(rows: list[list[Poly]]) -> Poly:
         for i in range(step + 1, n):
             head = work[i][step]
             for j in range(step + 1, n):
-                num = pivot * work[i][j] - head * work[step][j]
-                work[i][j] = num.div_exact(prev) if prev is not None else num
+                work[i][j] = _bareiss_entry(pivot, head, work[i][j],
+                                            work[step][j], prev)
             work[i][step] = Poly.zero(nvars)
         prev = pivot
     return work[n - 1][n - 1] * sign

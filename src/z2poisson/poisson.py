@@ -21,10 +21,9 @@ from operator import add as _add
 
 from . import linalg
 from .errors import BudgetError
-from .poly import Poly
+from .poly import TERM_BUDGET, Poly
 from .structure import LieAlgebra, index, sample_covector, stabilizer
 
-BRACKET_TERM_BUDGET = 1_000_000
 BRACKET_DEGREE_BUDGET = 10_000
 
 # re-exported here because the polynomial type is part of this module's
@@ -68,7 +67,7 @@ def bracket_with_coordinate(q: LieAlgebra, i: int, f: Poly) -> Poly:
 def _check_bracket_budget(f: tuple[int, int], g: tuple[int, int]) -> None:
     """Raise :class:`BudgetError` when a bracket of polynomials with these
     (term count, degree) shapes is too large to expand symbolically."""
-    if f[0] * g[0] > BRACKET_TERM_BUDGET:
+    if f[0] * g[0] > TERM_BUDGET:
         raise BudgetError(f"bracket of {f[0]} x {g[0]} terms exceeds the budget")
     if f[1] * g[1] > BRACKET_DEGREE_BUDGET:
         raise BudgetError(
@@ -142,14 +141,14 @@ def shift(f: Poly, xi) -> list[Poly]:
     These are the coefficients of a^j in f(mu + a*xi); the top coefficient
     j = deg(f) is a constant and is discarded.  Raises :class:`BudgetError`
     before expanding when the expansion would create more than
-    ``BRACKET_TERM_BUDGET`` terms: a term with exponents e creates
+    ``TERM_BUDGET`` terms: a term with exponents e creates
     prod (e_i + 1) over the i with e_i > 0 and xi_i != 0.
     """
     if f.is_zero():
         raise ValueError("shift of the zero polynomial")
     created = sum(prod(e + 1 for e, x in zip(exps, xi) if e and x)
                   for exps in f.terms)
-    if created > BRACKET_TERM_BUDGET:
+    if created > TERM_BUDGET:
         raise BudgetError(
             f"shift expansion of {created} terms exceeds the budget")
     comps = f.shift_components(xi)

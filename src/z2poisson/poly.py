@@ -20,6 +20,11 @@ Exponents = tuple[int, ...]
 # a variable name that ``Poly.parse`` reads as one token
 NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
 
+# the most terms one symbolic step may create or multiply together: a
+# bracket, a shift expansion or an elimination product above it raises
+# BudgetError before expanding
+TERM_BUDGET = 1_000_000
+
 
 def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
@@ -257,7 +262,34 @@ class Poly:
         return total
 
     def grad_at(self, point) -> list[Q]:
-        return [self.partial(i).eval(point) for i in range(self.nvars)]
+        """The gradient at a point in one pass over the terms.
+
+        The point is converted once, and each coordinate's powers are
+        tabulated up to its largest exponent.  A term ``c x^e`` adds
+        ``c e_i x^(e - u_i)`` to entry i for every i with ``e_i > 0``; the
+        products of the other factors come from prefix and suffix products
+        over the term's support.
+        """
+        point = [coeff_num(x) for x in point]
+        top = [max(column) for column in zip(*self.terms)]
+        powers = []
+        for x, t in zip(point, top):
+            row = [1]
+            for _ in range(t):
+                row.append(row[-1] * x)
+            powers.append(row)
+        grad = [0] * self.nvars
+        for e, c in self.terms.items():
+            support = [(i, p) for i, p in enumerate(e) if p]
+            prefix = [c]
+            for i, p in support:
+                prefix.append(prefix[-1] * powers[i][p])
+            suffix = 1
+            for k in reversed(range(len(support))):
+                i, p = support[k]
+                grad[i] += prefix[k] * suffix * p * powers[i][p - 1]
+                suffix *= powers[i][p]
+        return [Q(g) for g in grad]
 
     def shift_components(self, xi) -> list["Poly"]:
         """Coefficients of ``f(mu + a*xi)`` as a polynomial in ``a``.

@@ -1,9 +1,12 @@
 import json
+import random
+from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import (PairId, UnsupportedPairError, analysis, invariants,
-                       parse_pair_name)
+from z2poisson import (PairId, UnsupportedPairError, analysis, certified_index,
+                       classical_invariants, index, invariants,
+                       parse_pair_name, poisson, structure)
 from z2poisson.analysis import (demonstrate_nonmaximality, report_to_json_text,
                                 verify_dim_stab, verify_main_combinatorics,
                                 verify_nreg, verify_summary)
@@ -24,6 +27,52 @@ def test_summary_all_supported_pairs():
                  "sl2+sl2,diag", "sl3+sl3,diag"]:
         rep = verify_summary(parse_pair_name(name))
         assert rep.passed, rep.to_markdown()
+
+
+SMALL_G = ["sl2,so2", "sl3,so3", "sp4,gl2", "so5,so4"]
+
+
+@pytest.mark.parametrize("name", SMALL_G)
+def test_certified_index_of_g_matches_elimination(name, pair):
+    # the summary's points: drawn from random.Random(seed) by sample_covector
+    pr = pair(name)
+    polys = classical_invariants(pr).polys
+    eliminated = index(pr.g)
+    assert eliminated == pr.rank_g
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        points = (structure.sample_covector(pr.g.dim, rng) for _ in range(6))
+        ind, rank, point = certified_index(pr.g, polys, points)
+        # the bounds meet: Jacobian rank = Kirillov corank at the point
+        assert ind == rank == eliminated, (name, seed)
+        assert len(structure.stabilizer(pr.g, point)) == rank
+
+
+@pytest.mark.parametrize("name", ["so5,so4", "sp4,gl2"])
+def test_summary_does_not_eliminate_on_g(name, pair, monkeypatch):
+    dims = []
+    real = structure.index
+
+    def recording(q):
+        dims.append(q.dim)
+        return real(q)
+
+    for module in (analysis, invariants, poisson, structure):
+        if hasattr(module, "index"):
+            monkeypatch.setattr(module, "index", recording)
+    rep = analysis.verify_summary(parse_pair_name(name))
+    assert rep.passed
+    assert "index(g) = rk g" in [c.name for c in rep.checks]
+    assert pair(name).g.dim not in dims
+
+
+def test_certified_index_of_g_falls_back_at_the_zero_covector(pair):
+    # no Jacobian rank at the zero covector, so the bounds cannot meet and
+    # the elimination decides
+    pr = pair("sl3,so3")
+    zero = [Q(0)] * pr.g.dim
+    polys = classical_invariants(pr).polys
+    assert certified_index(pr.g, polys, [zero]) == (pr.rank_g, 0, None)
 
 
 def test_summary_propagates_unsupported():

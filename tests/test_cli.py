@@ -215,6 +215,51 @@ def test_flags_only_where_read(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags, flag, suite", [
+    (["--suite", "main", "--max-nodes", "2", "--exact"], "--exact", "main"),
+    (["--suite", "summary", "--pair", "sl2,so2", "--samples", "3"],
+     "--samples", "summary"),
+    (["--suite", "main", "--max-nodes", "2", "--degree-bound", "2"],
+     "--degree-bound", "main"),
+    (["--suite", "nreg", "--pair", "sl2,so2", "--max-nodes", "3"],
+     "--max-nodes", "nreg"),
+    (["--suite", "main", "--max-nodes", "2", "--pair", "sl2,so2"],
+     "--pair", "main"),
+], ids=["exact", "samples", "degree-bound", "max-nodes", "pair"])
+def test_verify_rejects_flags_of_other_suites(flags, flag, suite, capsys):
+    code, out, err = run(["verify"] + flags, capsys)
+    assert code == 2 and out == ""
+    assert flag in err and repr(suite) in err
+
+
+def test_verify_suite_flags_keep_their_defaults(capsys, monkeypatch):
+    from z2poisson import cli
+    from z2poisson.analysis import VerificationReport
+    monkeypatch.delenv("Z2C_SEED", raising=False)
+    seen = {}
+
+    def recorder(name):
+        def suite(**kwargs):
+            seen[name] = kwargs
+            return VerificationReport(name, "", kwargs["seed"])
+        return suite
+
+    for name in ("main", "dimstab", "nreg", "summary"):
+        monkeypatch.setitem(cli.SUITES, name, recorder(name))
+    for flags in (["--suite", "main"],
+                  ["--suite", "dimstab", "--pair", "sl2,so2"],
+                  ["--suite", "nreg", "--pair", "sl2,so2"],
+                  ["--suite", "summary", "--pair", "sl2,so2"]):
+        assert run(["verify"] + flags, capsys)[0] == 0
+    sl2 = cli.parse_pair_name("sl2,so2")
+    assert seen == {
+        "main": {"seed": 1, "max_nodes": 6},
+        "dimstab": {"seed": 1, "samples": 20, "pair": sl2},
+        "nreg": {"seed": 1, "degree_bound": 4, "pair": sl2},
+        "summary": {"seed": 1, "exact": False, "pair": sl2},
+    }
+
+
 @pytest.mark.parametrize("xi", ["0,1/0,0", "0,x,0"])
 def test_shift_unparsable_direction(xi, capsys):
     code, _, err = run(["shift", "--pair", "sl2,so2", "--xi", xi, "v^2+w^2"],

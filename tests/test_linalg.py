@@ -1,9 +1,10 @@
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import linalg
+from z2poisson import BudgetError, linalg
 from z2poisson.poly import Poly
 
 
@@ -186,6 +187,23 @@ def test_poly_rank_symbolic():
     assert linalg.poly_rank([[x, y], [y, x]]) == 2
     assert linalg.poly_rank([[x, y], [x, y]]) == 1
     assert linalg.poly_rank([[zero, zero], [zero, zero]]) == 0
+
+
+def test_elimination_stops_at_the_term_budget():
+    # every entry has 1,035 terms, so the first update multiplies more than
+    # TERM_BUDGET pairs of terms
+    def big(shift):
+        return Poly(3, {(a, b, 44 - a - b): a + shift
+                        for a in range(45) for b in range(45 - a)})
+
+    m = [[big(1), big(2)], [big(3), big(5)]]
+    assert all(len(p.terms) > 1000 for row in m for p in row)
+    t0 = time.monotonic()
+    with pytest.raises(BudgetError, match="elimination product"):
+        linalg.poly_rank(m)
+    with pytest.raises(BudgetError, match="elimination product"):
+        linalg.poly_det(m)
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_poly_det():
