@@ -24,7 +24,7 @@ from .poisson import (certified_index, mf_family, pairwise_commuting,
                       poisson_bracket, trdeg_lower_bound)
 from .poly import Poly
 from .structure import (PairRealization, _kernel_on, build_pair,
-                        check_regular_stabilizer_index, contract, pair_name,
+                        check_regular_stabilizer_index, pair_name,
                         sample_covector, stabilizer, subalgebra)
 
 
@@ -193,7 +193,7 @@ def verify_dim_stab(pair: PairId, samples: int = 20,
     t0 = time.monotonic()
     rep = VerificationReport("dimstab", pair_name(pair), seed)
     pr = build_pair(pair)
-    k = contract(pr.g, pr.grading)
+    k = pr.contraction
     rng = random.Random(seed)
     d0, d1 = pr.d0, pr.d1
     failures = []
@@ -268,7 +268,7 @@ def demonstrate_nonmaximality(pair: PairId, seed: int = 1,
         raise UnsupportedPairError(
             f"{pair_name(pair)} is not of maximal rank; the demonstration "
             "applies to all-white, arrow-free diagrams")
-    k = contract(pr.g, pr.grading)
+    k = pr.contraction
     inv = contraction_invariants(pr, seed=seed)
     if not inv.meta["full"]:
         raise GenericityError("central generator pool is not full")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -194,18 +195,17 @@ class SatakeDiagram:
     # are disjoint, and removing one leaves every other unit removable and
     # creates none, so iterated one-step removals reach exactly the
     # diagrams left by removing some subset of the units.
-    def _removals(self, sizes) -> list[list[int]]:
+    def _removals(self, sizes) -> Iterator[list[int]]:
         """The sorted node lists left by removing ``r`` removal units, for
-        each ``r`` in ``sizes``."""
+        each ``r`` in ``sizes``, yielded one at a time."""
+        nodes = range(1, self.n_nodes + 1)
         arrowed = self.arrowed_nodes()
-        units = [{v} for v in self.white_nodes() if v not in arrowed]
+        units = [{v} for v in nodes if self.colors[v - 1] == "w" and v not in arrowed]
         units += [set(p) for p in self.arrows]
-        out = []
         for r in sizes:
             for chosen in itertools.combinations(units, r):
                 gone = set().union(*chosen)
-                out.append([v for v in range(1, self.n_nodes + 1) if v not in gone])
-        return out
+                yield [v for v in nodes if v not in gone]
 
     def _restrict(self, keep: list[int]):
         """The raw ``(nodes, edges, colors, arrows)`` on the node list ``keep``."""

@@ -18,7 +18,7 @@ from .poisson import (bracket_with_coordinate, certified_index, pairwise_commuti
                       poisson_bracket, trdeg_lower_bound, verify_central)
 from .poly import Poly, coeff_num
 from .structure import (LieAlgebra, MatrixRealization, PairRealization, Z2Grading,
-                        contract, sample_covector)
+                        sample_covector)
 
 
 @dataclass
@@ -146,23 +146,32 @@ def _dual_matrices(mats) -> list[list[list[Q]]]:
 
     The generic element must be written through this identification of the
     dual space with the algebra; coordinates against the plain basis are not
-    equivariant unless the basis happens to be self-dual.
+    equivariant unless the basis happens to be self-dual.  The Gram matrix
+    ``tr(B_i B_j) = sum_ab (B_i)_ab (B_j)_ba`` and the duals are summed over
+    nonzero entries only: each position (a, b) meets its transpose (b, a).
     """
     n = len(mats)
-    t = [[linalg.trace_pair(mats[i], mats[j]) for j in range(n)] for i in range(n)]
-    tinv = linalg.invert(t)
     size = len(mats[0])
+    entries = [[(a, b, x) for a, row in enumerate(m) for b, x in enumerate(row) if x]
+               for m in mats]
+    at: dict[tuple[int, int], list[tuple[int, Q]]] = {}
+    for i, ent in enumerate(entries):
+        for a, b, x in ent:
+            at.setdefault((a, b), []).append((i, x))
+    t = [[Q(0)] * n for _ in range(n)]
+    for (a, b), here in at.items():
+        for j, y in at.get((b, a), ()):
+            for i, x in here:
+                t[i][j] += x * y
+    tinv = linalg.invert(t)
     dual = []
     for i in range(n):
         d = [[Q(0)] * size for _ in range(size)]
         for j in range(n):
             c = tinv[j][i]
-            if c == 0:
-                continue
-            for a in range(size):
-                for b in range(size):
-                    if mats[j][a][b] != 0:
-                        d[a][b] += c * mats[j][a][b]
+            if c:
+                for a, b, x in entries[j]:
+                    d[a][b] += c * x
         dual.append(d)
     return dual
 
@@ -288,7 +297,7 @@ def contraction_invariants(pr: PairRealization, seed: int = 1,
     central generators at the sampled point (``certified_index``), or by
     elimination when that certificate does not close."""
     inv_g = classical_invariants(pr)
-    k = contract(pr.g, pr.grading)
+    k = pr.contraction
     tops = _weight_echelon_tops(inv_g.polys, pr.grading)
     flags = [verify_central(k, p) for p in tops]
     if not all(flags):
@@ -317,7 +326,7 @@ def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
         raise UnsupportedPairError(
             f"{pr.pair} is not regular at the nilpotent level: "
             "its diagram has black nodes")
-    k = contract(pr.g, pr.grading)
+    k = pr.contraction
     coords = [Poly.var(k.dim, i) for i in pr.grading.odd_idx]
     pool = contraction_invariants(pr, seed=seed)
     target = pool.meta["b"]
@@ -371,7 +380,7 @@ def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
     the bound.  Each graded piece is the exact kernel of the stacked
     bracket-with-odd-coordinates map.
     """
-    k = contract(pr.g, pr.grading)
+    k = pr.contraction
     if k.dim > max_dim:
         raise BudgetError(f"dimension {k.dim} exceeds the witness search cap")
     odd = list(pr.grading.odd_idx)

@@ -138,6 +138,14 @@ def _pivot_key(p: Poly) -> tuple[int, int]:
     return (len(p.terms), p.degree())
 
 
+def _check_product(what: str, f: Poly, g: Poly) -> None:
+    """Raise :class:`BudgetError` when ``f*g`` would multiply more than
+    ``TERM_BUDGET`` pairs of terms."""
+    if len(f.terms) * len(g.terms) > TERM_BUDGET:
+        raise BudgetError(f"{what} product of {len(f.terms)} x "
+                          f"{len(g.terms)} terms exceeds the budget")
+
+
 def _bareiss_entry(pivot: Poly, head: Poly, a: Poly, b: Poly,
                    prev: Poly | None) -> Poly:
     """``(pivot*a - head*b) / prev``, exact by the Bareiss identity.
@@ -145,10 +153,8 @@ def _bareiss_entry(pivot: Poly, head: Poly, a: Poly, b: Poly,
     Raises :class:`BudgetError` before expanding when either product would
     multiply more than ``TERM_BUDGET`` pairs of terms.
     """
-    for f, g in ((pivot, a), (head, b)):
-        if len(f.terms) * len(g.terms) > TERM_BUDGET:
-            raise BudgetError(f"elimination product of {len(f.terms)} x "
-                              f"{len(g.terms)} terms exceeds the budget")
+    _check_product("elimination", pivot, a)
+    _check_product("elimination", head, b)
     num = pivot * a - head * b
     return num.div_exact(prev) if prev is not None else num
 
@@ -268,12 +274,22 @@ def poly_kernel(rows: list[list[Poly]]) -> list[list[Poly]]:
     return basis
 
 
+def _dot(us: list[Poly], vs: list[Poly], nvars: int) -> Poly:
+    """``sum_i us[i]*vs[i]``, each product checked against ``TERM_BUDGET``
+    (:class:`BudgetError`) before any is expanded."""
+    pairs = [(u, v) for u, v in zip(us, vs) if u.terms and v.terms]
+    for u, v in pairs:
+        _check_product("compression", u, v)
+    return Poly.sum_of_products(nvars, pairs)
+
+
 def contraction_rank(a_block: list[list[Poly]], b_block: list[list[Poly]]) -> int:
     """Generic rank of the skew matrix ``[[A, B], [-B^T, 0]]``.
 
     With C a kernel basis of ``B^T`` the rank equals
     ``2*rank(B) + rank(C^T A C)``: column operations against the full-row-rank
     part of B clear everything except the compression of A to ker(B^T).
+    Every product of the compression is checked against ``TERM_BUDGET``.
     """
     d0 = len(a_block)
     bt = [list(col) for col in zip(*b_block)] if d0 and b_block[0] else []
@@ -283,18 +299,9 @@ def contraction_rank(a_block: list[list[Poly]], b_block: list[list[Poly]]) -> in
     c_basis = poly_kernel(bt)
     if not c_basis:
         return 2 * rb
-    compressed = []
-    av = [
-        [sum((a_block[i][j] * v[j] for j in range(d0) if not v[j].is_zero()),
-             Poly.zero(v[0].nvars)) for i in range(d0)]
-        for v in c_basis
-    ]
-    for u in c_basis:
-        row = []
-        for w_img in av:
-            row.append(sum((u[i] * w_img[i] for i in range(d0) if not u[i].is_zero()),
-                           Poly.zero(u[0].nvars)))
-        compressed.append(row)
+    nvars = c_basis[0][0].nvars
+    av = [[_dot(row, v, nvars) for row in a_block] for v in c_basis]
+    compressed = [[_dot(u, w_img, nvars) for w_img in av] for u in c_basis]
     return 2 * rb + poly_rank(compressed)
 
 
@@ -330,8 +337,9 @@ def trace(a: Mat) -> Q:
 
 
 def trace_pair(a: Mat, b: Mat) -> Q:
-    n = len(a)
-    return sum(a[i][k] * b[k][i] for i in range(n) for k in range(n))
+    """tr(ab), summed over the nonzero entries of a."""
+    return sum((x * b[k][i] for i, row in enumerate(a) for k, x in enumerate(row) if x),
+               Q(0))
 
 
 def is_zero_mat(a: Mat) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction as Q
-from math import comb
+from math import comb, lcm
 from operator import add as _add
 
 from .errors import PolyParseError
@@ -268,9 +268,12 @@ class Poly:
         tabulated up to its largest exponent.  A term ``c x^e`` adds
         ``c e_i x^(e - u_i)`` to entry i for every i with ``e_i > 0``; the
         products of the other factors come from prefix and suffix products
-        over the term's support.
+        over the term's support.  The coefficients are scaled once by the lcm
+        of their denominators, so at an integral point every product is an
+        int product, and each entry is divided by that lcm once at the end.
         """
         point = [coeff_num(x) for x in point]
+        den = lcm(*(c.denominator for c in self.terms.values()))
         top = [max(column) for column in zip(*self.terms)]
         powers = []
         for x, t in zip(point, top):
@@ -281,7 +284,7 @@ class Poly:
         grad = [0] * self.nvars
         for e, c in self.terms.items():
             support = [(i, p) for i, p in enumerate(e) if p]
-            prefix = [c]
+            prefix = [c.numerator * (den // c.denominator)]
             for i, p in support:
                 prefix.append(prefix[-1] * powers[i][p])
             suffix = 1
@@ -289,7 +292,7 @@ class Poly:
                 i, p = support[k]
                 grad[i] += prefix[k] * suffix * p * powers[i][p - 1]
                 suffix *= powers[i][p]
-        return [Q(g) for g in grad]
+        return [Q(g, den) for g in grad]
 
     def shift_components(self, xi) -> list["Poly"]:
         """Coefficients of ``f(mu + a*xi)`` as a polynomial in ``a``.

@@ -8,9 +8,15 @@ so the involution matrix is diagonal and all eigenspace data is positional.
 ``index`` is the reference route to the index of an algebra: the Kirillov
 matrix with entries in the polynomial ring over the dual coordinates is
 reduced by deterministic fraction-free elimination, exploiting the zero block
-that a contraction's abelian ideal creates.  The suites use it for ``g`` and
-for centralizers; the index of a contraction is certified from its central
-generators instead (``poisson.certified_index``).
+that a contraction's abelian ideal creates.  The suites use it for the even
+centralizer ``g0^z`` of a generic Cartan point, and for ``g`` only when the
+certificate from its classical invariants does not close; the index of a
+contraction is certified from its central generators instead
+(``poisson.certified_index``).
+
+Realizations are built and validated from the nonzero entries of their
+matrices: commutators, the Jacobi check and the automorphism check of the
+involution touch only entries that can contribute.
 """
 
 from __future__ import annotations
@@ -155,13 +161,14 @@ class LieAlgebra:
                             f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     def _jacobi_triple(self, i: int, j: int, k: int) -> bool:
-        total = [Q(0)] * self.dim
+        """Whether the cyclic sum of ``[[e_a, e_b], e_c]`` vanishes, summed
+        only over the coordinates the double brackets touch."""
+        total: dict[int, Q] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = self.bracket_basis(a, b)
-            for t, coeff in inner.items():
+            for t, coeff in self.bracket_basis(a, b).items():
                 for s, d in self.bracket_basis(t, c).items():
-                    total[s] += coeff * d
-        return all(x == 0 for x in total)
+                    total[s] = total.get(s, 0) + coeff * d
+        return not any(total.values())
 
     # -- Kirillov form ---------------------------------------------------
     def kirillov_at(self, xi) -> Mat:
@@ -215,25 +222,33 @@ class Involution:
     matrix: tuple[tuple[Q, ...], ...]
 
     def validate(self, algebra: LieAlgebra) -> None:
+        """sigma^2 = 1, and sigma[e_i, e_j] = [sigma e_i, sigma e_j] on every
+        basis pair, both from the nonzero entries of sigma's columns."""
         n = algebra.dim
-        m = [list(row) for row in self.matrix]
-        sq = linalg.mat_mul(m, m)
-        if sq != linalg.identity(n):
-            raise ValueError("involution does not square to the identity")
+        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+            raise ValueError(f"involution matrix is not {n} x {n}")
+        cols = [{t: row[j] for t, row in enumerate(self.matrix) if row[j]}
+                for j in range(n)]
+        for j, col in enumerate(cols):
+            sq: dict[int, Q] = {}
+            for k, c in col.items():
+                for t, d in cols[k].items():
+                    sq[t] = sq.get(t, 0) + c * d
+            if {t: x for t, x in sq.items() if x} != {j: 1}:
+                raise ValueError("involution does not square to the identity")
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = algebra.bracket(m_col(m, i), m_col(m, j))
-                rhs = [Q(0)] * n
+                diff: dict[int, Q] = {}
+                for a, x in cols[i].items():
+                    for b, y in cols[j].items():
+                        for k, c in algebra.bracket_basis(a, b).items():
+                            diff[k] = diff.get(k, 0) + x * y * c
                 for k, c in algebra.bracket_basis(i, j).items():
-                    for t in range(n):
-                        rhs[t] += c * m[t][k]
-                if lhs != rhs:
+                    for t, d in cols[k].items():
+                        diff[t] = diff.get(t, 0) - c * d
+                if any(diff.values()):
                     raise ValueError(
                         f"involution is not an automorphism on pair ({i},{j})")
-
-
-def m_col(m: Mat, j: int) -> list[Q]:
-    return [m[i][j] for i in range(len(m))]
 
 
 @dataclass(frozen=True)
@@ -294,6 +309,11 @@ class PairRealization:
     def rank_pair(self) -> int:
         return self.satake.rank()
 
+    @cached_property
+    def contraction(self) -> LieAlgebra:
+        """The contraction ``k = g0 ⋉ g1``, built once per realization."""
+        return contract(self.g, self.grading)
+
 
 # ----------------------------------------------------------------------
 # matrix basics
@@ -322,15 +342,28 @@ def _mneg(m: Mat) -> Mat:
 
 def algebra_from_matrices(matrices: list[Mat], labels) -> LieAlgebra:
     """Structure constants of the span of the given matrices (must be a
-    linearly independent, bracket-closed family)."""
+    linearly independent, bracket-closed family).
+
+    Each commutator is formed from the nonzero entries of the two matrices:
+    entry ``(i, k)`` of one factor meets only row ``k`` of the other.
+    """
     n = len(matrices[0])
     cols = [[m[i][j] for i in range(n) for j in range(n)] for m in matrices]
     solver = ColumnSolver(cols)
+    # per matrix, per row: the (column, value) pairs of its nonzero entries
+    rows = [[[(j, x) for j, x in enumerate(row) if x] for row in m] for m in matrices]
     sc: dict[tuple[int, int], dict[int, Q]] = {}
     for a in range(len(matrices)):
         for b in range(a + 1, len(matrices)):
-            c = linalg.commutator(matrices[a], matrices[b])
-            flat = [c[i][j] for i in range(n) for j in range(n)]
+            flat = [0] * (n * n)
+            for i, row in enumerate(rows[a]):
+                for k, x in row:
+                    for j, y in rows[b][k]:
+                        flat[i * n + j] += x * y
+            for i, row in enumerate(rows[b]):
+                for k, y in row:
+                    for j, x in rows[a][k]:
+                        flat[i * n + j] -= y * x
             coords = solver.solve(flat)
             if coords is None:
                 raise ValueError(f"matrix family is not bracket-closed at ({a},{b})")
@@ -916,7 +949,7 @@ def coadjoint_check(pr: PairRealization) -> bool:
 
     Convention: (x * xi)(y) = <xi, [y, x]>.
     """
-    k = contract(pr.g, pr.grading)
+    k = pr.contraction
     mats = pr.realization.matrices
     dim = k.dim
     tform = [[linalg.trace_pair(mats[i], mats[j]) for j in range(dim)]

@@ -120,6 +120,26 @@ def test_verify_nreg_brackets_its_family_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("run", [
+    verify_nreg, demonstrate_nonmaximality, lambda p: verify_dim_stab(p, samples=3),
+], ids=["nreg", "nonmax", "dimstab"])
+def test_each_job_contracts_once(run, monkeypatch):
+    # every binding of contract, so that a call from any layer is counted
+    calls = []
+    real = structure.contract
+
+    def counting(g, grading):
+        calls.append(g.dim)
+        return real(g, grading)
+
+    for module in (analysis, invariants, poisson, structure):
+        if getattr(module, "contract", None) is real:
+            monkeypatch.setattr(module, "contract", counting)
+    rep = run(parse_pair_name("sl3,so3"))
+    assert rep.passed
+    assert calls == [8]
+
+
 def test_nonmaximality_demonstration():
     rep = demonstrate_nonmaximality(PairId("sl_so", (2,)), seed=1)
     assert rep.passed

@@ -206,6 +206,22 @@ def test_elimination_stops_at_the_term_budget():
     assert time.monotonic() - t0 < 1.0
 
 
+def test_compression_stops_at_the_term_budget():
+    # B^T is one row, so ker(B^T) has one vector with 1,035-term entries, and
+    # its first product with an A entry multiplies more than TERM_BUDGET
+    # pairs of terms
+    def big(shift):
+        return Poly(3, {(a, b, 44 - a - b): a + shift
+                        for a in range(45) for b in range(45 - a)})
+
+    a_block = [[big(1), big(2)], [big(3), big(5)]]
+    b_block = [[big(7)], [big(11)]]
+    t0 = time.monotonic()
+    with pytest.raises(BudgetError, match="compression product"):
+        linalg.contraction_rank(a_block, b_block)
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_poly_det():
     x = Poly.var(2, 0)
     y = Poly.var(2, 1)

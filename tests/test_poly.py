@@ -80,21 +80,32 @@ def test_partial_and_gradient():
     assert x.grad_at([5, 7, 9]) == [0, 0, 1]
 
 
+def _coefficient(rng, kind):
+    if kind == "fraction":
+        return Q(rng.randint(-9, 9), rng.randint(1, 7))
+    # integral Fractions, as the weight-echelon tops hold them, next to
+    # plain ints and proper fractions
+    c = Q(rng.choice([-6, -1, 1, 2, 9]))
+    if kind == "mixed":
+        c = rng.choice([c, int(c), c / rng.randint(2, 5)])
+    return c
+
+
 def test_grad_at_matches_partials():
     rng = random.Random(11)
-    for _ in range(60):
-        nvars = rng.randint(1, 5)
-        p = Poly.zero(nvars)
-        for _ in range(rng.randint(0, 8)):
-            exps = tuple(rng.randint(0, 4) for _ in range(nvars))
-            coeff = Q(rng.randint(-9, 9), rng.randint(1, 7))
-            p = p + Poly(nvars, {exps: coeff})
-        # zero and negative coordinates, integers and fractions
-        pt = [rng.choice([0, -1, rng.randint(-5, 5), Q(rng.randint(-7, 7), 3)])
-              for _ in range(nvars)]
-        got = p.grad_at(pt)
-        assert got == [p.partial(i).eval(pt) for i in range(nvars)]
-        assert all(isinstance(x, Q) for x in got)
+    for kind in ("fraction", "integral", "mixed"):
+        for _ in range(60):
+            nvars = rng.randint(1, 5)
+            p = Poly.zero(nvars)
+            for _ in range(rng.randint(0, 8)):
+                exps = tuple(rng.randint(0, 4) for _ in range(nvars))
+                p = p + Poly(nvars, {exps: _coefficient(rng, kind)})
+            # zero and negative coordinates, integers and fractions
+            pt = [rng.choice([0, -1, rng.randint(-5, 5), Q(rng.randint(-7, 7), 3)])
+                  for _ in range(nvars)]
+            got = p.grad_at(pt)
+            assert got == [p.partial(i).eval(pt) for i in range(nvars)]
+            assert all(isinstance(x, Q) for x in got)
 
 
 def test_eval():

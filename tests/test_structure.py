@@ -4,11 +4,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import (AlgebraValidationError, Involution, LieAlgebra,
+from z2poisson import (AlgebraValidationError, Involution, LieAlgebra, PairId,
                        UnsupportedPairError, Z2Grading, b_value, build_pair,
                        check_regular_stabilizer_index, coadjoint_check,
                        contract, contraction_invariants, graded_centralizer,
-                       index, is_regular, matrix_algebra, stabilizer)
+                       index, is_regular, linalg, matrix_algebra, satake_of,
+                       stabilizer)
+from z2poisson.linalg import ColumnSolver
 from z2poisson.structure import (centralizer_of_cartan, sample_covector,
                                  subalgebra)
 
@@ -79,6 +81,79 @@ def test_involution_axioms_rejected():
                                  for i in range(3)))
     with pytest.raises(ValueError, match="square"):
         not_invol.validate(pr.g)
+
+
+def test_involution_that_is_no_automorphism_rejected():
+    # diag(1, 1, -1) squares to the identity, but [u, v] = -2w while
+    # [sigma u, sigma v] = -2w and sigma(-2w) = 2w
+    pr = build_pair("sl2,so2")
+    flip = Involution(tuple(tuple(Q(d if i == j else 0) for j in range(3))
+                            for i, d in enumerate((1, 1, -1))))
+    with pytest.raises(ValueError, match=r"automorphism on pair \(0,1\)"):
+        flip.validate(pr.g)
+
+
+def test_jacobi_rejects_a_triple_that_cancels_in_one_coordinate():
+    # on (0,1,2): [[e0,e1],e2] = e4 and [[e1,e2],e0] = -e4 cancel, while
+    # [[e2,e0],e1] = e0 is left over
+    sc = {(0, 1): {3: 1}, (1, 2): {3: 1}, (0, 2): {3: 1},
+          (0, 3): {4: 1}, (2, 3): {4: -1}, (1, 3): {0: 1}}
+    with pytest.raises(ValueError, match=r"Jacobi identity fails on basis triple \(0,1,2\)"):
+        LieAlgebra(("a", "b", "c", "d", "e"), sc)
+
+
+def _catalog_pairs_up_to(max_dim):
+    """Every structure-level catalog pair with dim g <= max_dim."""
+    sl = lambda n: n * n - 1
+    so = lambda n: n * (n - 1) // 2
+    sp = lambda n: n * (2 * n + 1)          # sp_{2n}
+    candidates = (
+        [(PairId("sl_so", (n,)), sl(n)) for n in range(2, 8)]
+        + [(PairId("sl_gl", (n, k)), sl(n)) for n in range(2, 8) for k in range(1, n)]
+        + [(PairId("sl_sp", (n,)), sl(2 * n)) for n in range(2, 5)]
+        + [(PairId("so_so", (p, q)), so(p + q)) for p in range(1, 8) for q in range(p, 8)]
+        + [(PairId("so_gl", (n,)), so(2 * n)) for n in range(2, 6)]
+        + [(PairId("sp_sp", (n, k)), sp(n)) for n in range(1, 5) for k in range(1, n)]
+        + [(PairId("sp_gl", (n,)), sp(n)) for n in range(1, 5)]
+        + [(PairId("diag_sl", (n,)), 2 * sl(n)) for n in range(2, 5)]
+        + [(PairId("diag_so", (n,)), 2 * so(n)) for n in range(3, 7)]
+        + [(PairId("diag_sp", (n,)), 2 * sp(n)) for n in range(1, 4)])
+    out = []
+    for pid, dim in candidates:
+        if dim > max_dim:
+            continue
+        try:
+            satake_of(pid)
+        except UnsupportedPairError:
+            continue
+        out.append((pid, dim))
+    return out
+
+
+def _dense_structure_constants(matrices):
+    """Reference route: dense commutators, solved in the matrix basis."""
+    n = len(matrices[0])
+    solver = ColumnSolver([[m[i][j] for i in range(n) for j in range(n)]
+                           for m in matrices])
+    sc = {}
+    for a in range(len(matrices)):
+        for b in range(a + 1, len(matrices)):
+            c = linalg.commutator(matrices[a], matrices[b])
+            coords = solver.solve([c[i][j] for i in range(n) for j in range(n)])
+            assert coords is not None
+            entry = {k: v for k, v in enumerate(coords) if v != 0}
+            if entry:
+                sc[(a, b)] = entry
+    return sc
+
+
+def test_structure_constants_match_dense_oracle():
+    pairs = _catalog_pairs_up_to(24)
+    assert len(pairs) >= 20
+    for pid, dim in pairs:
+        pr = build_pair(pid)
+        assert pr.g.dim == dim, pid
+        assert pr.g.sc == _dense_structure_constants(pr.realization.matrices), pid
 
 
 # ----------------------------------------------------------------------
