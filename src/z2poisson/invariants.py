@@ -15,7 +15,7 @@ from math import factorial, lcm, perm
 from . import linalg
 from .errors import BudgetError, UnsupportedPairError
 from .poisson import (bracket_with_coordinate, certified_index, pairwise_commuting,
-                      poisson_bracket, trdeg_lower_bound, verify_central)
+                      trdeg_lower_bound, verify_central)
 from .poly import Poly, coeff_num
 from .structure import (LieAlgebra, MatrixRealization, PairRealization, Z2Grading,
                         sample_covector)
@@ -378,7 +378,10 @@ def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
 
     Returns (f, g, bracket) or None when the search is inconclusive within
     the bound.  Each graded piece is the exact kernel of the stacked
-    bracket-with-odd-coordinates map.
+    bracket-with-odd-coordinates map.  The candidates are bracketed by
+    ``pairwise_commuting``, so (f, g) is the lexicographically first
+    noncommuting pair, and every pair is checked against the bracket
+    budgets before any bracket is taken.
     """
     k = pr.contraction
     if k.dim > max_dim:
@@ -400,9 +403,8 @@ def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
                     mat_rows[row_index[key]][c] = coeff
         for kv in linalg.kernel(mat_rows, range(len(monos))):
             candidates.append(Poly(k.dim, {monos[c]: x for c, x in kv.items()}))
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            br = poisson_bracket(k, candidates[i], candidates[j])
-            if not br.is_zero():
-                return candidates[i], candidates[j], br
-    return None
+    ok, witness = pairwise_commuting(k, candidates)
+    if ok:
+        return None
+    i, j, br = witness
+    return candidates[i], candidates[j], br

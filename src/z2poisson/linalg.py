@@ -2,13 +2,15 @@
 
 Rational matrices are lists of ``{column: value}`` rows: zero entries may
 be left out, and columns need not be contiguous, so a row can stay keyed by
-positions in a larger space.  Gauss-Jordan elimination with Fraction
-arithmetic touches only the support of each pivot row.  The reduced row
-echelon form is unique, so this returns exactly the rows and pivots a dense
-elimination would; kernel vectors come back keyed by column.  Matrices with
-polynomial entries go through fraction-free (Bareiss) elimination with full
-pivoting: every intermediate entry is a minor of the input, divisions are
-exact, and the pivot count is the rank over the rational function field.
+positions in a larger space.  Gauss-Jordan elimination runs fraction-free on
+primitive integer rows (each a nonzero multiple of its rational row, with
+content 1) and touches only the support of each pivot row; values become
+Fractions once, at the end.  The reduced row echelon form is unique, so
+this returns exactly the rows and pivots a dense elimination would; kernel
+vectors come back keyed by column.  Matrices with polynomial entries go
+through fraction-free (Bareiss) elimination with full pivoting: every
+intermediate entry is a minor of the input, divisions are exact, and the
+pivot count is the rank over the rational function field.
 Kernels of polynomial matrices are assembled from Cramer-style maximal
 minors, which keeps every entry a polynomial of bounded degree.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction as Q
+from math import gcd, lcm
 
 from .errors import BudgetError
 from .poly import TERM_BUDGET, Poly
@@ -29,18 +32,35 @@ Row = dict[int, Q]
 # rational matrices
 # ----------------------------------------------------------------------
 
+def _primitive(row: Mapping[int, Q]) -> dict[int, int]:
+    """The nonzero entries of a rational row scaled to integers with content
+    1: times the lcm of the denominators, divided by the gcd of the
+    numerators.  A value that is neither ``int`` nor ``Fraction`` goes
+    through ``Fraction`` first."""
+    vals = [(j, x if isinstance(x, (int, Q)) else Q(x)) for j, x in row.items()]
+    vals = [(j, x) for j, x in vals if x]
+    d = lcm(1, *(x.denominator for _, x in vals))
+    ints = [(j, x.numerator * (d // x.denominator)) for j, x in vals]
+    g = gcd(*(v for _, v in ints))
+    return {j: v // g for j, v in ints}
+
+
 def rref(rows: Iterable[Mapping[int, Q]]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form of ``{column: value}`` rows.
 
-    Zero entries are dropped and the input is not mutated.  The pivot for
-    each column, in increasing column order, is the sparsest candidate row,
-    which keeps fill-in low and does not change the (unique) result.
-    Returns only the pivot rows, as maps in pivot order, and the pivot
-    columns.
+    Zero entries are dropped and the input is not mutated.  Each row is
+    held as a primitive integer row (:func:`_primitive`), a nonzero
+    multiple of the rational row, so supports and pivots are those of
+    Fraction elimination.  The pivot for each column, in increasing column
+    order, is the sparsest candidate row, which keeps fill-in low and does
+    not change the (unique) result.  A row with entry f at the pivot column
+    becomes ``(a/g) row - (f/g) prow``, where a is the pivot entry and
+    ``g = gcd(a, f)``, and is divided by its content again.  Returns only
+    the pivot rows, divided by their pivot entries into Fraction maps in
+    pivot order, and the pivot columns.
     """
-    pending = [r for r in ({j: x if isinstance(x, Q) else Q(x)
-                            for j, x in row.items() if x} for row in rows) if r]
-    done: list[Row] = []
+    pending = [r for r in map(_primitive, rows) if r]
+    done: list[dict[int, int]] = []
     pivots: list[int] = []
     for c in sorted({j for row in pending for j in row}):
         if not pending:
@@ -49,22 +69,32 @@ def rref(rows: Iterable[Mapping[int, Q]]) -> tuple[list[Row], list[int]]:
         if not hits:
             continue
         p = min(hits, key=lambda i: len(pending[i]))
-        inv = 1 / pending[p][c]
-        prow = {j: x * inv for j, x in pending[p].items()}
+        prow = pending[p]
+        a = prow[c]
         targets = [pending[i] for i in hits if i != p]
         targets += [row for row in done if c in row]
         for row in targets:
             f = row[c]
+            g = gcd(a, f)
+            s, t = a // g, f // g
+            if s != 1:
+                for j in row:
+                    row[j] *= s
             for j, x in prow.items():
-                v = row.get(j, 0) - f * x
+                v = row.get(j, 0) - t * x
                 if v:
                     row[j] = v
                 else:
                     del row[j]
+            g = gcd(*row.values())
+            if g != 1:
+                for j in row:
+                    row[j] //= g
         pending = [row for i, row in enumerate(pending) if i != p and row]
         done.append(prow)
         pivots.append(c)
-    return done, pivots
+    return ([{j: Q(x, row[c]) for j, x in row.items()}
+             for row, c in zip(done, pivots)], pivots)
 
 
 def rank(rows: Iterable[Mapping[int, Q]]) -> int:

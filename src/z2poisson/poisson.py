@@ -39,13 +39,12 @@ def bracket_with_coordinate(q: LieAlgebra, i: int, f: Poly) -> Poly:
     """{x_i, f} = sum_j {x_i, x_j} d_j f; every bracket and centrality check
     goes through it.
 
-    Walks only the nonzero structure constants ``c_ij^k`` of row i and, for
-    each term ``c x^e`` of f with ``e_j > 0``, writes ``c e_j c_ij^k x^(e -
-    u_j + u_k)`` into one dict; no partial derivative or product is built.
+    Walks only the nonzero structure constants ``c_ij^k`` of row i, read
+    from ``q.bracket_rows`` (built once per algebra), and, for each term
+    ``c x^e`` of f with ``e_j > 0``, writes ``c e_j c_ij^k x^(e - u_j +
+    u_k)`` into one dict; no partial derivative or product is built.
     """
-    sc = q.sc
-    row = [(j, -1, entry) for j in range(i) if (entry := sc.get((j, i)))]
-    row += [(j, 1, entry) for j in range(i + 1, q.dim) if (entry := sc.get((i, j)))]
+    row = q.bracket_rows[i]
     out: dict = {}
     get = out.get
     for e, c in f.terms.items():

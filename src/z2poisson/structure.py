@@ -84,6 +84,19 @@ class LieAlgebra:
         return out
 
     @cached_property
+    def bracket_rows(self) -> tuple[tuple[tuple[int, int, dict[int, Q]], ...], ...]:
+        """For each coordinate i, its nonzero structure constants as
+        ``(j, sign, entry)`` in ascending j, with
+        ``[e_i, e_j] = sign * sum_k entry[k] e_k``: ``entry`` is the stored
+        ``sc`` entry of the ordered pair, and sign is -1 for j < i."""
+        rows: list[list] = [[] for _ in range(self.dim)]
+        # lexicographic keys list (j, i) with j < i before (i, j) with j > i
+        for (i, j), entry in sorted(self.sc.items()):
+            rows[i].append((j, 1, entry))
+            rows[j].append((i, -1, entry))
+        return tuple(map(tuple, rows))
+
+    @cached_property
     def generating_set(self) -> tuple[int, ...]:
         """Basis indices whose iterated brackets span the algebra.
 

@@ -9,9 +9,10 @@ from z2poisson import (LieAlgebra, Poly, UnsupportedPairError, b_value,
                        noncommutativity_witness, nreg_subalgebra,
                        pairwise_commuting, poisson_bracket, top_component,
                        verify_central)
-from z2poisson import linalg
+from z2poisson import invariants, linalg, poisson
 from z2poisson.invariants import (_dual_matrices, _generic_matrix, _weight_echelon_tops,
                                   char_coefficients, pfaffian)
+from z2poisson.poisson import bracket_with_coordinate
 from z2poisson.poly import Poly as P
 
 
@@ -337,6 +338,65 @@ def test_witness_absent_for_commutative_cases(pair):
     assert noncommutativity_witness(pair("sl2,so2"), degree_bound=3) is None
     assert noncommutativity_witness(pair("sl2+sl2,diag"), degree_bound=2) is None
     assert noncommutativity_witness(pair("sp4,sp2+sp2"), degree_bound=0) is None
+
+
+def _double_loop_witness(pr, degree_bound):
+    """Reference: the graded kernel candidates, bracketed pair by pair with
+    ``poisson_bracket`` in lexicographic order.  Returns the candidates and
+    the first (f, g, {f, g}) with a nonzero bracket, or None."""
+    k = pr.contraction
+    candidates = []
+    for d in range(1, degree_bound + 1):
+        monos = list(invariants._monomials(k.dim, d))
+        row_index, mat_rows = {}, []
+        for e_i in pr.grading.odd_idx:
+            for c, mono in enumerate(monos):
+                br = bracket_with_coordinate(k, e_i, Poly(k.dim, {mono: Q(1)}))
+                for out_e, coeff in br.terms.items():
+                    key = (e_i, out_e)
+                    if key not in row_index:
+                        row_index[key] = len(mat_rows)
+                        mat_rows.append({})
+                    mat_rows[row_index[key]][c] = coeff
+        for kv in linalg.kernel(mat_rows, range(len(monos))):
+            candidates.append(Poly(k.dim, {monos[c]: x for c, x in kv.items()}))
+    for i in range(len(candidates)):
+        for j in range(i + 1, len(candidates)):
+            br = poisson_bracket(k, candidates[i], candidates[j])
+            if not br.is_zero():
+                return candidates, (candidates[i], candidates[j], br)
+    return candidates, None
+
+
+@pytest.mark.parametrize("name", ["sp4,sp2+sp2", "sl4,so4", "sl3+sl3,diag"])
+def test_witness_matches_double_loop(name, pair):
+    pr = pair(name)
+    _, want = _double_loop_witness(pr, 2)
+    assert (want is None) == (name != "sp4,sp2+sp2")
+    assert noncommutativity_witness(pr, degree_bound=2) == want
+
+
+def test_witness_brackets_through_pairwise_commuting(pair, monkeypatch):
+    pr = pair("sl4,so4")
+    k = pr.contraction
+    candidates, _ = _double_loop_witness(pr, 2)
+    counts = {"poisson_bracket": 0, "bracket_with_coordinate": 0}
+    for module in (poisson, invariants):
+        for fname in counts:
+            real = getattr(module, fname, None)
+            if real is None:
+                continue
+
+            def counting(*args, _real=real, _name=fname):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, fname, counting)
+    assert noncommutativity_witness(pr, degree_bound=2) is None
+    matrix_build = len(pr.grading.odd_idx) * sum(
+        len(list(invariants._monomials(k.dim, d))) for d in (1, 2))
+    assert counts["poisson_bracket"] == 0
+    assert counts["bracket_with_coordinate"] <= matrix_build + len(candidates) * k.dim
 
 
 def test_witness_budget_cap(pair):

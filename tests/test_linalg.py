@@ -4,8 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import BudgetError, linalg
+from z2poisson import BudgetError, build_pair, linalg
 from z2poisson.poly import Poly
+from z2poisson.structure import sample_covector
 
 
 def rand_mat(rng, rows, cols, lo=-5, hi=5):
@@ -98,6 +99,31 @@ def oracle_cases():
     yield [[Q(1, 3), 2, 0]] * 5
 
 
+def scale_cases():
+    """Rows at the scale and in the value types the suites and callers use."""
+    rng = random.Random(77)
+    # Kirillov rows of a contraction at sampled covectors: entries ~ 10^6
+    k = build_pair("sp6,gl3").contraction
+    for _ in range(2):
+        m = k.kirillov_at(sample_covector(k.dim, rng, bound=10 ** 6))
+        yield m
+        yield m[:7] + [list(m[3])] + [[Q(0)] * k.dim] + m[12:]
+    # large coprime denominators, and negative leading entries
+    primes = [1_000_003, 998_244_353, 999_999_937, 1_000_000_007, 2_147_483_647]
+    yield [[Q(rng.randint(-10 ** 9, 10 ** 9), rng.choice(primes)) for _ in range(6)]
+           for _ in range(5)]
+    yield [[Q(-rng.randint(1, 10 ** 8), p) for _ in range(4)] for p in primes]
+    yield [[-3, 2, 0, 5], [-6, 0, 1, 1], [0, -7, 2, 0], [-1, -1, -1, -1]]
+    # all-int rows, mixed int/Fraction rows, duplicate and zero rows
+    ints = [[rng.randint(-10 ** 7, 10 ** 7) for _ in range(7)] for _ in range(6)]
+    yield ints + [list(ints[2]), [0] * 7, list(ints[2])]
+    yield [[2, Q(1, 3), 0, -5], [Q(4), 2, Q(-7, 9), 0], [0, 0, 0, 0],
+           [2, Q(1, 3), 0, -5]]
+    # values that Fraction accepts: floats and "p/q" strings
+    yield [[0.5, "3/7", 0, -2], ["-5/11", 2.25, "4", 0.0], [1.5, "9/7", 0, -6]]
+    yield [["0", "1/2"], [0.0, "-3/4"]]
+
+
 def test_rref_matches_dense_oracle():
     for m in oracle_cases():
         before = [list(row) for row in m]
@@ -106,6 +132,19 @@ def test_rref_matches_dense_oracle():
         assert (red, pivots) == dense_rref(m)
         assert all(isinstance(x, Q) for row in red for x in row)
         assert m == before
+        assert linalg.rank(sparse(m)) == len(pivots)
+
+
+def test_rref_matches_dense_oracle_at_suite_scale():
+    for m in scale_cases():
+        rows = sparse(m)
+        before = [dict(row) for row in rows]
+        red, pivots = linalg.rref(rows)
+        assert rows == before
+        assert all(isinstance(x, Q) for row in red for x in row.values())
+        assert all(row[c] == 1 for row, c in zip(red, pivots))
+        red = dense(red, len(m[0])) + [[Q(0)] * len(m[0])] * (len(m) - len(red))
+        assert (red, pivots) == dense_rref(m)
         assert linalg.rank(sparse(m)) == len(pivots)
 
 

@@ -87,6 +87,39 @@ def test_bracket_with_coordinate_agrees_with_generic(pair):
             sum(a * b for a, b in zip(row, f.grad_at(xi)))
 
 
+def _scanning_bracket_with_coordinate(q, i, f):
+    """Reference: {x_i, f} with coordinate i's row scanned out of ``sc``."""
+    row = [(j, -1, entry) for j in range(i) if (entry := q.sc.get((j, i)))]
+    row += [(j, 1, entry) for j in range(i + 1, q.dim) if (entry := q.sc.get((i, j)))]
+    out = {}
+    for e, c in f.terms.items():
+        for j, sign, entry in row:
+            p = e[j]
+            if not p:
+                continue
+            base = list(e)
+            base[j] -= 1
+            for k, ck in entry.items():
+                base[k] += 1
+                key = tuple(base)
+                base[k] -= 1
+                out[key] = out.get(key, 0) + sign * c * p * ck
+    return Poly(q.dim, {e: c for e, c in out.items() if c})
+
+
+@pytest.mark.parametrize("name", ["sp4,sp2+sp2", "sl4,so4"])
+def test_bracket_with_coordinate_matches_scan_term_for_term(name, pair):
+    pr = pair(name)
+    rng = random.Random(17)
+    for q in (pr.g, pr.contraction):
+        for _ in range(30):
+            f = rand_poly(rng, q.dim, max_deg=3, terms=5)
+            i = rng.randrange(q.dim)
+            got = bracket_with_coordinate(q, i, f)
+            want = _scanning_bracket_with_coordinate(q, i, f)
+            assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_bracket_variable_count_mismatch():
     g = sl2_efh()
     with pytest.raises(ValueError, match="variable-count"):

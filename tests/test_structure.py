@@ -156,6 +156,24 @@ def test_structure_constants_match_dense_oracle():
         assert pr.g.sc == _dense_structure_constants(pr.realization.matrices), pid
 
 
+def _scanned_bracket_rows(q):
+    """Reference: coordinate i's row scanned out of ``sc`` pair by pair."""
+    return tuple(
+        tuple([(j, -1, e) for j in range(i) if (e := q.sc.get((j, i)))]
+              + [(j, 1, e) for j in range(i + 1, q.dim) if (e := q.sc.get((i, j)))])
+        for i in range(q.dim))
+
+
+def test_bracket_rows_match_scan_of_sc():
+    for pid, _ in _catalog_pairs_up_to(24):
+        pr = build_pair(pid)
+        for q in (pr.g, pr.contraction):
+            assert q.bracket_rows == _scanned_bracket_rows(q), pid
+    pr = build_pair("sl4,sp4")
+    g0 = subalgebra(pr.g, [unit(pr.g.dim, i) for i in pr.grading.even_idx])
+    assert g0.bracket_rows == _scanned_bracket_rows(g0)
+
+
 # ----------------------------------------------------------------------
 # contraction
 # ----------------------------------------------------------------------
