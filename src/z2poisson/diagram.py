@@ -782,7 +782,7 @@ def parse_pair_name(text: str) -> PairId:
             return PairId("diag_so", (n,))
         if name == "sp":
             if n % 2:
-                raise UnsupportedPairError("spparameter must be even")
+                raise UnsupportedPairError("sp parameter must be even")
             return PairId("diag_sp", (n // 2,))
         if (name, n) in (("e", 6), ("e", 7), ("e", 8)):
             return PairId(f"diag_e{n}")

@@ -10,13 +10,12 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from math import factorial, lcm, perm
 
 from . import linalg
 from .errors import BudgetError, UnsupportedPairError
 from .poisson import (bracket_with_coordinate, certified_index, pairwise_commuting,
                       trdeg_lower_bound, verify_central)
-from .poly import Poly, coeff_num
+from .poly import Poly
 from .structure import (LieAlgebra, MatrixRealization, PairRealization, Z2Grading,
                         sample_covector)
 
@@ -39,7 +38,7 @@ class InvariantSet:
 
 
 # ----------------------------------------------------------------------
-# symbolic characteristic coefficients and Pfaffian
+# symbolic characteristic coefficients
 # ----------------------------------------------------------------------
 
 def _generic_matrix(mats, nvars: int, rows: range, cols: range) -> list[list[Poly]]:
@@ -54,70 +53,19 @@ def _generic_matrix(mats, nvars: int, rows: range, cols: range) -> list[list[Pol
 
 
 def char_coefficients(x: list[list[Poly]]) -> dict[int, Poly]:
-    """Elementary symmetric functions e_k of the eigenvalues of X, k = 1..n.
-
-    Newton's identities on the power traces p_k = tr X^k,
-    ``k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i``, run over the integers:
-    X is scaled by the common denominator d of its entries, and
-    ``E_k = k! e_k(dX)`` obeys
-    ``E_k = sum_i (-1)^(i-1) (k-1)!/(k-i)! E_(k-i) p_i(dX)``, so
-    ``e_k = E_k / (k! d^k)`` is the only division.  Only X^2 .. X^m with
-    m = ceil(n/2) are formed; each later trace is
-    ``p_k = tr(X^m X^(k-m)) = sum_ab (X^m)_ab (X^(k-m))_ba``, n^2 entry
-    products.  Every sum of products is accumulated in place.
-    """
+    """Elementary symmetric functions e_k of the eigenvalues of X, k = 1..n,
+    read off ``det(X + tI) = sum_k e_k t^(n-k)`` with t one extra variable."""
     n = len(x)
     nvars = x[0][0].nvars
-    d = lcm(1, *(c.denominator for row in x for f in row for c in f.terms.values()))
-    x = [[Poly(nvars, {e: int(c * d) for e, c in f.terms.items()}) for f in row]
-         for row in x]
-    m = (n + 1) // 2
-    powers = {1: x}
-    for k in range(2, m + 1):
-        prev = powers[k - 1]
-        powers[k] = [[Poly.sum_of_products(nvars, ((prev[a][t], x[t][b])
-                                                   for t in range(n)))
-                      for b in range(n)] for a in range(n)]
-    one = Poly.const(nvars, 1)
-    traces = {}
-    for k in range(1, n + 1):
-        if k <= m:
-            pairs = ((powers[k][a][a], one) for a in range(n))
-        else:
-            top, low = powers[m], powers[k - m]
-            pairs = ((top[a][b], low[b][a]) for a in range(n) for b in range(n))
-        traces[k] = Poly.sum_of_products(nvars, pairs)
-    big = {0: one}
-    out = {}
-    for k in range(1, n + 1):
-        big[k] = Poly.sum_of_products(
-            nvars, ((big[k - i], traces[i] * ((-1) ** (i - 1) * perm(k - 1, i - 1)))
-                    for i in range(1, k + 1)))
-        den = factorial(k) * d ** k
-        out[k] = Poly(nvars, {e: coeff_num(Q(c, den)) for e, c in big[k].terms.items()})
+    xt = [[Poly(nvars + 1, {e + (0,): c for e, c in f.terms.items()}) for f in row]
+          for row in x]
+    for a in range(n):
+        xt[a][a] = xt[a][a] + Poly.var(nvars + 1, nvars)
+    out = {k: Poly.zero(nvars) for k in range(1, n + 1)}
+    for e, c in linalg.poly_det(xt).terms.items():
+        if e[-1] < n:
+            out[n - e[-1]].terms[e[:-1]] = c
     return out
-
-
-def pfaffian(m: list[list[Poly]]) -> Poly:
-    """Pfaffian of an antisymmetric polynomial matrix, by expansion along the
-    first row; normalized so the standard 2x2 block [[0,1],[-1,0]] gives 1."""
-    n = len(m)
-    nvars = m[0][0].nvars if n else 0
-    if n % 2:
-        raise ValueError("Pfaffian of an odd-size matrix")
-    if n == 0:
-        return Poly.const(nvars, 1)
-    if n == 2:
-        return m[0][1]
-    total = Poly.zero(nvars)
-    for j in range(1, n):
-        if m[0][j].is_zero():
-            continue
-        keep = [t for t in range(1, n) if t != j]
-        sub = [[m[a][b] for b in keep] for a in keep]
-        term = m[0][j] * pfaffian(sub)
-        total = total + term if j % 2 == 1 else total - term
-    return total
 
 
 def _kind_generators(kind: str, x: list[list[Poly]],
@@ -137,7 +85,7 @@ def _kind_generators(kind: str, x: list[list[Poly]],
     top = n - 1 if n % 2 else n - 2
     gens = [coeffs[k] for k in range(2, top + 1, 2)]
     if n % 2 == 0:
-        gens.append(pfaffian(pf_matrix if pf_matrix is not None else x))
+        gens.append(linalg.pfaffian(pf_matrix if pf_matrix is not None else x))
     return gens
 
 

@@ -7,12 +7,14 @@ primitive integer rows (each a nonzero multiple of its rational row, with
 content 1) and touches only the support of each pivot row; values become
 Fractions once, at the end.  The reduced row echelon form is unique, so
 this returns exactly the rows and pivots a dense elimination would; kernel
-vectors come back keyed by column.  Matrices with polynomial entries go
-through fraction-free (Bareiss) elimination with full pivoting: every
-intermediate entry is a minor of the input, divisions are exact, and the
-pivot count is the rank over the rational function field.
-Kernels of polynomial matrices are assembled from Cramer-style maximal
-minors, which keeps every entry a polynomial of bounded degree.
+vectors come back keyed by column.  The rank of a matrix with polynomial
+entries comes from fraction-free (Bareiss) elimination with full pivoting:
+every intermediate entry is a minor of the input, divisions are exact, and
+the pivot count is the rank over the rational function field.  Determinants
+and Pfaffians of polynomial matrices are Laplace expansions memoized over
+the columns or indices already used.  Kernels of polynomial matrices are
+assembled from Cramer-style maximal minors, which keeps every entry a
+polynomial of bounded degree.
 """
 
 from __future__ import annotations
@@ -241,33 +243,64 @@ def poly_rank(rows: list[list[Poly]]) -> int:
 
 
 def poly_det(rows: list[list[Poly]]) -> Poly:
-    """Determinant by fraction-free elimination (no pivoting surprises:
-    returns the exact determinant including sign)."""
+    """Determinant by Laplace expansion along the rows, memoized over the
+    set of columns already used.
+
+    ``level[used]`` is the minor on the first ``popcount(used)`` rows and
+    the columns in the bitmask ``used``; the next row extends it by each
+    unused column c with a nonzero entry, signed by the parity of the used
+    columns to the right of c.  Each minor is one sum of products, and
+    every product is checked against ``TERM_BUDGET`` before it is expanded
+    (:class:`BudgetError`).
+    """
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
     nvars = rows[0][0].nvars
-    work = [row[:] for row in rows]
-    sign = 1
-    prev: Poly | None = None
-    for step in range(n - 1):
-        p = next((i for i in range(step, n) if not work[i][step].is_zero()), None)
-        if p is None:
-            return Poly.zero(nvars)
-        if p != step:
-            work[step], work[p] = work[p], work[step]
-            sign = -sign
-        pivot = work[step][step]
-        for i in range(step + 1, n):
-            head = work[i][step]
-            for j in range(step + 1, n):
-                work[i][j] = _bareiss_entry(pivot, head, work[i][j],
-                                            work[step][j], prev)
-            work[i][step] = Poly.zero(nvars)
-        prev = pivot
-    return work[n - 1][n - 1] * sign
+    level = {0: Poly.const(nvars, 1)}
+    for row in rows:
+        entries = [(c, f, -f) for c, f in enumerate(row) if f.terms]
+        pairs: dict[int, list[tuple[Poly, Poly]]] = {}
+        for used, minor in level.items():
+            for c, f, neg in entries:
+                if not used >> c & 1:
+                    _check_product("elimination", f, minor)
+                    odd = (used >> (c + 1)).bit_count() % 2
+                    pairs.setdefault(used | 1 << c, []).append((neg if odd else f, minor))
+        level = {used: p for used, ps in pairs.items()
+                 if (p := Poly.sum_of_products(nvars, ps)).terms}
+    return level.get((1 << n) - 1, Poly.zero(nvars))
+
+
+def pfaffian(m: list[list[Poly]]) -> Poly:
+    """Pfaffian of an antisymmetric polynomial matrix, normalized so the
+    standard 2x2 block [[0,1],[-1,0]] gives 1.
+
+    Expands along the first remaining index, memoized over the tuple of
+    remaining indices; every product is checked against ``TERM_BUDGET``
+    before it is expanded (:class:`BudgetError`).
+    """
+    n = len(m)
+    if n % 2:
+        raise ValueError("Pfaffian of an odd-size matrix")
+    nvars = m[0][0].nvars if n else 0
+    memo: dict[tuple[int, ...], Poly] = {(): Poly.const(nvars, 1)}
+
+    def pf(rest: tuple[int, ...]) -> Poly:
+        if rest not in memo:
+            i, pairs = rest[0], []
+            for k in range(1, len(rest)):
+                f = m[i][rest[k]]
+                if f.terms:
+                    sub = pf(rest[1:k] + rest[k + 1:])
+                    _check_product("elimination", f, sub)
+                    pairs.append((f if k % 2 else -f, sub))
+            memo[rest] = Poly.sum_of_products(nvars, pairs)
+        return memo[rest]
+
+    return pf(tuple(range(n)))
 
 
 def poly_kernel(rows: list[list[Poly]]) -> list[list[Poly]]:

@@ -465,6 +465,7 @@ def build_pair(pair: PairId | str) -> PairRealization:
     if pair.family not in STRUCTURE_FAMILIES:
         raise UnsupportedPairError(
             f"{pair_name(pair)} has no structure-level realization")
+    satake = satake_of(pair)        # checks the catalog parameters first
     builder = _BUILDERS[pair.family]
     even, odd, even_labels, odd_labels, cartan_local = builder(pair)
     mats = even + odd
@@ -477,7 +478,6 @@ def build_pair(pair: PairId | str) -> PairRealization:
         tuple(Q(1 if (i == j and i < d0) else (-1 if i == j else 0))
               for j in range(d0 + d1)) for i in range(d0 + d1)))
     sigma.validate(alg)
-    satake = satake_of(pair)
     cartan = [[Q(0)] * (d0 + d1) for _ in cartan_local]
     for row, positions in zip(cartan, cartan_local):
         for pos, coeff in positions:

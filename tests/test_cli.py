@@ -143,6 +143,20 @@ def test_verify_nreg_unsupported_exit(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("pair, message", [
+    ("sl1,so1", "sl_so needs n >= 2"),
+    ("sl3,gl1", "sl_gl needs 0 < k <= n-k"),
+    ("sl4,gl0", "sl_gl needs 0 < k <= n-k"),
+    ("sp3+sp3,diag", "sp parameter must be even"),
+])
+def test_bad_catalog_parameters_exit_4(pair, message, capsys):
+    # the catalog check runs before any matrix of the pair is built
+    code, _, err = run(["verify", "--suite", "summary", "--pair", pair], capsys)
+    assert code == 4 and message in err
+    code, _, err = run(["bracket", "--pair", pair, "u", "v"], capsys)
+    assert code == 4 and message in err
+
+
 def test_verify_main(capsys):
     code, out, _ = run(["verify", "--suite", "main", "--max-nodes", "2"], capsys)
     assert code == 0

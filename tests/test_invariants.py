@@ -11,7 +11,8 @@ from z2poisson import (LieAlgebra, Poly, UnsupportedPairError, b_value,
                        verify_central)
 from z2poisson import invariants, linalg, poisson
 from z2poisson.invariants import (_dual_matrices, _generic_matrix, _weight_echelon_tops,
-                                  char_coefficients, pfaffian)
+                                  char_coefficients)
+from z2poisson.linalg import pfaffian
 from z2poisson.poisson import bracket_with_coordinate
 from z2poisson.poly import Poly as P
 
@@ -72,7 +73,6 @@ def test_pfaffian_normalization():
 
 
 def test_pfaffian_squares_to_determinant():
-    from z2poisson import linalg
     rng = random.Random(31)
     for _ in range(10):
         n = 4
@@ -98,7 +98,58 @@ def _cofactor_det(m: list[list[Poly]], nvars: int) -> Poly:
     return total
 
 
-@pytest.mark.parametrize("name,size", [("sl", 3), ("sp", 4)])
+def _first_row_pfaffian(m: list[list[Poly]], nvars: int) -> Poly:
+    """Plain expansion along the first row, (n-1)!! leaves, no memo."""
+    if not m:
+        return Poly.const(nvars, 1)
+    total = Poly.zero(nvars)
+    for j in range(1, len(m)):
+        keep = [t for t in range(1, len(m)) if t != j]
+        term = m[0][j] * _first_row_pfaffian([[m[a][b] for b in keep] for a in keep],
+                                              nvars)
+        total = total + term if j % 2 == 1 else total - term
+    return total
+
+
+def _random_linear(rng: random.Random, nvars: int) -> Poly:
+    # about one entry in four is zero, so expansions skip some branches
+    if rng.random() < 0.25:
+        return Poly.zero(nvars)
+    return Poly.linear([rng.randint(-3, 3) for _ in range(nvars)])
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_pfaffian_matches_first_row_expansion(n):
+    # from n = 6 on, distinct first-row branches reach the same remaining
+    # indices, so the memo is reused and a wrong sign or key would show here
+    rng = random.Random(100 + n)
+    nvars = 3
+    for _ in range(3):
+        m = [[Poly.zero(nvars) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = _random_linear(rng, nvars)
+                m[j][i] = -m[i][j]
+        assert pfaffian(m) == _first_row_pfaffian(m, nvars)
+
+
+def test_poly_det_matches_cofactor_expansion():
+    rng = random.Random(55)
+    nvars = 3
+    for trial in range(4):
+        m = [[_random_linear(rng, nvars) * _random_linear(rng, nvars)
+              + Poly.const(nvars, rng.randint(-2, 2)) for _ in range(5)]
+             for _ in range(5)]
+        if trial == 3:
+            # row 4 = row 0 - row 2: singular
+            m[4] = [a - b for a, b in zip(m[0], m[2])]
+        assert any(f.is_zero() for row in m for f in row)
+        det = linalg.poly_det(m)
+        assert det == _cofactor_det(m, nvars)
+        assert det.is_zero() == (trial == 3)
+
+
+@pytest.mark.parametrize("name,size", [("sl", 3), ("sp", 4), ("so", 4), ("so", 5)])
 def test_char_coefficients_are_principal_minor_sums(name, size):
     # e_k = sum over k-subsets S of det X_S, on the trace-form dual generic
     # element (fractional entries) and on a generic matrix of free variables

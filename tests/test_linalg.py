@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from z2poisson import BudgetError, build_pair, linalg
+from z2poisson.invariants import char_coefficients
 from z2poisson.poly import Poly
 from z2poisson.structure import sample_covector
 
@@ -242,6 +243,15 @@ def test_elimination_stops_at_the_term_budget():
         linalg.poly_rank(m)
     with pytest.raises(BudgetError, match="elimination product"):
         linalg.poly_det(m)
+    # det(X + tI) multiplies the two 1,036-term diagonal entries
+    with pytest.raises(BudgetError, match="elimination product"):
+        char_coefficients(m)
+    # every term of the 4x4 Pfaffian is a product of two 1,035-term entries
+    z = Poly.zero(3)
+    skew = [[z, big(1), big(2), big(3)], [-big(1), z, big(5), big(7)],
+            [-big(2), -big(5), z, big(11)], [-big(3), -big(7), -big(11), z]]
+    with pytest.raises(BudgetError, match="elimination product"):
+        linalg.pfaffian(skew)
     assert time.monotonic() - t0 < 1.0
 
 
