@@ -15,7 +15,8 @@ import math
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .errors import (BudgetError, DiagramSyntaxError, DiagramValidationError,
                      UnsupportedPairError)
@@ -97,6 +98,21 @@ class DynkinGraph:
         for letter, rank in self.components:
             _check_component(letter, rank)
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The 0-based neighbors of each 0-based node."""
+        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
+        for a, b, _, _ in self.edges():
+            adj[a - 1].append(b - 1)
+            adj[b - 1].append(a - 1)
+        return tuple(map(tuple, adj))
+
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """The neighbors of each 0-based node as a bitmask (bit ``u`` for
+        node ``u``); n bits per node, so only for small graphs."""
+        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adjacency)
+
 
 @dataclass(frozen=True)
 class SatakeDiagram:
@@ -119,7 +135,7 @@ class SatakeDiagram:
         if len(self.colors) != n:
             raise DiagramValidationError(
                 f"color string length {len(self.colors)} != number of nodes {n}")
-        if any(c not in "wb" for c in self.colors):
+        if not set(self.colors) <= {"w", "b"}:
             raise DiagramValidationError("colors must be a string over 'w'/'b'")
         seen: set[int] = set()
         for a, b in self.arrows:
@@ -149,28 +165,16 @@ class SatakeDiagram:
     def arrowed_nodes(self) -> set[int]:
         return {v for pair in self.arrows for v in pair}
 
-    def neighbors(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n_nodes + 1)}
-        for a, b, _, _ in self.graph.edges():
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
-
     def rank(self) -> int:
         """Rank of the symmetric pair: white nodes minus arrows."""
         return len(self.white_nodes()) - len(self.arrows)
 
     def trivial_nodes(self) -> set[int]:
         """White nodes with no arrow attached and only white neighbors."""
-        adj = self.neighbors()
-        arrowed = self.arrowed_nodes()
-        out = set()
-        for v in self.white_nodes():
-            if v in arrowed:
-                continue
-            if all(self.color(u) == "w" for u in adj[v]):
-                out.add(v)
-        return out
+        colors, arrowed = self.colors, self.arrowed_nodes()
+        return {v + 1 for v, nbrs in enumerate(self.graph.adjacency)
+                if colors[v] == "w" and v + 1 not in arrowed
+                and all(colors[u] == "w" for u in nbrs)}
 
     def has_codim3(self) -> bool:
         return not self.trivial_nodes()
@@ -237,18 +241,24 @@ class SatakeDiagram:
         """Whether some reduced subpair is a single isolated white node plus
         an all-black rest.  Equivalent to the failure of ``has_codim3`` but
         computed through the subdiagram closure instead of locally."""
-        edges = self.graph.edges()
-        for keep in self._removals(range(self.n_nodes + 1)):
-            whites = [v for v in keep if self.color(v) == "w"]
-            if len(whites) != 1:
-                continue
-            w = whites[0]
-            kept = set(keep)
-            if any(a in kept and b in kept for a, b in self.arrows):
-                continue
-            if all(w not in (a, b) for a, b, _, _ in edges
-                   if a in kept and b in kept):
-                return True
+        # bit v - 1 stands for node v; units are disjoint, so their sum is
+        # their union
+        nbr = self.graph.neighbor_masks
+        full = (1 << len(nbr)) - 1
+        white = sum(1 << v for v, c in enumerate(self.colors) if c == "w")
+        pairs = [(1 << a - 1) | (1 << b - 1) for a, b in self.arrows]
+        free = white & ~sum(pairs)
+        units = [1 << v for v in range(len(nbr)) if free >> v & 1] + pairs
+        for r in range(len(units) + 1):
+            for chosen in itertools.combinations(units, r):
+                kept = full & ~sum(chosen)
+                w = kept & white
+                if not w or w & (w - 1):
+                    continue
+                if any(p & kept == p for p in pairs):
+                    continue
+                if nbr[w.bit_length() - 1] & kept == 0:
+                    return True
         return False
 
     # -- canonical form / serialization ----------------------------------
@@ -421,7 +431,8 @@ def _canonical_from_raw(nodes: list[int], edges: list[Edge],
         return SatakeDiagram(DynkinGraph(()), "", ())
     comps = []
     for comp in _components(nodes, edges):
-        comp_edges = [e for e in edges if e[0] in comp]
+        members = set(comp)
+        comp_edges = [e for e in edges if e[0] in members]
         letter, rank, maps = _identify_component(comp, comp_edges)
         colorkey = min("".join(colors[v] for v in m) for m in maps)
         comps.append((letter, rank, colorkey, maps))
@@ -584,26 +595,31 @@ def _require(cond: bool, message: str) -> None:
 
 def satake_of(pair: PairId) -> SatakeDiagram:
     """The catalog Satake diagram of a named pair, canonicalized."""
+    return _catalog_diagram(pair).canonical()
+
+
+def _catalog_diagram(pair: PairId) -> SatakeDiagram:
+    """The catalog Satake diagram of a named pair in its catalog labeling."""
     fam, p = pair.family, pair.params
     if fam in _EXCEPTIONAL:
         comps, colors, arrows, _ = _EXCEPTIONAL[fam]
-        return SatakeDiagram.make(comps, colors, arrows).canonical()
+        return SatakeDiagram.make(comps, colors, arrows)
     if fam == "sl_so":
         (n,) = p
         _require(n >= 2, "sl_so needs n >= 2")
-        return SatakeDiagram.make((("A", n - 1),), "w" * (n - 1), ()).canonical()
+        return SatakeDiagram.make((("A", n - 1),), "w" * (n - 1), ())
     if fam == "sl_gl":
         n, k = p
         _require(1 <= k <= n - k and n >= 2, "sl_gl needs 0 < k <= n-k")
         colors = "".join("w" if (i <= k or i >= n - k) else "b"
                          for i in range(1, n))
         arrows = tuple((i, n - i) for i in range(1, k + 1) if i != n - i)
-        return SatakeDiagram.make((("A", n - 1),), colors, arrows).canonical()
+        return SatakeDiagram.make((("A", n - 1),), colors, arrows)
     if fam == "sl_sp":
         (n,) = p
         _require(n >= 2, "sl_sp needs n >= 2")
         colors = "".join("b" if i % 2 else "w" for i in range(1, 2 * n))
-        return SatakeDiagram.make((("A", 2 * n - 1),), colors, ()).canonical()
+        return SatakeDiagram.make((("A", 2 * n - 1),), colors, ())
     if fam == "so_so":
         pp, q = p
         _require(1 <= pp <= q and pp + q >= 5, "so_so needs 1 <= p <= q, p+q >= 5")
@@ -618,7 +634,7 @@ def satake_of(pair: PairId) -> SatakeDiagram:
         else:
             colors = "w" * pp + "b" * (l - pp)
             arrows = ()
-        return SatakeDiagram.make(((letter, l),), colors, arrows).canonical()
+        return SatakeDiagram.make(((letter, l),), colors, arrows)
     if fam == "so_gl":
         (l,) = p
         _require(l >= 4, "so_gl needs l >= 4")
@@ -627,22 +643,22 @@ def satake_of(pair: PairId) -> SatakeDiagram:
         if l % 2:
             colors[l - 1] = "w"
             arrows = ((l - 1, l),)
-        return SatakeDiagram.make((("D", l),), "".join(colors), arrows).canonical()
+        return SatakeDiagram.make((("D", l),), "".join(colors), arrows)
     if fam == "sp_sp":
         n, k = p
         _require(n >= 2 and 1 <= k <= n - k, "sp_sp needs 1 <= k <= n-k")
         colors = "".join("w" if (i % 2 == 0 and i <= 2 * k) else "b"
                          for i in range(1, n + 1))
-        return SatakeDiagram.make((("C", n),), colors, ()).canonical()
+        return SatakeDiagram.make((("C", n),), colors, ())
     if fam == "sp_gl":
         (n,) = p
         _require(n >= 2, "sp_gl needs n >= 2")
-        return SatakeDiagram.make((("C", n),), "w" * n, ()).canonical()
+        return SatakeDiagram.make((("C", n),), "w" * n, ())
     if fam.startswith("diag_"):
         letter, rank = _diag_component(fam, p)
         arrows = tuple((i, i + rank) for i in range(1, rank + 1))
         return SatakeDiagram.make(
-            ((letter, rank), (letter, rank)), "w" * (2 * rank), arrows).canonical()
+            ((letter, rank), (letter, rank)), "w" * (2 * rank), arrows)
     raise UnsupportedPairError(f"unknown family {fam!r}")
 
 
@@ -922,13 +938,19 @@ def classify(d: SatakeDiagram) -> Classification:
     """Classification record of a valid connected diagram."""
     d = d.canonical()
     family, params = "unrecognized", ()
+    blacks = d.colors.count("b")
     for pair in _candidate_pairs(d):
         try:
-            if satake_of(pair) == d:
-                family, params = pair.family, pair.params
-                break
+            raw = _catalog_diagram(pair)
         except UnsupportedPairError:
             continue
+        # both counts survive relabeling, so a mismatch rules the pair out
+        # without a canonical form
+        if raw.colors.count("b") != blacks or len(raw.arrows) != len(d.arrows):
+            continue
+        if raw.canonical() == d:
+            family, params = pair.family, pair.params
+            break
     nreg = d.is_n_regular()
     return Classification(
         family=family,
@@ -1045,34 +1067,42 @@ def enumerate_valid_diagrams(max_nodes: int):
                 extend(partial + [t], remaining - sizes[t], pool[i:])
 
     extend([], max_nodes, types)
+    # the partial matchings of m white nodes as index pairs into their
+    # sorted list, in the order of _partial_matchings(range(m))
+    patterns: dict[int, list[list[tuple[int, int]]]] = {}
     for comps in multisets:
         n, k = sum(r for _, r in comps), len(comps)
         if 2 * (k - 1) > n:  # k - 1 arrows cannot fit on n nodes
             continue
         graph = DynkinGraph(comps)
-        group = _diagram_automorphisms(graph)
         identity = tuple(range(n))
+        others = [(g, itemgetter(*g)) for g in _diagram_automorphisms(graph)
+                  if g != identity]
         comp_of = [0] + [i for i, (_, r) in enumerate(comps) for _ in range(r)]
         for bits in itertools.product("wb", repeat=n):
             colors = "".join(bits)
             # keep the least coloring of its orbit, and its stabilizer as
             # maps from 1-based node to 1-based position
             stab = []
-            for g in group:
-                image = "".join(colors[v] for v in g)
+            for g, image_of in others:
+                image = "".join(image_of(colors))
                 if image < colors:
                     break
-                if image == colors and g != identity:
+                if image == colors:
                     relabel = [0] * (n + 1)
                     for p, v in enumerate(g, start=1):
                         relabel[v + 1] = p
                     stab.append(relabel)
             else:
                 whites = [i + 1 for i, c in enumerate(colors) if c == "w"]
-                for matching in _partial_matchings(whites):
-                    if len(matching) < k - 1 or not _joins_all(matching, comp_of, k):
+                m = len(whites)
+                if m not in patterns:
+                    patterns[m] = list(_partial_matchings(list(range(m))))
+                for pattern in patterns[m]:
+                    arrows = tuple([(whites[i], whites[j]) for i, j in pattern])
+                    if k > 1 and (len(arrows) < k - 1
+                                  or not _joins_all(arrows, comp_of, k)):
                         continue
-                    arrows = tuple(matching)
                     if any(tuple(sorted(tuple(sorted((h[a], h[b])))
                                         for a, b in arrows)) < arrows
                            for h in stab):

@@ -1,13 +1,17 @@
+import hashlib
 import itertools
 import json
+import time
 
 import pytest
 
 from z2poisson import (Classification, DiagramSyntaxError, DiagramValidationError,
                        PairId, SatakeDiagram, UnsupportedPairError, classify,
                        parse_pair_name, parse_satake, satake_of)
-from z2poisson.diagram import (_partial_matchings, connected_dynkin_types,
-                               enumerate_valid_diagrams, rank_of_g)
+from z2poisson.analysis import verify_main_combinatorics
+from z2poisson.diagram import (_EXCEPTIONAL, _partial_matchings,
+                               connected_dynkin_types, enumerate_valid_diagrams,
+                               rank_of_g)
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +286,83 @@ def test_closure_matches_one_step_fixpoint():
             _bad_shape(s) for s in reached | {d}), d.serialize()
 
 
+# the list-based predicates that the bitmask ones replaced, kept as oracles
+
+def _list_trivial_nodes(d):
+    adj = {v: [] for v in range(1, d.n_nodes + 1)}
+    for a, b, _, _ in d.graph.edges():
+        adj[a].append(b)
+        adj[b].append(a)
+    arrowed = d.arrowed_nodes()
+    return {v for v in d.white_nodes()
+            if v not in arrowed and all(d.color(u) == "w" for u in adj[v])}
+
+
+def _list_has_bad_rank1_subpair(d):
+    nodes = range(1, d.n_nodes + 1)
+    arrowed = d.arrowed_nodes()
+    units = [{v} for v in nodes if d.color(v) == "w" and v not in arrowed]
+    units += [set(p) for p in d.arrows]
+    edges = d.graph.edges()
+    for r in range(len(units) + 1):
+        for chosen in itertools.combinations(units, r):
+            gone = set().union(*chosen)
+            keep = [v for v in nodes if v not in gone]
+            whites = [v for v in keep if d.color(v) == "w"]
+            if len(whites) != 1:
+                continue
+            w = whites[0]
+            kept = set(keep)
+            if any(a in kept and b in kept for a, b in d.arrows):
+                continue
+            if all(w not in (a, b) for a, b, _, _ in edges
+                   if a in kept and b in kept):
+                return True
+    return False
+
+
+def _catalog_pairs():
+    """Every catalog pair whose g has rank at most 8, and every exceptional
+    and exceptional diagonal one."""
+    pairs = [PairId(f) for f in _EXCEPTIONAL]
+    pairs += [PairId(f"diag_{x}") for x in ("e6", "e7", "e8", "f4", "g2")]
+    for n in range(2, 10):
+        pairs.append(PairId("sl_so", (n,)))
+        pairs += [PairId("sl_gl", (n, k)) for k in range(1, n // 2 + 1)]
+    for n in range(2, 9):
+        pairs.append(PairId("sp_gl", (n,)))
+        pairs += [PairId("sp_sp", (n, k)) for k in range(1, n // 2 + 1)]
+    for total in range(5, 18):
+        pairs += [PairId("so_so", (p, total - p)) for p in range(1, total // 2 + 1)]
+    pairs += [PairId("sl_sp", (n,)) for n in range(2, 5)]
+    pairs += [PairId("so_gl", (n,)) for n in range(4, 9)]
+    pairs += [PairId("diag_sl", (n,)) for n in range(2, 6)]
+    pairs += [PairId("diag_so", (n,)) for n in range(5, 10)]
+    pairs += [PairId("diag_sp", (n,)) for n in range(2, 5)]
+    return pairs
+
+
+def test_bitmask_predicates_match_list_oracles():
+    diagrams = list(enumerate_valid_diagrams(6))
+    assert len(diagrams) == 8755
+    diagrams += [satake_of(p) for p in _catalog_pairs()]
+    for d in diagrams:
+        trivial = _list_trivial_nodes(d)
+        assert d.trivial_nodes() == trivial, d.serialize()
+        assert d.has_codim3() == (not trivial), d.serialize()
+        assert d.has_bad_rank1_subpair() == _list_has_bad_rank1_subpair(d), \
+            d.serialize()
+
+
+def test_local_predicate_is_linear():
+    # classify calls has_codim3 on user diagrams; n-bit masks per node would
+    # cost O(n^2) memory here
+    d = parse_satake(f"A100000 colors={'w' * 100000} arrows=[]")
+    start = time.perf_counter()
+    assert d.has_codim3() is False
+    assert time.perf_counter() - start < 1.0
+
+
 def test_predicate_equivalence_small():
     for d in enumerate_valid_diagrams(4):
         assert d.has_codim3() == (not d.has_bad_rank1_subpair()), d.serialize()
@@ -361,12 +442,18 @@ def test_enumeration_matches_brute_force(max_nodes, brute_force_6):
     assert got == expected
 
 
+def test_enumeration_order_is_pinned():
+    # the digest of the 6-node sequence as the list-based enumeration
+    # yielded it: matchings taken from a table keep their order
+    text = "\n".join(d.serialize() for d in enumerate_valid_diagrams(6))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7ff54d367b319c6398abe08d78a14b990eb4b94ef6fb2004e22d0e149ccc0d65")
+
+
 def test_enumeration_counts_at_7_nodes():
-    total = codim3 = 0
-    for d in enumerate_valid_diagrams(7):
-        total += 1
-        codim3 += d.has_codim3()
-    assert (total, codim3) == (50757, 17915)
+    (check,) = verify_main_combinatorics(7).checks
+    assert check.computed == [] and check.passed
+    assert check.note == "50757 diagrams enumerated, 17915 with codim-3"
 
 
 # ----------------------------------------------------------------------
@@ -390,6 +477,20 @@ def test_classify_records():
     rec4 = classify(parse_satake("G2 colors=wb arrows=[]"))
     assert rec4.family == "unrecognized"
     assert rec4.codim3 is True
+
+
+def test_classify_large_diagrams():
+    alternating = "wb" * 1000
+    for letter in ("D", "A"):
+        d = parse_satake(f"{letter}2000 colors={alternating} arrows=[]")
+        start = time.perf_counter()
+        rec = classify(d)
+        assert time.perf_counter() - start < 2.0, letter
+        assert rec.to_json() == {"family": "unrecognized", "params": [],
+                                 "rank": 1000, "codim3": True,
+                                 "n_regular": False, "m": None}
+    rec = classify(satake_of(PairId("sl_gl", (1001, 300))))
+    assert (rec.family, rec.params, rec.rank) == ("sl_gl", (1001, 300), 300)
 
 
 def test_classify_json_key_order():
