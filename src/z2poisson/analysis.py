@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from . import linalg
@@ -28,13 +27,16 @@ from .structure import (PairRealization, _kernel_on, build_pair,
                         sample_covector, stabilizer, subalgebra)
 
 
-@dataclass
 class Check:
-    name: str
-    expected: object
-    computed: object
-    passed: bool
-    note: str = ""
+    """One (expected, computed) row of a report."""
+
+    def __init__(self, name: str, expected: object, computed: object,
+                 passed: bool, note: str = ""):
+        self.name = name
+        self.expected = expected
+        self.computed = computed
+        self.passed = passed
+        self.note = note
 
     def to_json(self) -> dict:
         return {
@@ -54,13 +56,16 @@ def _jsonable(v):
     return v
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    pair: str
-    seed: int
-    checks: list[Check] = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
+    """The checks of one suite run; ``timings`` is never serialized."""
+
+    def __init__(self, suite: str, pair: str, seed: int,
+                 checks: list[Check] | None = None, timings: dict | None = None):
+        self.suite = suite
+        self.pair = pair
+        self.seed = seed
+        self.checks = [] if checks is None else checks
+        self.timings = {} if timings is None else timings
 
     def add(self, name, expected, computed, note: str = "") -> Check:
         c = Check(name, expected, computed, expected == computed, note)

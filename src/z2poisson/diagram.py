@@ -14,12 +14,12 @@ import itertools
 import math
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .errors import (BudgetError, DiagramSyntaxError, DiagramValidationError,
                      UnsupportedPairError)
+from .record import Value
 
 # node ids are global and 1-based; components are numbered left to right,
 # Bourbaki numbering inside each component.
@@ -70,11 +70,13 @@ def _check_component(letter: str, rank: int) -> None:
         raise DiagramValidationError(f"rank {rank} out of range for type {letter}")
 
 
-@dataclass(frozen=True)
-class DynkinGraph:
-    """A disjoint union of standard Dynkin components."""
+class DynkinGraph(Value):
+    """A disjoint union of standard Dynkin components; immutable."""
 
-    components: tuple[tuple[str, int], ...]
+    _fields = ("components",)
+
+    def __init__(self, components: tuple[tuple[str, int], ...]):
+        self.components = components
 
     @property
     def n_nodes(self) -> int:
@@ -114,11 +116,17 @@ class DynkinGraph:
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adjacency)
 
 
-@dataclass(frozen=True)
-class SatakeDiagram:
-    graph: DynkinGraph
-    colors: str
-    arrows: tuple[tuple[int, int], ...]
+class SatakeDiagram(Value):
+    """A Dynkin graph with a black/white coloring and arrows, each a sorted
+    pair of 1-based white nodes; immutable."""
+
+    _fields = ("graph", "colors", "arrows")
+
+    def __init__(self, graph: DynkinGraph, colors: str,
+                 arrows: tuple[tuple[int, int], ...]):
+        self.graph = graph
+        self.colors = colors
+        self.arrows = arrows
 
     # -- construction -------------------------------------------------
     @staticmethod
@@ -554,12 +562,15 @@ def parse_satake(text: str) -> SatakeDiagram:
 # catalog of named symmetric pairs
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairId:
-    """A named symmetric pair: a catalog family plus its integer parameters."""
+class PairId(Value):
+    """A named symmetric pair: a catalog family plus its integer
+    parameters; immutable."""
 
-    family: str
-    params: tuple[int, ...] = ()
+    _fields = ("family", "params")
+
+    def __init__(self, family: str, params: tuple[int, ...] = ()):
+        self.family = family
+        self.params = params
 
     def __str__(self) -> str:
         return pair_display_name(self)
@@ -861,16 +872,24 @@ def parse_pair_name(text: str) -> PairId:
 # classification
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Classification:
-    family: str
-    params: tuple[int, ...]
-    rank: int
-    codim3: bool
-    n_regular: bool
-    m: int | None
-    # the canonical form that was classified; not part of the record's JSON
-    satake: SatakeDiagram | None = field(default=None, compare=False)
+class Classification(Value):
+    """The classification record of a diagram; immutable.  ``satake`` is
+    the canonical form that was classified: it is not part of the record's
+    JSON, and equality ignores it."""
+
+    _fields = ("family", "params", "rank", "codim3", "n_regular", "m", "satake")
+    _compared = _fields[:-1]
+
+    def __init__(self, family: str, params: tuple[int, ...], rank: int,
+                 codim3: bool, n_regular: bool, m: int | None,
+                 satake: SatakeDiagram | None = None):
+        self.family = family
+        self.params = params
+        self.rank = rank
+        self.codim3 = codim3
+        self.n_regular = n_regular
+        self.m = m
+        self.satake = satake
 
     def to_json(self) -> dict:
         return {
@@ -1067,9 +1086,10 @@ def enumerate_valid_diagrams(max_nodes: int):
                 extend(partial + [t], remaining - sizes[t], pool[i:])
 
     extend([], max_nodes, types)
-    # the partial matchings of m white nodes as index pairs into their
-    # sorted list, in the order of _partial_matchings(range(m))
-    patterns: dict[int, list[list[tuple[int, int]]]] = {}
+    # per (m, k): the partial matchings of m white nodes as index pairs into
+    # their sorted list, in the order of _partial_matchings(range(m)), less
+    # those with too few pairs to join k components
+    patterns: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
     for comps in multisets:
         n, k = sum(r for _, r in comps), len(comps)
         if 2 * (k - 1) > n:  # k - 1 arrows cannot fit on n nodes
@@ -1096,12 +1116,12 @@ def enumerate_valid_diagrams(max_nodes: int):
             else:
                 whites = [i + 1 for i, c in enumerate(colors) if c == "w"]
                 m = len(whites)
-                if m not in patterns:
-                    patterns[m] = list(_partial_matchings(list(range(m))))
-                for pattern in patterns[m]:
+                if (m, k) not in patterns:
+                    patterns[m, k] = [p for p in _partial_matchings(list(range(m)))
+                                      if len(p) >= k - 1]
+                for pattern in patterns[m, k]:
                     arrows = tuple([(whites[i], whites[j]) for i, j in pattern])
-                    if k > 1 and (len(arrows) < k - 1
-                                  or not _joins_all(arrows, comp_of, k)):
+                    if k > 1 and not _joins_all(arrows, comp_of, k):
                         continue
                     if any(tuple(sorted(tuple(sorted((h[a], h[b])))
                                         for a, b in arrows)) < arrows

@@ -8,25 +8,30 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from math import lcm
 
 from . import linalg
 from .errors import BudgetError, UnsupportedPairError
 from .poisson import (bracket_with_coordinate, certified_index, pairwise_commuting,
                       trdeg_lower_bound, verify_central)
-from .poly import Poly
+from .poly import Poly, coeff_num
 from .structure import (LieAlgebra, MatrixRealization, PairRealization, Z2Grading,
                         sample_covector)
 
 
-@dataclass
 class InvariantSet:
-    algebra: LieAlgebra
-    polys: list[Poly]
-    verified_central: list[bool]
-    degrees: list[int]
-    meta: dict = field(default_factory=dict)
+    """Polynomials on an algebra's dual with their centrality flags and
+    degrees; ``meta`` holds the facts reported beside them."""
+
+    def __init__(self, algebra: LieAlgebra, polys: list[Poly],
+                 verified_central: list[bool], degrees: list[int],
+                 meta: dict | None = None):
+        self.algebra = algebra
+        self.polys = polys
+        self.verified_central = verified_central
+        self.degrees = degrees
+        self.meta = {} if meta is None else meta
 
     def to_json(self) -> dict:
         return {
@@ -53,18 +58,24 @@ def _generic_matrix(mats, nvars: int, rows: range, cols: range) -> list[list[Pol
 
 
 def char_coefficients(x: list[list[Poly]]) -> dict[int, Poly]:
-    """Elementary symmetric functions e_k of the eigenvalues of X, k = 1..n,
-    read off ``det(X + tI) = sum_k e_k t^(n-k)`` with t one extra variable."""
+    """Elementary symmetric functions e_k of the eigenvalues of X, k = 1..n.
+
+    With d the lcm of the coefficient denominators of X, the expansion runs
+    on the integer matrix dX: ``det(dX + tI) = sum_k d^k e_k t^(n-k)``, with
+    t one extra variable, and each coefficient is divided by d^k at the end.
+    """
     n = len(x)
     nvars = x[0][0].nvars
-    xt = [[Poly(nvars + 1, {e + (0,): c for e, c in f.terms.items()}) for f in row]
-          for row in x]
+    d = lcm(1, *(c.denominator for row in x for f in row for c in f.terms.values()))
+    xt = [[Poly(nvars + 1, {e + (0,): int(c * d) for e, c in f.terms.items()})
+           for f in row] for row in x]
     for a in range(n):
         xt[a][a] = xt[a][a] + Poly.var(nvars + 1, nvars)
     out = {k: Poly.zero(nvars) for k in range(1, n + 1)}
     for e, c in linalg.poly_det(xt).terms.items():
         if e[-1] < n:
-            out[n - e[-1]].terms[e[:-1]] = c
+            k = n - e[-1]
+            out[k].terms[e[:-1]] = coeff_num(Q(c, d ** k))
     return out
 
 
@@ -106,7 +117,7 @@ def _dual_matrices(mats) -> list[list[list[Q]]]:
     for i, ent in enumerate(entries):
         for a, b, x in ent:
             at.setdefault((a, b), []).append((i, x))
-    t = [[Q(0)] * n for _ in range(n)]
+    t = [[0] * n for _ in range(n)]
     for (a, b), here in at.items():
         for j, y in at.get((b, a), ()):
             for i, x in here:

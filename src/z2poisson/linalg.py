@@ -24,7 +24,7 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 
 from .errors import BudgetError
-from .poly import TERM_BUDGET, Poly
+from .poly import TERM_BUDGET, Poly, coeff_num
 
 Mat = list[list[Q]]
 Row = dict[int, Q]
@@ -129,13 +129,15 @@ class ColumnSolver:
     """Solves ``B x = b`` for a fixed column basis B, exactly.
 
     Precomputes the row-reduction of B applied to an identity block so each
-    solve is a sparse matrix-vector product plus a consistency check.
+    solve is a sparse matrix-vector product plus a consistency check.  The
+    stored operator entries are ``int`` wherever they are integral, so an
+    integer basis and an integer b solve on ints.
     """
 
     def __init__(self, columns: list[list[Q]]):
         self.ncols = len(columns)
         self.nrows = len(columns[0]) if columns else 0
-        aug = [{self.ncols + i: Q(1)} for i in range(self.nrows)]
+        aug = [{self.ncols + i: 1} for i in range(self.nrows)]
         for j, col in enumerate(columns):
             for i, x in enumerate(col):
                 if x:
@@ -145,15 +147,16 @@ class ColumnSolver:
         if len(bpiv) != self.ncols:
             raise ValueError("columns are not linearly independent")
         self.pivots = bpiv
-        self.ops = [{k - self.ncols: x for k, x in row.items() if k >= self.ncols}
+        self.ops = [{k - self.ncols: coeff_num(x) for k, x in row.items()
+                     if k >= self.ncols}
                     for row in red]
 
     def solve(self, b: list[Q]) -> list[Q] | None:
         """Coordinates of b in the column basis, or None if b is outside."""
         nonzero = [(i, x) for i, x in enumerate(b) if x]
-        y = [sum((op[i] * x for i, x in nonzero if i in op), Q(0))
+        y = [sum([op[i] * x for i, x in nonzero if i in op], 0)
              for op in self.ops]
-        x = [Q(0)] * self.ncols
+        x = [0] * self.ncols
         for r, c in enumerate(self.pivots):
             x[c] = y[r]
         for r in range(self.ncols, self.nrows):
@@ -378,7 +381,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        acc = [Q(0)] * ncols
+        acc = [0] * ncols
         for k, x in enumerate(row):
             if x:
                 for j, y in b_nonzero[k]:
@@ -401,8 +404,8 @@ def trace(a: Mat) -> Q:
 
 def trace_pair(a: Mat, b: Mat) -> Q:
     """tr(ab), summed over the nonzero entries of a."""
-    return sum((x * b[k][i] for i, row in enumerate(a) for k, x in enumerate(row) if x),
-               Q(0))
+    return sum([x * b[k][i] for i, row in enumerate(a) for k, x in enumerate(row) if x],
+               0)
 
 
 def is_zero_mat(a: Mat) -> bool:
@@ -410,7 +413,7 @@ def is_zero_mat(a: Mat) -> bool:
 
 
 def identity(n: int) -> Mat:
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def invert(a: Mat) -> Mat:

@@ -14,7 +14,6 @@ through ``certified_index``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import lcm, prod
 from operator import add as _add
@@ -154,14 +153,17 @@ def shift(f: Poly, xi) -> list[Poly]:
     return comps[: f.degree()] if f.degree() >= 1 else comps[:1]
 
 
-@dataclass
 class ShiftFamily:
-    """All shift components of a generating set in a fixed direction."""
+    """All shift components of a generating set in a fixed direction, as
+    ``(generator position, power of the shift, component)``."""
 
-    algebra: LieAlgebra
-    direction: tuple[Q, ...]
-    generators: list[Poly]
-    components: list[tuple[int, int, Poly]] = field(default_factory=list)
+    def __init__(self, algebra: LieAlgebra, direction: tuple[Q, ...],
+                 generators: list[Poly],
+                 components: list[tuple[int, int, Poly]] | None = None):
+        self.algebra = algebra
+        self.direction = direction
+        self.generators = generators
+        self.components = [] if components is None else components
 
     def polys(self) -> list[Poly]:
         return [p for _, _, p in self.components]

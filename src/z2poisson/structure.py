@@ -14,16 +14,15 @@ certificate from its classical invariants does not close; the index of a
 contraction is certified from its central generators instead
 (``poisson.certified_index``).
 
-Realizations are built and validated from the nonzero entries of their
-matrices: commutators, the Jacobi check and the automorphism check of the
-involution touch only entries that can contribute.
+Realizations are integer matrices, built and validated from their nonzero
+entries: commutators, the Jacobi check and the automorphism check of the
+involution touch only entries that can contribute, and run on ``int``.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 
@@ -32,6 +31,7 @@ from .diagram import PairId, SatakeDiagram, satake_of, rank_of_g, STRUCTURE_FAMI
 from .errors import AlgebraValidationError, GenericityError, UnsupportedPairError
 from .linalg import ColumnSolver, Mat
 from .poly import NAME_PATTERN, Poly, coeff_num
+from .record import Value
 
 Covector = tuple[Q, ...]
 
@@ -230,9 +230,13 @@ class LieAlgebra:
             raise AlgebraValidationError(f"not a Lie algebra: {e}") from None
 
 
-@dataclass(frozen=True)
-class Involution:
-    matrix: tuple[tuple[Q, ...], ...]
+class Involution(Value):
+    """An involution of an algebra by its matrix on the basis; immutable."""
+
+    _fields = ("matrix",)
+
+    def __init__(self, matrix: tuple[tuple[Q, ...], ...]):
+        self.matrix = matrix
 
     def validate(self, algebra: LieAlgebra) -> None:
         """sigma^2 = 1, and sigma[e_i, e_j] = [sigma e_i, sigma e_j] on every
@@ -264,10 +268,14 @@ class Involution:
                         f"involution is not an automorphism on pair ({i},{j})")
 
 
-@dataclass(frozen=True)
-class Z2Grading:
-    even_idx: tuple[int, ...]
-    odd_idx: tuple[int, ...]
+class Z2Grading(Value):
+    """The basis positions of the even and odd eigenspaces; immutable."""
+
+    _fields = ("even_idx", "odd_idx")
+
+    def __init__(self, even_idx: tuple[int, ...], odd_idx: tuple[int, ...]):
+        self.even_idx = even_idx
+        self.odd_idx = odd_idx
 
     def validate(self, algebra: LieAlgebra) -> None:
         n = algebra.dim
@@ -287,28 +295,38 @@ class Z2Grading:
         return p
 
 
-@dataclass
 class MatrixRealization:
-    """A Lie algebra together with the matrices realizing its basis."""
+    """A Lie algebra together with the integer matrices realizing its
+    basis.  ``kind`` is sl, so, sp, so_split or diag_<kind>; ``size`` is
+    the matrix size of one factor; ``form`` is the bilinear form of the
+    split so realization; ``cartan`` lists Cartan basis positions."""
 
-    algebra: LieAlgebra
-    matrices: list[Mat]
-    kind: str                      # sl | so | sp | so_split | diag_<kind>
-    size: int                      # matrix size of one factor
-    form: Mat | None = None        # bilinear form for the split so realization
-    cartan: list[int] = field(default_factory=list)  # Cartan basis positions
+    def __init__(self, algebra: LieAlgebra, matrices: list[Mat], kind: str,
+                 size: int, form: Mat | None = None,
+                 cartan: list[int] | None = None):
+        self.algebra = algebra
+        self.matrices = matrices
+        self.kind = kind
+        self.size = size
+        self.form = form
+        self.cartan = [] if cartan is None else cartan
 
 
-@dataclass
 class PairRealization:
-    pair: PairId
-    g: LieAlgebra
-    sigma: Involution
-    grading: Z2Grading
-    cartan_subspace: list[list[Q]]
-    satake: SatakeDiagram
-    realization: MatrixRealization
-    rank_g: int
+    """A symmetric pair realized on a basis adapted to its involution."""
+
+    def __init__(self, pair: PairId, g: LieAlgebra, sigma: Involution,
+                 grading: Z2Grading, cartan_subspace: list[list[Q]],
+                 satake: SatakeDiagram, realization: MatrixRealization,
+                 rank_g: int):
+        self.pair = pair
+        self.g = g
+        self.sigma = sigma
+        self.grading = grading
+        self.cartan_subspace = cartan_subspace
+        self.satake = satake
+        self.realization = realization
+        self.rank_g = rank_g
 
     @property
     def d0(self) -> int:
@@ -333,15 +351,15 @@ class PairRealization:
 # ----------------------------------------------------------------------
 
 def _E(n: int, i: int, j: int) -> Mat:
-    """Elementary matrix with a single 1 at 1-based (i, j)."""
-    m = [[Q(0)] * n for _ in range(n)]
-    m[i - 1][j - 1] = Q(1)
+    """Integer elementary matrix with a single 1 at 1-based (i, j)."""
+    m = [[0] * n for _ in range(n)]
+    m[i - 1][j - 1] = 1
     return m
 
 
 def _madd(*ms: Mat) -> Mat:
     n = len(ms[0])
-    out = [[Q(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for m in ms:
         for i in range(n):
             for j in range(n):
@@ -505,6 +523,7 @@ def _check_cartan(mats, grading, cartan, satake) -> None:
                 continue
             if i not in grading.odd_idx:
                 raise ValueError("Cartan subspace vector leaves the odd eigenspace")
+            c = coeff_num(c)
             term = [[c * x for x in row] for row in mats[i]]
             m = term if m is None else _madd(m, term)
         as_mats.append(m)
@@ -719,7 +738,7 @@ def _build_so_gl(pair: PairId):
 
 def _block_diag(a: Mat, b: Mat) -> Mat:
     n, m = len(a), len(b)
-    out = [[Q(0)] * (n + m) for _ in range(n + m)]
+    out = [[0] * (n + m) for _ in range(n + m)]
     for i in range(n):
         for j in range(n):
             out[i][j] = a[i][j]
@@ -758,10 +777,10 @@ _BUILDERS = {
 def _split_so_form(pair: PairId) -> Mat:
     (n,) = pair.params
     N = 2 * n
-    form = [[Q(0)] * N for _ in range(N)]
+    form = [[0] * N for _ in range(N)]
     for i in range(n):
-        form[i][n + i] = Q(1)
-        form[n + i][i] = Q(1)
+        form[i][n + i] = 1
+        form[n + i][i] = 1
     return form
 
 

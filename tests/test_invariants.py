@@ -169,6 +169,47 @@ def test_char_coefficients_are_principal_minor_sums(name, size):
             assert coeffs[k] == minors
 
 
+def _char_coefficients_on_fractions(x: list[list[Poly]]) -> dict[int, Poly]:
+    """Reference: det(X + tI) expanded on the Fraction coefficients of X."""
+    n, nvars = len(x), x[0][0].nvars
+    xt = [[Poly(nvars + 1, {e + (0,): Q(c) for e, c in f.terms.items()}) for f in row]
+          for row in x]
+    for a in range(n):
+        xt[a][a] = xt[a][a] + Poly.var(nvars + 1, nvars)
+    out = {k: Poly.zero(nvars) for k in range(1, n + 1)}
+    for e, c in linalg.poly_det(xt).terms.items():
+        if e[-1] < n:
+            out[n - e[-1]].terms[e[:-1]] = c
+    return out
+
+
+LADDER_PAIRS = ["sl2,so2", "sl3,so3", "sp4,gl2", "so5,so4", "sl4,so4", "sl4,sp4",
+                "sl5,gl3"]
+
+
+def test_char_coefficients_on_integers_match_fraction_route(pair):
+    # non-integral entries with several denominators, then the trace-form
+    # dual generic element of every ladder pair
+    free = [[Poly.var(9, 3 * a + b, Q(a + 1, b + 2)) + Poly.const(9, Q(1, 3 + a))
+             for b in range(3)] for a in range(3)]
+    cases = [("free", free, 9)]
+    for name in LADDER_PAIRS:
+        real = pair(name).realization
+        size, nvars = len(real.matrices[0]), real.algebra.dim
+        cases.append((name, _generic_matrix(_dual_matrices(real.matrices), nvars,
+                                            range(size), range(size)), nvars))
+    for name, x, nvars in cases:
+        assert any(type(c) is Q for row in x for f in row for c in f.terms.values())
+        got, want = char_coefficients(x), _char_coefficients_on_fractions(x)
+        assert got == want, name
+        labels = [f"x{i}" for i in range(nvars)]
+        for k in got:
+            assert got[k].to_text(labels) == want[k].to_text(labels), (name, k)
+            # normalized: an integral coefficient is an int
+            assert all(type(c) is int or c.denominator != 1
+                       for c in got[k].terms.values()), (name, k)
+
+
 # ----------------------------------------------------------------------
 # top components and centrality
 # ----------------------------------------------------------------------

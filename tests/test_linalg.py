@@ -49,6 +49,21 @@ def test_column_solver():
         linalg.ColumnSolver([[Q(1), Q(2)], [Q(2), Q(4)]])
 
 
+def test_column_solver_on_integers():
+    # a basis whose coordinates need no division solves on ints
+    s = linalg.ColumnSolver([[1, 0, 0], [1, 1, 0]])
+    assert all(type(x) is int for op in s.ops for x in op.values())
+    got = s.solve([3, 4, 0])
+    assert got == [-1, 4] and all(type(x) is int for x in got)
+    assert s.solve([0, 0, 1]) is None
+    with pytest.raises(ValueError, match="not linearly independent"):
+        linalg.ColumnSolver([[1, 2], [2, 4]])
+    # coordinates (b1 - b2)/2 and (b1 + b2)/2 keep their halves exact
+    half = linalg.ColumnSolver([[1, 1], [1, -1]])
+    assert half.solve([1, 2]) == [Q(3, 2), Q(-1, 2)]
+    assert half.solve([2, 0]) == [1, 1]
+
+
 def dense_rref(rows):
     """Reference: textbook dense Gauss-Jordan over Fraction, first nonzero
     row as pivot."""

@@ -11,8 +11,8 @@ from z2poisson import (AlgebraValidationError, Involution, LieAlgebra, PairId,
                        index, is_regular, linalg, matrix_algebra, satake_of,
                        stabilizer)
 from z2poisson.linalg import ColumnSolver
-from z2poisson.structure import (centralizer_of_cartan, sample_covector,
-                                 subalgebra)
+from z2poisson.structure import (algebra_from_matrices, centralizer_of_cartan,
+                                 sample_covector, subalgebra)
 
 SUPPORTED = ["sl2,so2", "sl3,so3", "sl3,gl2", "sl4,sp4", "so5,so4",
              "sp4,sp2+sp2", "sl2+sl2,diag", "sl3+sl3,diag"]
@@ -154,6 +154,21 @@ def test_structure_constants_match_dense_oracle():
         pr = build_pair(pid)
         assert pr.g.dim == dim, pid
         assert pr.g.sc == _dense_structure_constants(pr.realization.matrices), pid
+
+
+def test_realizations_are_integer_matrices(pair):
+    for name in SUPPORTED:
+        mats = pair(name).realization.matrices
+        assert all(type(x) is int for m in mats for row in m for x in row), name
+
+
+def test_structure_constants_do_not_depend_on_the_entry_type(pair):
+    # the integer route and a Fraction copy of the same matrices agree
+    for name in SUPPORTED:
+        pr = pair(name)
+        as_fractions = [[[Q(x) for x in row] for row in m]
+                        for m in pr.realization.matrices]
+        assert algebra_from_matrices(as_fractions, pr.g.labels).sc == pr.g.sc, name
 
 
 def _scanned_bracket_rows(q):
