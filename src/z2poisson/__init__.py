@@ -14,8 +14,8 @@ from .poisson import (ShiftFamily, certified_index, jacobian_rank_at, mf_family,
                       regularity_via_differentials, shift, trdeg_lower_bound,
                       verify_central)
 from .poly import Poly
-from .structure import (Involution, LieAlgebra, MatrixRealization,
-                        PairRealization, Z2Grading, b_value, build_pair,
+from .structure import (LieAlgebra, MatrixRealization, PairRealization,
+                        Z2Grading, b_value, build_pair,
                         check_regular_stabilizer_index, coadjoint_check,
                         contract, graded_centralizer, index, is_regular,
                         matrix_algebra, stabilizer)
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraValidationError", "BudgetError", "Classification",
     "DiagramSyntaxError", "DiagramValidationError", "DynkinGraph",
-    "GenericityError", "InvariantSet", "Involution", "LieAlgebra",
-    "MatrixRealization", "PairId", "PairRealization", "Poly", "PolyParseError",
+    "GenericityError", "InvariantSet", "LieAlgebra", "MatrixRealization",
+    "PairId", "PairRealization", "Poly", "PolyParseError",
     "SatakeDiagram", "ShiftFamily", "UnsupportedPairError", "Z2Grading",
     "Z2PoissonError", "b_value", "build_pair", "certified_index",
     "check_regular_stabilizer_index", "classical_invariants", "classify",

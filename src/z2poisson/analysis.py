@@ -23,7 +23,7 @@ from .poisson import (certified_index, mf_family, pairwise_commuting,
                       poisson_bracket, trdeg_lower_bound)
 from .poly import Poly
 from .structure import (PairRealization, _kernel_on, build_pair,
-                        check_regular_stabilizer_index, pair_name,
+                        check_regular_stabilizer_index,
                         sample_covector, stabilizer, subalgebra)
 
 
@@ -120,7 +120,7 @@ def verify_summary(pair: PairId, seed: int = 1,
     by symbolic rank over the Cartan coefficients.
     """
     t0 = time.monotonic()
-    rep = VerificationReport("summary", pair_name(pair), seed)
+    rep = VerificationReport("summary", str(pair), seed)
     pr = build_pair(pair)
     rk = pr.rank_g
     inv = contraction_invariants(pr, seed=seed)
@@ -196,7 +196,7 @@ def verify_dim_stab(pair: PairId, samples: int = 20,
     codimension of beta plus the stabilizer dimension of the restricted alpha
     inside the even stabilizer of beta."""
     t0 = time.monotonic()
-    rep = VerificationReport("dimstab", pair_name(pair), seed)
+    rep = VerificationReport("dimstab", str(pair), seed)
     pr = build_pair(pair)
     k = pr.contraction
     rng = random.Random(seed)
@@ -235,7 +235,7 @@ def verify_nreg(pair: PairId, seed: int = 1,
     with no black nodes: generator count, certified rank, and absence of a
     noncommutativity witness up to the degree bound."""
     t0 = time.monotonic()
-    rep = VerificationReport("nreg", pair_name(pair), seed)
+    rep = VerificationReport("nreg", str(pair), seed)
     pr = build_pair(pair)
     inv = nreg_subalgebra(pr, seed=seed)
     m = len(pr.satake.arrows)
@@ -267,11 +267,11 @@ def demonstrate_nonmaximality(pair: PairId, seed: int = 1,
     members, and the adjoined coordinate lies outside that span.
     """
     t0 = time.monotonic()
-    rep = VerificationReport("nonmax", pair_name(pair), seed)
+    rep = VerificationReport("nonmax", str(pair), seed)
     pr = build_pair(pair)
     if pr.satake.arrows or "b" in pr.satake.colors:
         raise UnsupportedPairError(
-            f"{pair_name(pair)} is not of maximal rank; the demonstration "
+            f"{pair} is not of maximal rank; the demonstration "
             "applies to all-white, arrow-free diagrams")
     k = pr.contraction
     inv = contraction_invariants(pr, seed=seed)

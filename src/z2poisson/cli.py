@@ -18,7 +18,8 @@ import sys
 from fractions import Fraction as Q
 
 from .analysis import SUITES, VerificationReport, report_to_json_text
-from .diagram import classify, parse_pair_name, parse_satake, satake_of
+from .diagram import (PairId, classify, parse_pair_name, parse_satake,
+                      r_type_label, satake_of)
 from .errors import (AlgebraValidationError, BudgetError, DiagramSyntaxError,
                      DiagramValidationError, GenericityError, PolyParseError,
                      UnsupportedPairError)
@@ -148,10 +149,9 @@ def _cmd_classify(args) -> int:
     record = classify(d)
     if args.format == "markdown":
         r = record.to_json()
-        from .diagram import PairId, pair_display_name, r_type_label
         if r["family"] != "unrecognized":
             pid = PairId(r["family"], tuple(r["params"]))
-            shown = pair_display_name(pid)
+            shown = str(pid)
             rtype = r_type_label(pid) or "?"
         else:
             shown, rtype = "unrecognized", "?"

@@ -576,27 +576,31 @@ class PairId(Value):
         return pair_display_name(self)
 
 
-# families with structure-level matrix realizations
-STRUCTURE_FAMILIES = {
-    "sl_so", "sl_gl", "sl_sp", "so_so", "so_gl", "sp_sp", "sp_gl",
-    "diag_sl", "diag_so", "diag_sp",
+_EXCEPTIONAL = {
+    # family: (g, g0, colors, arrows); the graph is the Dynkin diagram of g
+    "e6_f4": ("e6", "f4", "wbbbbw", ()),
+    "e6_so10_t1": ("e6", "so10+t1", "wwbbbw", ((1, 6),)),
+    "e6_sl6_sl2": ("e6", "sl6+sl2", "wwwwww", ((1, 6), (3, 5))),
+    "e6_sp8": ("e6", "sp8", "wwwwww", ()),
+    "e7_sl8": ("e7", "sl8", "wwwwwww", ()),
+    "e7_e6_t1": ("e7", "e6+t1", "wbbbbww", ()),
+    "e7_so12_sl2": ("e7", "so12+sl2", "wbwwbwb", ()),
+    "e8_so16": ("e8", "so16", "wwwwwwww", ()),
+    "e8_e7_sl2": ("e8", "e7+sl2", "wbbbbwww", ()),
+    "f4_so9": ("f4", "so9", "wbbb", ()),
+    "f4_sp6_sl2": ("f4", "sp6+sl2", "wwww", ()),
+    "g2_sl2_sl2": ("g2", "sl2+sl2", "ww", ()),
 }
 
-_EXCEPTIONAL = {
-    # family: (components, colors, arrows, rank of g)
-    "e6_f4": ((("E", 6),), "wbbbbw", (), 6),
-    "e6_so10_t1": ((("E", 6),), "wwbbbw", ((1, 6),), 6),
-    "e6_sl6_sl2": ((("E", 6),), "wwwwww", ((1, 6), (3, 5)), 6),
-    "e6_sp8": ((("E", 6),), "wwwwww", (), 6),
-    "e7_sl8": ((("E", 7),), "wwwwwww", (), 7),
-    "e7_e6_t1": ((("E", 7),), "wbbbbww", (), 7),
-    "e7_so12_sl2": ((("E", 7),), "wbwwbwb", (), 7),
-    "e8_so16": ((("E", 8),), "wwwwwwww", (), 8),
-    "e8_e7_sl2": ((("E", 8),), "wbbbbwww", (), 8),
-    "f4_so9": ((("F", 4),), "wbbb", (), 4),
-    "f4_sp6_sl2": ((("F", 4),), "wwww", (), 4),
-    "g2_sl2_sl2": ((("G", 2),), "ww", (), 2),
-}
+
+def _exceptional_component(name: str) -> tuple[str, int] | None:
+    """The Dynkin component of the exceptional simple algebra named like
+    ``e6``, or None if the name denotes none."""
+    letter, rank = name[:1].upper(), name[1:]
+    if letter in ("E", "F", "G") and rank.isdigit() \
+            and _MIN_RANK[letter] <= int(rank) <= _MAX_RANK[letter]:
+        return letter, int(rank)
+    return None
 
 
 def _require(cond: bool, message: str) -> None:
@@ -613,8 +617,8 @@ def _catalog_diagram(pair: PairId) -> SatakeDiagram:
     """The catalog Satake diagram of a named pair in its catalog labeling."""
     fam, p = pair.family, pair.params
     if fam in _EXCEPTIONAL:
-        comps, colors, arrows, _ = _EXCEPTIONAL[fam]
-        return SatakeDiagram.make(comps, colors, arrows)
+        g, _, colors, arrows = _EXCEPTIONAL[fam]
+        return SatakeDiagram.make((_exceptional_component(g),), colors, arrows)
     if fam == "sl_so":
         (n,) = p
         _require(n >= 2, "sl_so needs n >= 2")
@@ -686,48 +690,18 @@ def _diag_component(fam: str, params: tuple[int, ...]) -> tuple[str, int]:
         (n,) = params
         _require(n >= 2, "diag_sp needs n >= 2")
         return ("C", n)
-    fixed = {"diag_e6": ("E", 6), "diag_e7": ("E", 7), "diag_e8": ("E", 8),
-             "diag_f4": ("F", 4), "diag_g2": ("G", 2)}
-    if fam in fixed:
+    component = _exceptional_component(fam[5:])
+    if component:
         _require(params == (), f"{fam} takes no parameters")
-        return fixed[fam]
+        return component
     raise UnsupportedPairError(f"unknown diagonal family {fam!r}")
-
-
-def rank_of_g(pair: PairId) -> int:
-    """Rank of the ambient semisimple algebra."""
-    fam, p = pair.family, pair.params
-    if fam in _EXCEPTIONAL:
-        return _EXCEPTIONAL[fam][3]
-    if fam in ("sl_so",):
-        return p[0] - 1
-    if fam == "sl_gl":
-        return p[0] - 1
-    if fam == "sl_sp":
-        return 2 * p[0] - 1
-    if fam == "so_so":
-        return (p[0] + p[1]) // 2
-    if fam == "so_gl":
-        return p[0]
-    if fam in ("sp_sp", "sp_gl"):
-        return p[0]
-    if fam.startswith("diag_"):
-        return 2 * _diag_component(fam, p)[1]
-    raise UnsupportedPairError(f"unknown family {fam!r}")
 
 
 def pair_display_name(pair: PairId) -> str:
     fam, p = pair.family, pair.params
-    names = {
-        "e6_f4": "(e6, f4)", "e6_so10_t1": "(e6, so10+t1)",
-        "e6_sl6_sl2": "(e6, sl6+sl2)", "e6_sp8": "(e6, sp8)",
-        "e7_sl8": "(e7, sl8)", "e7_e6_t1": "(e7, e6+t1)",
-        "e7_so12_sl2": "(e7, so12+sl2)", "e8_so16": "(e8, so16)",
-        "e8_e7_sl2": "(e8, e7+sl2)", "f4_so9": "(f4, so9)",
-        "f4_sp6_sl2": "(f4, sp6+sl2)", "g2_sl2_sl2": "(g2, sl2+sl2)",
-    }
-    if fam in names:
-        return names[fam]
+    if fam in _EXCEPTIONAL:
+        g, g0, _, _ = _EXCEPTIONAL[fam]
+        return f"({g}, {g0})"
     if fam == "sl_so":
         return f"(sl{p[0]}, so{p[0]})"
     if fam == "sl_gl":
@@ -745,10 +719,9 @@ def pair_display_name(pair: PairId) -> str:
     if fam == "sp_gl":
         return f"(sp{2*p[0]}, gl{p[0]})"
     if fam.startswith("diag_"):
-        base = {"diag_sl": f"sl{p[0]}" if p else "", "diag_so": f"so{p[0]}" if p else "",
-                "diag_sp": f"sp{2*p[0]}" if p else "",
-                "diag_e6": "e6", "diag_e7": "e7", "diag_e8": "e8",
-                "diag_f4": "f4", "diag_g2": "g2"}[fam]
+        base = fam[5:]
+        if p:
+            base += str(2 * p[0] if base == "sp" else p[0])
         return f"({base}+{base}, diag)"
     return fam
 
@@ -811,24 +784,13 @@ def parse_pair_name(text: str) -> PairId:
             if n % 2:
                 raise UnsupportedPairError("sp parameter must be even")
             return PairId("diag_sp", (n // 2,))
-        if (name, n) in (("e", 6), ("e", 7), ("e", 8)):
-            return PairId(f"diag_e{n}")
-        if (name, n) == ("f", 4):
-            return PairId("diag_f4")
-        if (name, n) == ("g", 2):
-            return PairId("diag_g2")
+        if _exceptional_component(f"{name}{n}"):
+            return PairId(f"diag_{name}{n}")
         raise UnsupportedPairError(f"unsupported diagonal type {name}{n}")
 
-    exceptional = {
-        ("e6", "f4"): "e6_f4", ("e6", "so10+t1"): "e6_so10_t1",
-        ("e6", "sl6+sl2"): "e6_sl6_sl2", ("e6", "sp8"): "e6_sp8",
-        ("e7", "sl8"): "e7_sl8", ("e7", "e6+t1"): "e7_e6_t1",
-        ("e7", "so12+sl2"): "e7_so12_sl2", ("e8", "so16"): "e8_so16",
-        ("e8", "e7+sl2"): "e8_e7_sl2", ("f4", "so9"): "f4_so9",
-        ("f4", "sp6+sl2"): "f4_sp6_sl2", ("g2", "sl2+sl2"): "g2_sl2_sl2",
-    }
-    if (g, g0) in exceptional:
-        return PairId(exceptional[(g, g0)])
+    for fam, names in _EXCEPTIONAL.items():
+        if (g, g0) == names[:2]:
+            return PairId(fam)
 
     gp = parts(g)
     if len(gp) != 1:
@@ -903,6 +865,8 @@ class Classification(Value):
 
 
 def _candidate_pairs(d: SatakeDiagram) -> list[PairId]:
+    """The catalog pairs whose diagram can be ``d``: the black-node count
+    fixes the one parameter of each classical family that can match."""
     comps = d.graph.components
     out: list[PairId] = []
     if len(comps) == 2 and comps[0] == comps[1]:
@@ -915,41 +879,30 @@ def _candidate_pairs(d: SatakeDiagram) -> list[PairId]:
             out.append(PairId("diag_so", (2 * rank,)))
         elif letter == "C":
             out.append(PairId("diag_sp", (rank,)))
-        elif (letter, rank) in (("E", 6), ("E", 7), ("E", 8)):
-            out.append(PairId(f"diag_e{rank}"))
-        elif letter == "F":
-            out.append(PairId("diag_f4"))
-        elif letter == "G":
-            out.append(PairId("diag_g2"))
+        else:
+            out.append(PairId(f"diag_{letter.lower()}{rank}"))
     if len(comps) != 1:
         return out
     letter, rank = comps[0]
+    b = d.colors.count("b")
     if letter == "A":
         n = rank + 1
         out.append(PairId("sl_so", (n,)))
-        out.extend(PairId("sl_gl", (n, k)) for k in range(1, n // 2 + 1))
+        out.append(PairId("sl_gl", (n, (n - 1 - b) // 2 if b else n // 2)))
         if n % 2 == 0 and n >= 4:
             out.append(PairId("sl_sp", (n // 2,)))
-    elif letter == "B":
-        total = 2 * rank + 1
+    elif letter in "BD":
+        total = 2 * rank + (letter == "B")
         out.extend(PairId("so_so", (pp, total - pp))
-                   for pp in range(1, rank + 1))
-    elif letter == "D":
-        total = 2 * rank
-        out.extend(PairId("so_so", (pp, total - pp))
-                   for pp in range(1, rank + 1))
-        if rank >= 4:
+                   for pp in ((rank - 1, rank) if b == 0 else (rank - b,)))
+        if letter == "D" and rank >= 4:
             out.append(PairId("so_gl", (rank,)))
     elif letter == "C":
         out.append(PairId("sp_gl", (rank,)))
-        out.extend(PairId("sp_sp", (rank, k)) for k in range(1, rank // 2 + 1))
-    elif letter == "E":
-        out.extend(PairId(f) for f in _EXCEPTIONAL
-                   if _EXCEPTIONAL[f][0] == (("E", rank),))
-    elif letter == "F":
-        out.extend(PairId(f) for f in ("f4_so9", "f4_sp6_sl2"))
-    elif letter == "G":
-        out.append(PairId("g2_sl2_sl2"))
+        out.append(PairId("sp_sp", (rank, rank - b)))
+    else:
+        out.extend(PairId(f) for f, (g, *_) in _EXCEPTIONAL.items()
+                   if g == f"{letter.lower()}{rank}")
     return out
 
 

@@ -25,14 +25,6 @@ from .structure import LieAlgebra, index, sample_covector, stabilizer
 
 BRACKET_DEGREE_BUDGET = 10_000
 
-# re-exported here because the polynomial type is part of this module's
-# public surface
-__all__ = [
-    "Poly", "ShiftFamily", "poisson_bracket", "shift", "mf_family",
-    "pairwise_commuting", "jacobian_rank_at", "trdeg_lower_bound",
-    "certified_index", "regularity_via_differentials", "verify_central",
-]
-
 
 def bracket_with_coordinate(q: LieAlgebra, i: int, f: Poly) -> Poly:
     """{x_i, f} = sum_j {x_i, x_j} d_j f; every bracket and centrality check

@@ -3,7 +3,8 @@
 Every algebra is given by exact rational structure constants on an explicit
 basis.  Symmetric pairs are realized as matrix algebras with the basis
 already adapted to the involution (fixed vectors first, anti-fixed second),
-so the involution matrix is diagonal and all eigenspace data is positional.
+so the involution is the grading itself, +1 on the even positions and -1 on
+the odd ones, and all eigenspace data is positional.
 
 ``index`` is the reference route to the index of an algebra: the Kirillov
 matrix with entries in the polynomial ring over the dual coordinates is
@@ -15,8 +16,8 @@ contraction is certified from its central generators instead
 (``poisson.certified_index``).
 
 Realizations are integer matrices, built and validated from their nonzero
-entries: commutators, the Jacobi check and the automorphism check of the
-involution touch only entries that can contribute, and run on ``int``.
+entries: commutators and the Jacobi check touch only entries that can
+contribute, and run on ``int``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction as Q
 from functools import cached_property
 
 from . import linalg
-from .diagram import PairId, SatakeDiagram, satake_of, rank_of_g, STRUCTURE_FAMILIES
+from .diagram import PairId, SatakeDiagram, parse_pair_name, satake_of
 from .errors import AlgebraValidationError, GenericityError, UnsupportedPairError
 from .linalg import ColumnSolver, Mat
 from .poly import NAME_PATTERN, Poly, coeff_num
@@ -230,46 +231,10 @@ class LieAlgebra:
             raise AlgebraValidationError(f"not a Lie algebra: {e}") from None
 
 
-class Involution(Value):
-    """An involution of an algebra by its matrix on the basis; immutable."""
-
-    _fields = ("matrix",)
-
-    def __init__(self, matrix: tuple[tuple[Q, ...], ...]):
-        self.matrix = matrix
-
-    def validate(self, algebra: LieAlgebra) -> None:
-        """sigma^2 = 1, and sigma[e_i, e_j] = [sigma e_i, sigma e_j] on every
-        basis pair, both from the nonzero entries of sigma's columns."""
-        n = algebra.dim
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
-            raise ValueError(f"involution matrix is not {n} x {n}")
-        cols = [{t: row[j] for t, row in enumerate(self.matrix) if row[j]}
-                for j in range(n)]
-        for j, col in enumerate(cols):
-            sq: dict[int, Q] = {}
-            for k, c in col.items():
-                for t, d in cols[k].items():
-                    sq[t] = sq.get(t, 0) + c * d
-            if {t: x for t, x in sq.items() if x} != {j: 1}:
-                raise ValueError("involution does not square to the identity")
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff: dict[int, Q] = {}
-                for a, x in cols[i].items():
-                    for b, y in cols[j].items():
-                        for k, c in algebra.bracket_basis(a, b).items():
-                            diff[k] = diff.get(k, 0) + x * y * c
-                for k, c in algebra.bracket_basis(i, j).items():
-                    for t, d in cols[k].items():
-                        diff[t] = diff.get(t, 0) - c * d
-                if any(diff.values()):
-                    raise ValueError(
-                        f"involution is not an automorphism on pair ({i},{j})")
-
-
 class Z2Grading(Value):
-    """The basis positions of the even and odd eigenspaces; immutable."""
+    """The basis positions of the even and odd eigenspaces; immutable.  On
+    that basis the involution is +1 on ``even_idx`` and -1 on ``odd_idx``,
+    and ``validate`` checks that it is an automorphism."""
 
     _fields = ("even_idx", "odd_idx")
 
@@ -315,18 +280,15 @@ class MatrixRealization:
 class PairRealization:
     """A symmetric pair realized on a basis adapted to its involution."""
 
-    def __init__(self, pair: PairId, g: LieAlgebra, sigma: Involution,
-                 grading: Z2Grading, cartan_subspace: list[list[Q]],
-                 satake: SatakeDiagram, realization: MatrixRealization,
-                 rank_g: int):
+    def __init__(self, pair: PairId, g: LieAlgebra, grading: Z2Grading,
+                 cartan_subspace: list[list[Q]], satake: SatakeDiagram,
+                 realization: MatrixRealization):
         self.pair = pair
         self.g = g
-        self.sigma = sigma
         self.grading = grading
         self.cartan_subspace = cartan_subspace
         self.satake = satake
         self.realization = realization
-        self.rank_g = rank_g
 
     @property
     def d0(self) -> int:
@@ -335,6 +297,11 @@ class PairRealization:
     @property
     def d1(self) -> int:
         return len(self.grading.odd_idx)
+
+    @property
+    def rank_g(self) -> int:
+        """Rank of g: the Satake diagram's graph is the Dynkin diagram of g."""
+        return self.satake.n_nodes
 
     @property
     def rank_pair(self) -> int:
@@ -478,38 +445,31 @@ def build_pair(pair: PairId | str) -> PairRealization:
     """Matrix realization of a supported classical or diagonal pair, with
     the basis adapted to the involution."""
     if isinstance(pair, str):
-        from .diagram import parse_pair_name
         pair = parse_pair_name(pair)
-    if pair.family not in STRUCTURE_FAMILIES:
-        raise UnsupportedPairError(
-            f"{pair_name(pair)} has no structure-level realization")
+    if pair.family not in _BUILDERS:
+        raise UnsupportedPairError(f"{pair} has no structure-level realization")
     satake = satake_of(pair)        # checks the catalog parameters first
-    builder = _BUILDERS[pair.family]
-    even, odd, even_labels, odd_labels, cartan_local = builder(pair)
+    even, odd, even_labels, odd_labels, cartan_local = _BUILDERS[pair.family](pair)
     mats = even + odd
     labels = list(even_labels) + list(odd_labels)
     alg = algebra_from_matrices(mats, labels)
     d0, d1 = len(even), len(odd)
     grading = Z2Grading(tuple(range(d0)), tuple(range(d0, d0 + d1)))
     grading.validate(alg)
-    sigma = Involution(tuple(
-        tuple(Q(1 if (i == j and i < d0) else (-1 if i == j else 0))
-              for j in range(d0 + d1)) for i in range(d0 + d1)))
-    sigma.validate(alg)
     cartan = [[Q(0)] * (d0 + d1) for _ in cartan_local]
     for row, positions in zip(cartan, cartan_local):
         for pos, coeff in positions:
             row[d0 + pos] = Q(coeff)
     _check_cartan(mats, grading, cartan, satake)
-    kind, size, form = _REALIZATION_META[pair.family](pair)
-    real = MatrixRealization(alg, mats, kind, size, form=form)
-    return PairRealization(pair, alg, sigma, grading, cartan, satake, real,
-                           rank_of_g(pair))
-
-
-def pair_name(pair: PairId) -> str:
-    from .diagram import pair_display_name
-    return pair_display_name(pair)
+    fam = pair.family
+    if fam == "so_gl":
+        real = MatrixRealization(alg, mats, "so_split", len(mats[0]),
+                                 form=_split_so_form(pair))
+    elif fam.startswith("diag_"):
+        real = MatrixRealization(alg, mats, fam, len(mats[0]) // 2)
+    else:
+        real = MatrixRealization(alg, mats, fam[:2], len(mats[0]))
+    return PairRealization(pair, alg, grading, cartan, satake, real)
 
 
 def _check_cartan(mats, grading, cartan, satake) -> None:
@@ -749,7 +709,7 @@ def _block_diag(a: Mat, b: Mat) -> Mat:
 
 
 def _build_diag(pair: PairId):
-    name = {"diag_sl": "sl", "diag_so": "so", "diag_sp": "sp"}[pair.family]
+    name = pair.family[5:]
     (n,) = pair.params
     base = matrix_algebra(name, n if name != "sp" else 2 * n)
     even = [_block_diag(m, m) for m in base.matrices]
@@ -782,20 +742,6 @@ def _split_so_form(pair: PairId) -> Mat:
         form[i][n + i] = 1
         form[n + i][i] = 1
     return form
-
-
-_REALIZATION_META = {
-    "sl_so": lambda p: ("sl", p.params[0], None),
-    "sl_gl": lambda p: ("sl", p.params[0], None),
-    "sl_sp": lambda p: ("sl", 2 * p.params[0], None),
-    "so_so": lambda p: ("so", p.params[0] + p.params[1], None),
-    "so_gl": lambda p: ("so_split", 2 * p.params[0], _split_so_form(p)),
-    "sp_sp": lambda p: ("sp", 2 * p.params[0], None),
-    "sp_gl": lambda p: ("sp", 2 * p.params[0], None),
-    "diag_sl": lambda p: ("diag_sl", p.params[0], None),
-    "diag_so": lambda p: ("diag_so", p.params[0], None),
-    "diag_sp": lambda p: ("diag_sp", 2 * p.params[0], None),
-}
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,9 @@ from z2poisson import (Classification, DiagramSyntaxError, DiagramValidationErro
                        PairId, SatakeDiagram, UnsupportedPairError, classify,
                        parse_pair_name, parse_satake, satake_of)
 from z2poisson.analysis import verify_main_combinatorics
+from z2poisson import diagram
 from z2poisson.diagram import (_EXCEPTIONAL, _partial_matchings,
-                               connected_dynkin_types, enumerate_valid_diagrams,
-                               rank_of_g)
+                               connected_dynkin_types, enumerate_valid_diagrams)
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +168,20 @@ def test_parse_pair_name():
         parse_pair_name("e6,e5")
 
 
+def test_exceptional_names_round_trip():
+    # the catalog table holds each exceptional pair's names once
+    for fam, (g, g0, _, _) in _EXCEPTIONAL.items():
+        assert parse_pair_name(f"{g},{g0}") == PairId(fam)
+        assert str(PairId(fam)) == f"({g}, {g0})"
+    for h in ("e6", "e7", "e8", "f4", "g2"):
+        pid = parse_pair_name(f"{h}+{h},diag")
+        assert pid == PairId(f"diag_{h}")
+        assert str(pid) == f"({h}+{h}, diag)"
+    for name in ("e5+e5,diag", "e9+e9,diag", "f5+f5,diag", "g3+g3,diag"):
+        with pytest.raises(UnsupportedPairError):
+            parse_pair_name(name)
+
+
 # ----------------------------------------------------------------------
 # predicates
 # ----------------------------------------------------------------------
@@ -224,7 +238,7 @@ def test_nreg_list_arrow_counts():
         d = satake_of(pid)
         assert d.is_n_regular()
         assert len(d.arrows) == m
-        assert rank_of_g(pid) - d.rank() == m
+        assert d.n_nodes - d.rank() == m
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +354,35 @@ def _catalog_pairs():
     pairs += [PairId("diag_so", (n,)) for n in range(5, 10)]
     pairs += [PairId("diag_sp", (n,)) for n in range(2, 5)]
     return pairs
+
+
+def _rank_of_g(pair):
+    """Rank of g from the catalog parameters alone, without the diagram."""
+    fam, p = pair.family, pair.params
+    if fam in _EXCEPTIONAL:
+        return int(_EXCEPTIONAL[fam][0][1:])
+    if fam in ("sl_so", "sl_gl"):
+        return p[0] - 1
+    if fam == "sl_sp":
+        return 2 * p[0] - 1
+    if fam == "so_so":
+        return (p[0] + p[1]) // 2
+    if fam in ("so_gl", "sp_sp", "sp_gl"):
+        return p[0]
+    if fam == "diag_sp":
+        return 2 * p[0]
+    if fam == "diag_sl":
+        return 2 * (p[0] - 1)
+    if fam == "diag_so":
+        return 2 * (p[0] // 2)
+    return 2 * int(fam[6:])     # diag_e6, ..., diag_g2
+
+
+def test_diagram_node_count_is_rank_of_g():
+    pairs = _catalog_pairs()
+    assert len(pairs) == 156
+    for pid in pairs:
+        assert satake_of(pid).n_nodes == _rank_of_g(pid), pid
 
 
 def test_bitmask_predicates_match_list_oracles():
@@ -491,6 +534,27 @@ def test_classify_large_diagrams():
                                  "n_regular": False, "m": None}
     rec = classify(satake_of(PairId("sl_gl", (1001, 300))))
     assert (rec.family, rec.params, rec.rank) == ("sl_gl", (1001, 300), 300)
+
+
+def test_classify_builds_one_candidate_per_family(monkeypatch):
+    # the black-node count fixes each classical family's parameter, so a
+    # single A/B/C/D component is compared with at most three catalog
+    # diagrams, whatever its rank
+    calls = []
+    real = diagram._catalog_diagram
+    monkeypatch.setattr(diagram, "_catalog_diagram",
+                        lambda pair: calls.append(pair) or real(pair))
+    cases = [parse_satake(f"{letter}{n} colors={colors} arrows=[]")
+             for letter, n in (("A", 2000), ("B", 2000), ("C", 2000),
+                               ("D", 2000), ("A", 7), ("C", 6), ("D", 6))
+             for colors in ("wb" * (n // 2) + "w" * (n % 2), "w" * n,
+                            "b" * n, "w" * 3 + "b" * (n - 3))]
+    cases += [satake_of(pid) for pid in _catalog_pairs()
+              if len(pid.params) and not pid.family.startswith("diag_")]
+    for d in cases:
+        calls.clear()
+        classify(d)
+        assert len(calls) <= 3, (d.graph.components, d.colors[:8], calls)
 
 
 def test_classify_json_key_order():

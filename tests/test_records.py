@@ -1,16 +1,17 @@
 """The record classes: value semantics of the immutable ones, keyword
-construction, and an import of the package that stays cheap."""
+construction, and an import of the package that stays cheap and provides
+every name it exports."""
 
 import os
 import pathlib
 import subprocess
 import sys
-from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import (Classification, DynkinGraph, Involution, PairId,
-                       SatakeDiagram, Z2Grading, parse_satake)
+import z2poisson
+from z2poisson import (Classification, DynkinGraph, PairId, SatakeDiagram,
+                       Z2Grading, parse_satake)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -21,14 +22,11 @@ def _value_pairs():
     graph = lambda: DynkinGraph((("A", 3), ("B", 2)))
     diagram = lambda colors: SatakeDiagram(graph(), colors, ((1, 3),))
     record = lambda rank: Classification("sl_gl", (4, 1), rank, True, True, 1)
-    inv = lambda d: Involution(tuple(tuple(Q(d if i == j else 0) for j in range(2))
-                                     for i in range(2)))
     return [
         (PairId("sl_gl", (4, 1)), PairId("sl_gl", (4, 1)), PairId("sl_gl", (4, 2))),
         (graph(), graph(), DynkinGraph((("A", 3),))),
         (diagram("wbwww"), diagram("wbwww"), diagram("wbwwb")),
         (record(1), record(1), record(2)),
-        (inv(1), inv(1), inv(-1)),
         (Z2Grading((0,), (1, 2)), Z2Grading((0,), (1, 2)), Z2Grading((0, 1), (2,))),
     ]
 
@@ -72,6 +70,14 @@ def test_value_repr_lists_fields():
     assert repr(parse_satake("A1 colors=w arrows=[]")) == (
         "SatakeDiagram(graph=DynkinGraph(components=(('A', 1),)), "
         "colors='w', arrows=())")
+
+
+def test_public_names_resolve():
+    for name in z2poisson.__all__:
+        assert hasattr(z2poisson, name), name
+    namespace = {}
+    exec("from z2poisson import *", namespace)
+    assert set(z2poisson.__all__) <= set(namespace)
 
 
 def test_import_skips_dataclasses_and_inspect():
