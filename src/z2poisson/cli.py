@@ -25,7 +25,7 @@ from .errors import (AlgebraValidationError, BudgetError, DiagramSyntaxError,
                      UnsupportedPairError)
 from .poisson import poisson_bracket, shift
 from .poly import Poly
-from .structure import LieAlgebra, build_pair, contract
+from .structure import LieAlgebra, build_pair
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -103,8 +103,7 @@ def _load_algebra(args) -> LieAlgebra:
     if args.pair and args.algebra:
         raise UnsupportedPairError("give either --pair or --algebra, not both")
     if args.pair:
-        pr = build_pair(parse_pair_name(args.pair))
-        return contract(pr.g, pr.grading)
+        return build_pair(parse_pair_name(args.pair)).contraction
     if args.algebra:
         try:
             with open(args.algebra) as fh:

@@ -608,6 +608,12 @@ def _require(cond: bool, message: str) -> None:
         raise UnsupportedPairError(message)
 
 
+# the number of parameters of each classical family; every other family
+# takes none
+_PARAM_COUNT = {"sl_so": 1, "sl_gl": 2, "sl_sp": 1, "so_so": 2, "so_gl": 1,
+                "sp_sp": 2, "sp_gl": 1, "diag_sl": 1, "diag_so": 1, "diag_sp": 1}
+
+
 def satake_of(pair: PairId) -> SatakeDiagram:
     """The catalog Satake diagram of a named pair, canonicalized."""
     return _catalog_diagram(pair).canonical()
@@ -616,6 +622,9 @@ def satake_of(pair: PairId) -> SatakeDiagram:
 def _catalog_diagram(pair: PairId) -> SatakeDiagram:
     """The catalog Satake diagram of a named pair in its catalog labeling."""
     fam, p = pair.family, pair.params
+    count = _PARAM_COUNT.get(fam, 0)
+    _require(len(p) == count,
+             f"{fam} takes {count} parameter{'' if count == 1 else 's'}, not {len(p)}")
     if fam in _EXCEPTIONAL:
         g, _, colors, arrows = _EXCEPTIONAL[fam]
         return SatakeDiagram.make((_exceptional_component(g),), colors, arrows)
@@ -692,13 +701,14 @@ def _diag_component(fam: str, params: tuple[int, ...]) -> tuple[str, int]:
         return ("C", n)
     component = _exceptional_component(fam[5:])
     if component:
-        _require(params == (), f"{fam} takes no parameters")
         return component
     raise UnsupportedPairError(f"unknown diagonal family {fam!r}")
 
 
 def pair_display_name(pair: PairId) -> str:
     fam, p = pair.family, pair.params
+    if len(p) != _PARAM_COUNT.get(fam, 0):
+        return f"{fam}{p}"
     if fam in _EXCEPTIONAL:
         g, g0, _, _ = _EXCEPTIONAL[fam]
         return f"({g}, {g0})"

@@ -398,10 +398,6 @@ def commutator(a: Mat, b: Mat) -> Mat:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def trace(a: Mat) -> Q:
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def trace_pair(a: Mat, b: Mat) -> Q:
     """tr(ab), summed over the nonzero entries of a."""
     return sum([x * b[k][i] for i, row in enumerate(a) for k, x in enumerate(row) if x],

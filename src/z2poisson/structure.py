@@ -4,7 +4,10 @@ Every algebra is given by exact rational structure constants on an explicit
 basis.  Symmetric pairs are realized as matrix algebras with the basis
 already adapted to the involution (fixed vectors first, anti-fixed second),
 so the involution is the grading itself, +1 on the even positions and -1 on
-the odd ones, and all eigenspace data is positional.
+the odd ones, and all eigenspace data is positional.  Each standard basis of
+sl_n, so_n and sp_n is written once (``_basis``); a pair's realization sorts
+one of them into its even and odd parts by a parity rule (``_split``), or
+doubles it along the diagonal, and finds its Cartan vectors by label.
 
 ``index`` is the reference route to the index of an algebra: the Kirillov
 matrix with entries in the polynomial ring over the dual coordinates is
@@ -317,10 +320,12 @@ class PairRealization:
 # matrix basics
 # ----------------------------------------------------------------------
 
-def _E(n: int, i: int, j: int) -> Mat:
-    """Integer elementary matrix with a single 1 at 1-based (i, j)."""
+def _mat(n: int, *entries: tuple[int, int, int]) -> Mat:
+    """Integer n x n matrix with the given 1-based ``(i, j, value)``
+    entries; a repeated position is set once, not summed."""
     m = [[0] * n for _ in range(n)]
-    m[i - 1][j - 1] = 1
+    for i, j, x in entries:
+        m[i - 1][j - 1] = x
     return m
 
 
@@ -336,6 +341,11 @@ def _madd(*ms: Mat) -> Mat:
 
 def _mneg(m: Mat) -> Mat:
     return [[-x for x in row] for row in m]
+
+
+def _blocks(a: Mat, b: Mat, c: Mat, d: Mat) -> Mat:
+    """The block matrix [[a, b], [c, d]] of four square blocks of one size."""
+    return [x + y for x, y in zip(a, b)] + [x + y for x, y in zip(c, d)]
 
 
 def algebra_from_matrices(matrices: list[Mat], labels) -> LieAlgebra:
@@ -372,69 +382,89 @@ def algebra_from_matrices(matrices: list[Mat], labels) -> LieAlgebra:
 
 
 # ----------------------------------------------------------------------
-# plain classical algebras (used for invariant generators and the diagonal
-# construction)
+# the classical bases: every realization below is one of them, split by
+# the involution or doubled along the diagonal
 # ----------------------------------------------------------------------
+
+def _basis(name: str, n: int) -> list[tuple[str, int, int, Mat]]:
+    """The standard basis of sl_n, so_n (antisymmetric) or sp_n (n = 2m) as
+    ``(letter, i, j, matrix)`` with 1-based i, j.
+
+    sl: h_i = E_ii - E_{i+1,i+1} (with j = i + 1), then E_ij for i != j.
+    so: a_ij = E_ij - E_ji for i < j.
+    sp: p_ij = E_ij - E_{m+j,m+i}, then the symmetric off-diagonal blocks
+    b_ij = E_{i,m+j} + E_{j,m+i} and c_ij = E_{m+i,j} + E_{m+j,i} for
+    i <= j.
+    """
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    if name == "sl":
+        return ([("h", i, i + 1, _mat(n, (i, i, 1), (i + 1, i + 1, -1)))
+                 for i in range(1, n)]
+                + [("e", i, j, _mat(n, (i, j, 1))) for i, j in pairs])
+    if name == "so":
+        return [("a", i, j, _mat(n, (i, j, 1), (j, i, -1))) for i, j in pairs if i < j]
+    if name == "sp":
+        m = n // 2
+        upper = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
+        return ([("p", i, j, _mat(n, (i, j, 1), (m + j, m + i, -1)))
+                 for i in range(1, m + 1) for j in range(1, m + 1)]
+                + [("b", i, j, _mat(n, (i, m + j, 1), (j, m + i, 1))) for i, j in upper]
+                + [("c", i, j, _mat(n, (m + i, j, 1), (m + j, i, 1))) for i, j in upper])
+    raise UnsupportedPairError(f"unknown classical type {name!r}")
+
+
+def _label(letter: str, i: int, j: int) -> str:
+    return f"h{i}" if letter == "h" else f"{letter}{i}_{j}"
+
+
+def _is_cartan(letter: str, i: int, j: int) -> bool:
+    """The marked Cartan basis: every h_i, a_{i,i+1} for odd i, every p_ii."""
+    return letter == "h" or (letter == "a" and j == i + 1 and i % 2 == 1) \
+        or (letter == "p" and i == j)
+
+
+def _named(basis, label) -> tuple[list[Mat], list[str]]:
+    """The matrices of a basis and their labels, in basis order."""
+    return [m for *_, m in basis], [label(*b[:3]) for b in basis]
+
+
+def _split(basis, is_even, label):
+    """Even matrices, odd matrices, even labels, odd labels: the basis
+    sorted by ``is_even(letter, i, j)``, each part in basis order."""
+    even, el = _named([b for b in basis if is_even(*b[:3])], label)
+    odd, ol = _named([b for b in basis if not is_even(*b[:3])], label)
+    return even, odd, el, ol
+
+
+def _skew_blocks(n: int, upper: str, lower: str) -> tuple[list[Mat], list[str]]:
+    """The so_n basis a_ij placed in the upper right block of 2n x 2n
+    matrices, then in the lower left one, labelled with the letters
+    ``upper`` and ``lower``."""
+    so, zero = _basis("so", n), _mat(n)
+    mats = ([_blocks(zero, a, zero, zero) for *_, a in so]
+            + [_blocks(zero, zero, a, zero) for *_, a in so])
+    return mats, [f"{c}{i}_{j}" for c in (upper, lower) for _, i, j, _ in so]
+
+
+def _cartan_at(labels: list[str], groups) -> list[list[tuple[int, int]]]:
+    """Cartan vectors as sums of the odd basis vectors named in each group."""
+    return [[(labels.index(name), 1) for name in group] for group in groups]
+
 
 def matrix_algebra(name: str, n: int) -> MatrixRealization:
     """sl_n, so_n (antisymmetric realization) or sp_n (n even), with a
     marked Cartan basis."""
-    if name == "sl":
-        if n < 2:
-            raise UnsupportedPairError("sl_n needs n >= 2")
-        mats, labels = [], []
-        for i in range(1, n):
-            mats.append(_madd(_E(n, i, i), _mneg(_E(n, i + 1, i + 1))))
-            labels.append(f"h{i}")
-        cartan = list(range(n - 1))
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    mats.append(_E(n, i, j))
-                    labels.append(f"e{i}_{j}")
-        alg = algebra_from_matrices(mats, labels)
-        return MatrixRealization(alg, mats, "sl", n, cartan=cartan)
-    if name == "so":
-        if n < 3:
-            raise UnsupportedPairError("so_n needs n >= 3")
-        mats, labels, cartan = [], [], []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if j == i + 1 and i % 2 == 1:
-                    cartan.append(len(mats))
-                mats.append(_madd(_E(n, i, j), _mneg(_E(n, j, i))))
-                labels.append(f"a{i}_{j}")
-        cartan = cartan[: n // 2]
-        alg = algebra_from_matrices(mats, labels)
-        return MatrixRealization(alg, mats, "so", n, cartan=cartan)
-    if name == "sp":
-        if n < 2 or n % 2:
-            raise UnsupportedPairError("sp_n needs even n >= 2")
-        half = n // 2
-        mats, labels, cartan = [], [], []
-        for i in range(1, half + 1):
-            for j in range(1, half + 1):
-                if i == j:
-                    cartan.append(len(mats))
-                mats.append(_madd(_E(n, i, j), _mneg(_E(n, half + j, half + i))))
-                labels.append(f"p{i}_{j}")
-        for i in range(1, half + 1):
-            for j in range(i, half + 1):
-                if i == j:
-                    mats.append(_E(n, i, half + i))
-                else:
-                    mats.append(_madd(_E(n, i, half + j), _E(n, j, half + i)))
-                labels.append(f"b{i}_{j}")
-        for i in range(1, half + 1):
-            for j in range(i, half + 1):
-                if i == j:
-                    mats.append(_E(n, half + i, i))
-                else:
-                    mats.append(_madd(_E(n, half + i, j), _E(n, half + j, i)))
-                labels.append(f"c{i}_{j}")
-        alg = algebra_from_matrices(mats, labels)
-        return MatrixRealization(alg, mats, "sp", n, cartan=cartan)
-    raise UnsupportedPairError(f"unknown classical type {name!r}")
+    if name == "sl" and n < 2:
+        raise UnsupportedPairError("sl_n needs n >= 2")
+    if name == "so" and n < 3:
+        raise UnsupportedPairError("so_n needs n >= 3")
+    if name == "sp" and (n < 2 or n % 2):
+        raise UnsupportedPairError("sp_n needs even n >= 2")
+    basis = _basis(name, n)
+    mats, labels = _named(basis, _label)
+    cartan = [pos for pos, b in enumerate(basis) if _is_cartan(*b[:3])]
+    alg = algebra_from_matrices(mats, labels)
+    return MatrixRealization(alg, mats, name, n, cartan=cartan)
 
 
 # ----------------------------------------------------------------------
@@ -499,224 +529,102 @@ def _check_cartan(mats, grading, cartan, satake) -> None:
 # cartan) where cartan lists [(odd_position, coeff), ...] combinations.
 
 def _build_sl_so(pair: PairId):
+    # sigma(X) = -X^T: so_n is fixed, the symmetric traceless part is odd
     (n,) = pair.params
-    even, el = [], []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            even.append(_madd(_E(n, i, j), _mneg(_E(n, j, i))))
-            el.append(f"u{i}_{j}")
-    odd, ol = [], []
-    for i in range(1, n):
-        odd.append(_madd(_E(n, i, i), _mneg(_E(n, i + 1, i + 1))))
-        ol.append(f"v{i}")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            odd.append(_madd(_E(n, i, j), _E(n, j, i)))
-            ol.append(f"w{i}_{j}")
+    so = _basis("so", n)
+    even, el = _named(so, lambda _, i, j: f"u{i}_{j}")
+    odd, ol = _named([b for b in _basis("sl", n) if b[0] == "h"], lambda _, i, j: f"v{i}")
+    odd += [_mat(n, (i, j, 1), (j, i, 1)) for _, i, j, _ in so]
+    ol += [f"w{i}_{j}" for _, i, j, _ in so]
     if n == 2:
         el, ol = ["u"], ["v", "w"]
-    cartan = [[(i, 1)] for i in range(n - 1)]
-    return even, odd, el, ol, cartan
+    return even, odd, el, ol, [[(i, 1)] for i in range(n - 1)]
 
 
 def _build_sl_gl(pair: PairId):
+    # sigma = conjugation by diag(I_k, -I_{n-k}): E_ij is odd across the blocks
     n, k = pair.params
-    blocks = lambda i: 0 if i <= k else 1
-    even, el = [], []
-    for i in range(1, n):
-        even.append(_madd(_E(n, i, i), _mneg(_E(n, i + 1, i + 1))))
-        el.append(f"d{i}")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and blocks(i) == blocks(j):
-                even.append(_E(n, i, j))
-                el.append(f"a{i}_{j}")
-    odd, ol = [], []
-    odd_pos = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and blocks(i) != blocks(j):
-                odd_pos[(i, j)] = len(odd)
-                odd.append(_E(n, i, j))
-                ol.append(f"b{i}_{j}")
-    cartan = [[(odd_pos[(t, n + 1 - t)], 1), (odd_pos[(n + 1 - t, t)], 1)]
-              for t in range(1, k + 1)]
+    same_block = lambda letter, i, j: letter == "h" or (i <= k) == (j <= k)
+
+    def label(letter, i, j):
+        if letter == "h":
+            return f"d{i}"
+        return f"{'a' if same_block(letter, i, j) else 'b'}{i}_{j}"
+
+    even, odd, el, ol = _split(_basis("sl", n), same_block, label)
+    cartan = _cartan_at(ol, [(f"b{t}_{n+1-t}", f"b{n+1-t}_{t}") for t in range(1, k + 1)])
     return even, odd, el, ol, cartan
 
 
 def _build_sl_sp(pair: PairId):
+    # sp_2n is fixed; the odd part holds diag(X, X^T) for X in sl_n and the
+    # skew off-diagonal blocks
     (n,) = pair.params
-    N = 2 * n
-    even, el = [], []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            even.append(_madd(_E(N, i, j), _mneg(_E(N, n + j, n + i))))
-            el.append(f"p{i}_{j}")
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if i == j:
-                even.append(_E(N, i, n + i))
-            else:
-                even.append(_madd(_E(N, i, n + j), _E(N, j, n + i)))
-            el.append(f"b{i}_{j}")
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if i == j:
-                even.append(_E(N, n + i, i))
-            else:
-                even.append(_madd(_E(N, n + i, j), _E(N, n + j, i)))
-            el.append(f"c{i}_{j}")
-    odd, ol = [], []
-    cartan_pos = []
-    for i in range(1, n):
-        cartan_pos.append(len(odd))
-        odd.append(_madd(_E(N, i, i), _E(N, n + i, n + i),
-                         _mneg(_E(N, i + 1, i + 1)), _mneg(_E(N, n + i + 1, n + i + 1))))
-        ol.append(f"q{i}")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                odd.append(_madd(_E(N, i, j), _E(N, n + j, n + i)))
-                ol.append(f"r{i}_{j}")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            odd.append(_madd(_E(N, i, n + j), _mneg(_E(N, j, n + i))))
-            ol.append(f"s{i}_{j}")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            odd.append(_madd(_E(N, n + i, j), _mneg(_E(N, n + j, i))))
-            ol.append(f"t{i}_{j}")
-    cartan = [[(p, 1)] for p in cartan_pos]
-    return even, odd, el, ol, cartan
+    even, el = _named(_basis("sp", 2 * n), _label)
+    odd, ol = _named(_basis("sl", n),
+                     lambda letter, i, j: f"q{i}" if letter == "h" else f"r{i}_{j}")
+    zero = _mat(n)
+    odd = [_blocks(m, zero, zero, [list(col) for col in zip(*m)]) for m in odd]
+    skew, skew_labels = _skew_blocks(n, "s", "t")
+    return even, odd + skew, el, ol + skew_labels, [[(i, 1)] for i in range(n - 1)]
 
 
 def _build_so_so(pair: PairId):
+    # sigma = conjugation by diag(I_p, -I_q)
     p, q = pair.params
-    N = p + q
-    even, el = [], []
-    for i in range(1, p + 1):
-        for j in range(i + 1, p + 1):
-            even.append(_madd(_E(N, i, j), _mneg(_E(N, j, i))))
-            el.append(f"a{i}_{j}")
-    for i in range(1, q + 1):
-        for j in range(i + 1, q + 1):
-            even.append(_madd(_E(N, p + i, p + j), _mneg(_E(N, p + j, p + i))))
-            el.append(f"c{i}_{j}")
-    odd, ol = [], []
-    for i in range(1, p + 1):
-        for j in range(1, q + 1):
-            odd.append(_madd(_E(N, i, p + j), _mneg(_E(N, p + j, i))))
-            ol.append(f"b{i}_{j}")
-    cartan = [[((t - 1) * q + (t - 1), 1)] for t in range(1, min(p, q) + 1)]
-    return even, odd, el, ol, cartan
+    same_side = lambda _, i, j: (i > p) == (j > p)
+
+    def label(_, i, j):
+        if j <= p:
+            return f"a{i}_{j}"
+        return f"c{i-p}_{j-p}" if i > p else f"b{i}_{j-p}"
+
+    even, odd, el, ol = _split(_basis("so", p + q), same_side, label)
+    return even, odd, el, ol, _cartan_at(ol, [[f"b{t}_{t}"]
+                                              for t in range(1, min(p, q) + 1)])
 
 
 def _build_sp_sp(pair: PairId):
+    # sigma = conjugation by diag(I_k, -I_{n-k}, I_k, -I_{n-k})
     n, k = pair.params
-    N = 2 * n
-    cls = lambda i: 0 if i <= k else 1
-    even, odd, el, ol = [], [], [], []
-    odd_pos = {}
-
-    def put(m, name, same_class):
-        if same_class:
-            even.append(m)
-            el.append(name)
-        else:
-            odd_pos[name] = len(odd)
-            odd.append(m)
-            ol.append(name)
-
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            put(_madd(_E(N, i, j), _mneg(_E(N, n + j, n + i))), f"p{i}_{j}",
-                cls(i) == cls(j))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            m = _E(N, i, n + i) if i == j else _madd(_E(N, i, n + j), _E(N, j, n + i))
-            put(m, f"b{i}_{j}", cls(i) == cls(j))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            m = _E(N, n + i, i) if i == j else _madd(_E(N, n + i, j), _E(N, n + j, i))
-            put(m, f"c{i}_{j}", cls(i) == cls(j))
-    cartan = [[(odd_pos[f"p{t}_{k+t}"], 1), (odd_pos[f"p{k+t}_{t}"], 1)]
-              for t in range(1, k + 1)]
+    same_class = lambda _, i, j: (i <= k) == (j <= k)
+    even, odd, el, ol = _split(_basis("sp", 2 * n), same_class, _label)
+    cartan = _cartan_at(ol, [(f"p{t}_{k+t}", f"p{k+t}_{t}") for t in range(1, k + 1)])
     return even, odd, el, ol, cartan
 
 
 def _build_sp_gl(pair: PairId):
+    # sigma = conjugation by diag(I_n, -I_n): gl_n is the block p, and both
+    # symmetric blocks are odd
     (n,) = pair.params
-    N = 2 * n
-    even, el = [], []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            even.append(_madd(_E(N, i, j), _mneg(_E(N, n + j, n + i))))
-            el.append(f"p{i}_{j}")
-    odd, ol = [], []
-    b_pos = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            b_pos[(i, j)] = len(odd)
-            m = _E(N, i, n + i) if i == j else _madd(_E(N, i, n + j), _E(N, j, n + i))
-            odd.append(m)
-            ol.append(f"b{i}_{j}")
-    c_pos = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            c_pos[(i, j)] = len(odd)
-            m = _E(N, n + i, i) if i == j else _madd(_E(N, n + i, j), _E(N, n + j, i))
-            odd.append(m)
-            ol.append(f"c{i}_{j}")
-    cartan = [[(b_pos[(t, t)], 1), (c_pos[(t, t)], 1)] for t in range(1, n + 1)]
-    return even, odd, el, ol, cartan
+    in_gl = lambda letter, i, j: letter == "p"
+    even, odd, el, ol = _split(_basis("sp", 2 * n), in_gl, _label)
+    return even, odd, el, ol, _cartan_at(ol, [(f"b{t}_{t}", f"c{t}_{t}")
+                                              for t in range(1, n + 1)])
 
 
 def _build_so_gl(pair: PairId):
+    # so_2n for the split form: gl_n is the same block p as in sp_2n, and the
+    # skew off-diagonal blocks are odd
     (n,) = pair.params
-    N = 2 * n
-    even, el = [], []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            even.append(_madd(_E(N, i, j), _mneg(_E(N, n + j, n + i))))
-            el.append(f"p{i}_{j}")
-    odd, ol = [], []
-    m_pos, n_pos = {}, {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            m_pos[(i, j)] = len(odd)
-            odd.append(_madd(_E(N, i, n + j), _mneg(_E(N, j, n + i))))
-            ol.append(f"m{i}_{j}")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            n_pos[(i, j)] = len(odd)
-            odd.append(_madd(_E(N, n + i, j), _mneg(_E(N, n + j, i))))
-            ol.append(f"n{i}_{j}")
-    cartan = [[(m_pos[(2 * t - 1, 2 * t)], 1), (n_pos[(2 * t - 1, 2 * t)], 1)]
-              for t in range(1, n // 2 + 1)]
+    even, el = _named([b for b in _basis("sp", 2 * n) if b[0] == "p"], _label)
+    odd, ol = _skew_blocks(n, "m", "n")
+    cartan = _cartan_at(ol, [(f"m{2*t-1}_{2*t}", f"n{2*t-1}_{2*t}")
+                             for t in range(1, n // 2 + 1)])
     return even, odd, el, ol, cartan
 
 
-def _block_diag(a: Mat, b: Mat) -> Mat:
-    n, m = len(a), len(b)
-    out = [[0] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = a[i][j]
-    for i in range(m):
-        for j in range(m):
-            out[n + i][n + j] = b[i][j]
-    return out
-
-
 def _build_diag(pair: PairId):
+    # g = h + h with the swap: diag(X, X) is even and diag(X, -X) is odd
     name = pair.family[5:]
     (n,) = pair.params
-    base = matrix_algebra(name, n if name != "sp" else 2 * n)
-    even = [_block_diag(m, m) for m in base.matrices]
-    odd = [_block_diag(m, _mneg(m)) for m in base.matrices]
+    size = n if name != "sp" else 2 * n
+    base, zero = _basis(name, size), _mat(size)
+    even = [_blocks(m, zero, zero, m) for *_, m in base]
+    odd = [_blocks(m, zero, zero, _mneg(m)) for *_, m in base]
     el = [f"y{i+1}" for i in range(len(even))]
     ol = [f"z{i+1}" for i in range(len(odd))]
-    cartan = [[(pos, 1)] for pos in base.cartan]
+    cartan = [[(pos, 1)] for pos, b in enumerate(base) if _is_cartan(*b[:3])]
     return even, odd, el, ol, cartan
 
 
@@ -736,12 +644,8 @@ _BUILDERS = {
 
 def _split_so_form(pair: PairId) -> Mat:
     (n,) = pair.params
-    N = 2 * n
-    form = [[0] * N for _ in range(N)]
-    for i in range(n):
-        form[i][n + i] = 1
-        form[n + i][i] = 1
-    return form
+    return _mat(2 * n, *[(i, n + i, 1) for i in range(1, n + 1)],
+                *[(n + i, i, 1) for i in range(1, n + 1)])
 
 
 # ----------------------------------------------------------------------

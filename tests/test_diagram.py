@@ -6,8 +6,8 @@ import time
 import pytest
 
 from z2poisson import (Classification, DiagramSyntaxError, DiagramValidationError,
-                       PairId, SatakeDiagram, UnsupportedPairError, classify,
-                       parse_pair_name, parse_satake, satake_of)
+                       PairId, SatakeDiagram, UnsupportedPairError, build_pair,
+                       classify, parse_pair_name, parse_satake, satake_of)
 from z2poisson.analysis import verify_main_combinatorics
 from z2poisson import diagram
 from z2poisson.diagram import (_EXCEPTIONAL, _partial_matchings,
@@ -146,6 +146,25 @@ def test_catalog_parameter_validation():
         satake_of(PairId("nosuch", (1,)))
     with pytest.raises(UnsupportedPairError):
         satake_of(PairId("diag_so", (4,)))
+
+
+@pytest.mark.parametrize("pid, shown", [
+    (PairId("sl_so", ()), "sl_so()"),
+    (PairId("diag_sl"), "diag_sl()"),
+    (PairId("sl_gl", (4,)), "sl_gl(4,)"),
+    (PairId("so_gl", (4, 1)), "so_gl(4, 1)"),
+    (PairId("e6_f4", (1,)), "e6_f4(1,)"),
+    (PairId("diag_e6", (1,)), "diag_e6(1,)"),
+])
+def test_catalog_parameter_count(pid, shown):
+    # a wrong number of parameters is an unsupported pair, named by family
+    # and count, and the pair still prints
+    message = rf"^{pid.family} takes .* not {len(pid.params)}$"
+    with pytest.raises(UnsupportedPairError, match=message):
+        satake_of(pid)
+    with pytest.raises(UnsupportedPairError):
+        build_pair(pid)
+    assert str(pid) == shown
 
 
 def test_parse_pair_name():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as Q
@@ -136,6 +137,91 @@ def test_structure_constants_match_dense_oracle():
         pr = build_pair(pid)
         assert pr.g.dim == dim, pid
         assert pr.g.sc == _dense_structure_constants(pr.realization.matrices), pid
+
+
+def _realization_digest(real, pr=None):
+    """sha256 of a realization's labels, matrices, structure constants and
+    fields, and of a pair's grading and Cartan subspace."""
+    parts = [real.algebra.labels, real.matrices,
+             [[i, j, sorted((k, str(c)) for k, c in entry.items())]
+              for (i, j), entry in sorted(real.algebra.sc.items())],
+             real.kind, real.size, real.form, real.cartan]
+    if pr is not None:
+        parts += [pr.grading.even_idx, pr.grading.odd_idx,
+                  [[str(c) for c in v] for v in pr.cartan_subspace]]
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+
+
+_PINNED_MATRIX_ALGEBRAS = [("sl", 2), ("sl", 4), ("so", 3), ("so", 6),
+                           ("sp", 2), ("sp", 6)]
+
+_PINNED_REALIZATIONS = {
+    "sl_so(2,)": "34d6555f2fb14d2aebc976059c8566e654b5b40beb6934a5d4c52e92c9707755",
+    "sl_so(3,)": "be6c12b54f40ca99ba2fb40fe368b84d2ddf199c84d1f0cc8a4717ab5f1a11c2",
+    "sl_so(4,)": "34647ec489005b3f9b935bf1d9edb1cc9c2861b83bd8fc5e84502857ad65751e",
+    "sl_so(5,)": "eb09893cca88c17cc09b87535237b9862167bec7a7485ab85ddb498ec099f9cd",
+    "sl_so(6,)": "c23568784aa35de487ade0f47dc5adf0c5477f79a24974bda7fc28808828f9c2",
+    "sl_gl(2, 1)": "d7b1e5de4e6304ac5f78e0cb14df3c727fae0ceafbf7f3b3432833c1da7e2f2a",
+    "sl_gl(3, 1)": "72f603dcbab2647ec41d9f22b886fe10a41e99c455e88df31a4190f7370c7d34",
+    "sl_gl(4, 1)": "70724bc6e6bf92a7072a8f4bf99236ac384818a366e8d35c20a9a51364f682c2",
+    "sl_gl(4, 2)": "13e66f5e174623672c313acd20348546582d8764f103f967ac3b67dc25d9c776",
+    "sl_gl(5, 1)": "b0343273a133091cda3f8640cfd855ae8f35cdd8364464333aaf35c511ddd5a6",
+    "sl_gl(5, 2)": "3574ea3bdfc3ca674a12c284e518db4c40a8b74487e12186d2e731cbebdb3394",
+    "sl_gl(6, 1)": "acc95a3f5f017ab9c9fdc90db38183035076800f27553fac386aa346820354cb",
+    "sl_gl(6, 2)": "6a39424cb4e751c5da22062e4eb6c8c3569f6c2756e68f582cccd918c59bec0f",
+    "sl_gl(6, 3)": "6c66f472f8b6cfc59b9df8ecc40ee338ffffd51cc29d926d376c182711804461",
+    "sl_sp(2,)": "7979c96b308bf2e4bb278a076641aaf091d62496ccfb473689aa96a075cb46b4",
+    "sl_sp(3,)": "593b00a1d435658ccc780c89326aa399e29cbcd6dde0a07d2bbfaf2c1439835c",
+    "so_so(1, 4)": "b27f2ffb4effa6137fc4208ea8b96ce88b782e95868aba451df265e586418643",
+    "so_so(1, 5)": "a70f82da1e7e8200c059b1e8eb6f8d8dfeac494eaf0a696a19ae90bec9c2576a",
+    "so_so(1, 6)": "cf134ed5b1be345dbcd884592810563452824e48134f7c6061379e3f38dca0b6",
+    "so_so(1, 7)": "637ae7e7b7ce2574edb168c07919b23847549692a8c10a933f910fab603f177e",
+    "so_so(2, 3)": "02dcd528616a0993270c6f7e3717a0f124a0c29ea6299b411fa88d0bed604213",
+    "so_so(2, 4)": "26864bda2f9e88cb1a9907d6d821a4744702d3cd2ad706c0e78c4ac2a8c7e6e7",
+    "so_so(2, 5)": "a4fa3171043c1034c651b3e6d6512809a1b3c7bbdafad5bb79faea29a911acd6",
+    "so_so(2, 6)": "dff506afd4613c271fa20ec4b9874a27ed10f81886a294070dd8447237386936",
+    "so_so(2, 7)": "aa8c1929416a23daa3ecaabc63cd3d6c89c88b931a046731eda56eca683c7931",
+    "so_so(3, 3)": "c6f9bd940fb558fe958c3a2f9a097e8033954200feb7aa3419574df8c71524a9",
+    "so_so(3, 4)": "3b3507e5304394bd57df95523921c6ba1a60488308a06b03a40911f8b3c918ca",
+    "so_so(3, 5)": "a8b77660da93357c38abe02eec3181b8262c8754b17e38761481c0dba6253cc8",
+    "so_so(3, 6)": "bfc08d35cdb213b456dbe61868c78b54a4601c650b7883cbe1b255e21552a88a",
+    "so_so(4, 4)": "772e5b653674e9fb9f3eb893e1d9d003c31ae8910e299953e2c0f836d4088b90",
+    "so_so(4, 5)": "ce41d08721e7af30631fc38cf85f80cadc5f7332833609a905aa6dd5c908c04d",
+    "so_gl(4,)": "434980a4195ec8a145de6e23b50468fcc58a11e939db977a0eb7d69de11393c4",
+    "sp_sp(2, 1)": "a7d8ea92b3a4f615fc4bed1f7422046f1b739a846f0c7008b578bf088af0a337",
+    "sp_sp(3, 1)": "fcea3616a02fe9bc31b7eef3558115520e66f3e770de7bc25b6360ed1add2015",
+    "sp_sp(4, 1)": "600ae39550200a734f00463c8f196c116c602b5005d2aea4ed354cd71b480236",
+    "sp_sp(4, 2)": "6f51445898ebc33ff3d01878550e96aad8a0e23dee8a9874c63c45dfaf461b1a",
+    "sp_gl(2,)": "82def8f220efb42ec7ddb63843471ecfffee03b374adbd835d22f183da9895a7",
+    "sp_gl(3,)": "e52bfd4fdde90fbfb53886ac27e0efb6f3c3831f563ecdd7eb4e272a8ebf98dd",
+    "sp_gl(4,)": "0e9ff60a6bd508d4dd46ccd6c5767eb46f131e94920cf2452dab24bf376dcb78",
+    "diag_sl(2,)": "276d40ff3964b2d1060d4e751a19123eca1094f3726ea8af707f2583cdc921c9",
+    "diag_sl(3,)": "4fb17dc7acd08c26e7a78f1d061251e99d2896206bc01d35876ee98cae925c4d",
+    "diag_sl(4,)": "5d3c28557ea3bd97e4596adb3d6c72c063e8275415172022964a41fd37bba82e",
+    "diag_so(5,)": "708d1baf17c70fe04332d91b5d08c6b56389d50d9f6463b2f44c48eeb8268853",
+    "diag_so(6,)": "eadcd1b2a0324f375e09d3132cfef641895aa3d4b034deaa6cbf7d024380a599",
+    "diag_sp(2,)": "e3ac522bbe46bbba3e0f9175649d63faaf5dbfc8069ae8b79e0f5a7ec134aabe",
+    "so_gl(5,)": "fe824832da1ad445754cec3a664c5fa641012168694a255b0b4cc44092cef8d1",
+    "sl2": "18b178b491b27ef5116877a28e6fc1d65518bb673f9b5fe5dd03675a331051f6",
+    "sl4": "fe43dae8225e84b0e76313d31c68577ddaa041312c67c0ba82be3961450c9f19",
+    "so3": "675bcfcce992489dd2de5988e21abf1925c24939e8b8e0f4324b2652ca6d53a7",
+    "so6": "642957da8333fdf88b8d68188f38e73a6b786613e1857c82097e30ca8843ae7e",
+    "sp2": "58cfd37dd6a0b55477c7f21e15afb9024cabf01a0821e67c4d1b03a9418721c5",
+    "sp6": "d2b7c559e8d453698117fe874ce578ae8d70d61d77526d21b34e96c818a113ba",
+}
+
+
+def test_realizations_are_pinned():
+    # every label, matrix, basis position and Cartan vector of each builder,
+    # as first written; so_gl (5,) is the arrowed odd case
+    pairs = [pid for pid, _ in _catalog_pairs_up_to(36)] + [PairId("so_gl", (5,))]
+    got = {}
+    for pid in pairs:
+        pr = build_pair(pid)
+        got[f"{pid.family}{pid.params}"] = _realization_digest(pr.realization, pr)
+    for name, n in _PINNED_MATRIX_ALGEBRAS:
+        got[f"{name}{n}"] = _realization_digest(matrix_algebra(name, n))
+    assert got == _PINNED_REALIZATIONS
 
 
 def test_realizations_are_integer_matrices(pair):
