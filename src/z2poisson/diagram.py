@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
@@ -299,113 +299,71 @@ class SatakeDiagram(Value):
 
 
 # ----------------------------------------------------------------------
-# canonicalization of raw decorated graphs
+# canonicalization of raw decorated graphs: each connected piece is typed by
+# matching the ``component_edges`` templates onto it, and the canonical form
+# is the least (colors, arrows) over all relabelings onto the templates
 # ----------------------------------------------------------------------
 
-def _path_order(start: int, adj: dict[int, list[int]]) -> list[int]:
-    order = [start]
-    prev = None
-    while True:
-        nxt = [u for u in adj[order[-1]] if u != prev]
-        if not nxt:
-            return order
-        prev = order[-1]
-        order.append(nxt[0])
-
-
-def _identify_component(nodes: list[int], edges: list[Edge]):
-    """Type a connected decorated subgraph and list all relabelings onto the
-    standard component (template position -> original node)."""
-    n = len(nodes)
-    if n == 1:
-        return ("A", 1, [(nodes[0],)])
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    bond_of: dict[frozenset, int] = {}
-    target_of: dict[frozenset, int | None] = {}
+def _edge_index(nodes: Iterable[int], edges: Sequence[Edge]):
+    """The neighbors of each node as ``(node, bond, arrow target)``, and the
+    sorted edge shape: each edge's endpoint degrees and bond."""
+    adj: dict[int, list[tuple[int, int, int | None]]] = {v: [] for v in nodes}
     for a, b, bond, tgt in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-        bond_of[frozenset((a, b))] = bond
-        target_of[frozenset((a, b))] = tgt
-    degs = {v: len(adj[v]) for v in nodes}
-    maxbond = max(bond_of.values())
-    if maxbond == 3:
-        key = next(iter(bond_of))
-        a, b = tuple(key)
-        tgt = target_of[key]
-        other = b if tgt == a else a
-        return ("G", 2, [(tgt, other)])
-    ends = [v for v in nodes if degs[v] == 1]
-    branch = [v for v in nodes if degs[v] >= 3]
-    if maxbond == 2:
-        if branch or len(ends) != 2:
-            raise DiagramValidationError("unrecognized multiply-laced component")
-        results = []
-        for start in ends:
-            order = _path_order(start, adj)
-            dbl = tgt = None
-            for i in range(n - 1):
-                key = frozenset((order[i], order[i + 1]))
-                if bond_of[key] == 2:
-                    dbl, tgt = i, target_of[key]
-                    break
-            if dbl == n - 2:
-                letter = "B" if tgt == order[n - 1] else "C"
-                results.append((letter, n, tuple(order)))
-            elif n == 4 and dbl == 1 and tgt == order[2]:
-                results.append(("F", 4, tuple(order)))
-        if not results:
-            raise DiagramValidationError("unrecognized multiply-laced component")
-        letter = min(r[0] for r in results)
-        maps = [r[2] for r in results if r[0] == letter]
-        return (letter, n, maps)
-    if not branch:
-        orders = {tuple(_path_order(e, adj)) for e in ends}
-        return ("A", n, sorted(orders))
-    if len(branch) != 1 or degs[branch[0]] != 3:
-        raise DiagramValidationError("unrecognized simply-laced component")
-    center = branch[0]
-    arms: list[list[int]] = []
-    for nb in adj[center]:
-        arm = [nb]
-        prev = center
-        while degs[arm[-1]] == 2:
-            nxt = next(x for x in adj[arm[-1]] if x != prev)
-            prev = arm[-1]
-            arm.append(nxt)
-        arms.append(arm)
-    lengths = sorted(len(a) for a in arms)
-    if lengths[0] == 1 and lengths[1] == 1:
-        # type D: positions 1..n-3 run along the long arm toward the center
-        maps = []
-        short_arms = [a for a in arms if len(a) == 1]
-        if n == 4:
-            for long_arm in arms:
-                rest = [a for a in arms if a is not long_arm]
-                for p, q in itertools.permutations(rest):
-                    maps.append((long_arm[0], center, p[0], q[0]))
-        else:
-            long_arm = max(arms, key=len)
-            fork = [a[0] for a in short_arms]
-            base = tuple(reversed(long_arm)) + (center,)
-            for p, q in itertools.permutations(fork):
-                maps.append(base + (p, q))
-        return ("D", n, maps)
-    if lengths[0] == 1 and lengths[1] == 2 and n in (6, 7, 8):
-        arm1 = next(a for a in arms if len(a) == 1)
-        arm2s = [a for a in arms if len(a) == 2]
-        long = next((a for a in arms if len(a) == n - 4), None)
-        maps = []
-        if n == 6:
-            for left, right in itertools.permutations(arm2s):
-                maps.append((left[1], arm1[0], left[0], center, right[0], right[1]))
-        else:
-            if long is None or len(arm2s) < 1:
-                raise DiagramValidationError("unrecognized simply-laced component")
-            left = next(a for a in arm2s if a is not long)
-            maps.append((left[1], arm1[0], left[0], center) + tuple(long))
-        return ("E", n, maps)
-    raise DiagramValidationError("unrecognized simply-laced component")
+        adj[a].append((b, bond, tgt))
+        adj[b].append((a, bond, tgt))
+    shape = sorted((*sorted((len(adj[a]), len(adj[b]))), bond)
+                   for a, b, bond, _ in edges)
+    return adj, shape
+
+
+def _identify_component(nodes: list[int], edges: Sequence[Edge]):
+    """Type a connected decorated subgraph and list all relabelings onto the
+    standard component (template position -> original node).  The type is
+    the first letter in ``ABCDEFG`` whose template maps onto the subgraph,
+    so A3 wins over D3 and B2 over C2.  Both are trees of the same edge
+    shape, so the search places the template positions in breadth-first
+    order, each on an unused neighbor of its parent's image with the same
+    degree, bond and arrow target, and backtracks on an explicit stack."""
+    n = len(nodes)
+    adj, shape = _edge_index(nodes, edges)
+    for letter in "ABCDEFG":
+        if not _MIN_RANK[letter] <= n <= _MAX_RANK.get(letter, n):
+            continue
+        tadj, tshape = _edge_index(range(1, n + 1), component_edges(letter, n))
+        if tshape != shape:
+            continue
+        # each later position's parent, and the bond and arrow target between
+        order, parent = [1], {1: (0, 0, None)}
+        for p in order:
+            for q, bond, tgt in tadj[p]:
+                if q not in parent:
+                    parent[q] = (p, bond, tgt)
+                    order.append(q)
+        maps: list[tuple[int, ...]] = []
+        image: dict[int, int] = {}  # template position -> node
+        used: set[int] = set()
+        stack = [[v for v in nodes if len(adj[v]) == len(tadj[1])]]
+        while stack:
+            p = order[len(stack) - 1]
+            used.discard(image.pop(p, None))
+            if not stack[-1]:
+                stack.pop()
+                continue
+            image[p] = v = stack[-1].pop()
+            used.add(v)
+            if len(stack) == n:
+                maps.append(tuple(image[q] for q in range(1, n + 1)))
+                continue
+            q = order[len(stack)]
+            par, bond, tgt = parent[q]
+            src = image[par]
+            # tgt is None, par or q
+            stack.append([
+                u for u, b, t in adj[src] if u not in used and len(adj[u]) == len(tadj[q])
+                and b == bond and t == (tgt and (u if tgt == q else src))])
+        if maps:
+            return letter, n, maps
+    raise DiagramValidationError("unrecognized component")
 
 
 def _components(nodes, pairs) -> list[list[int]]:
@@ -622,6 +580,8 @@ def satake_of(pair: PairId) -> SatakeDiagram:
 def _catalog_diagram(pair: PairId) -> SatakeDiagram:
     """The catalog Satake diagram of a named pair in its catalog labeling."""
     fam, p = pair.family, pair.params
+    _require(type(p) is tuple and all(type(x) is int for x in p),  # True is no int
+             f"{fam} parameters must be a tuple of int, not {p!r}")
     count = _PARAM_COUNT.get(fam, 0)
     _require(len(p) == count,
              f"{fam} takes {count} parameter{'' if count == 1 else 's'}, not {len(p)}")
@@ -707,8 +667,9 @@ def _diag_component(fam: str, params: tuple[int, ...]) -> tuple[str, int]:
 
 def pair_display_name(pair: PairId) -> str:
     fam, p = pair.family, pair.params
-    if len(p) != _PARAM_COUNT.get(fam, 0):
-        return f"{fam}{p}"
+    if type(p) is not tuple or any(type(x) is not int for x in p) \
+            or len(p) != _PARAM_COUNT.get(fam, 0):
+        return f"{fam}{p}" if type(p) is tuple else f"{fam}({p!r})"
     if fam in _EXCEPTIONAL:
         g, g0, _, _ = _EXCEPTIONAL[fam]
         return f"({g}, {g0})"
@@ -951,18 +912,13 @@ def classify(d: SatakeDiagram) -> Classification:
 
 def connected_dynkin_types(max_nodes: int) -> list[tuple[str, int]]:
     """Non-redundant list of connected Dynkin graphs with at most the given
-    number of nodes (C starts at rank 3 and D at rank 4 to avoid the B2/C2
-    and A3/D3 graph coincidences)."""
-    out = [("A", n) for n in range(1, max_nodes + 1)]
-    out += [("B", n) for n in range(2, max_nodes + 1)]
-    out += [("C", n) for n in range(3, max_nodes + 1)]
-    out += [("D", n) for n in range(4, max_nodes + 1)]
-    out += [("E", n) for n in (6, 7, 8) if n <= max_nodes]
-    if max_nodes >= 4:
-        out.append(("F", 4))
-    if max_nodes >= 2:
-        out.append(("G", 2))
-    return out
+    number of nodes: ``(letter, r)`` is kept when its own graph identifies
+    as ``letter``, which drops C2 (= B2) and D3 (= A3)."""
+    return [(letter, r) for letter in "ABCDEFG"
+            for r in range(_MIN_RANK[letter],
+                           min(_MAX_RANK.get(letter, max_nodes), max_nodes) + 1)
+            if _identify_component(list(range(1, r + 1)),
+                                   component_edges(letter, r))[0] == letter]
 
 
 def _partial_matchings(items: list[int]):

@@ -361,8 +361,8 @@ def contraction_rank(a_block: list[list[Poly]], b_block: list[list[Poly]]) -> in
     bt = [list(col) for col in zip(*b_block)] if d0 and b_block[0] else []
     if not bt:
         return poly_rank(a_block)
-    rb = poly_rank(b_block)
     c_basis = poly_kernel(bt)
+    rb = d0 - len(c_basis)  # rank B = rank B^T = d0 - dim ker B^T
     if not c_basis:
         return 2 * rb
     nvars = c_basis[0][0].nvars

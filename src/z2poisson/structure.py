@@ -739,13 +739,12 @@ def graded_centralizer(pr: PairRealization, v) -> tuple[list[list[Q]], list[list
     return restricted_kernel(pr.grading.even_idx), restricted_kernel(pr.grading.odd_idx)
 
 
-def subalgebra(q: LieAlgebra, vectors: list[list[Q]], labels=None) -> LieAlgebra:
+def subalgebra(q: LieAlgebra, vectors: list[list[Q]]) -> LieAlgebra:
     """Structure constants of a bracket-closed subspace in its own basis."""
     if not vectors:
         return LieAlgebra((), {})
     solver = ColumnSolver([list(map(Q, v)) for v in vectors])
     r = len(vectors)
-    labels = labels or tuple(f"t{i+1}" for i in range(r))
     sc: dict[tuple[int, int], dict[int, Q]] = {}
     for a in range(r):
         for b in range(a + 1, r):
@@ -755,7 +754,7 @@ def subalgebra(q: LieAlgebra, vectors: list[list[Q]], labels=None) -> LieAlgebra
             entry = {k: c for k, c in enumerate(coords) if c != 0}
             if entry:
                 sc[(a, b)] = entry
-    return LieAlgebra(labels, sc)
+    return LieAlgebra(tuple(f"t{i+1}" for i in range(r)), sc)
 
 
 def sample_covector(dim: int, rng: random.Random, bound: int = 10 ** 6) -> list[Q]:

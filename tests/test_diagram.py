@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -161,6 +162,24 @@ def test_catalog_parameter_count(pid, shown):
     # and count, and the pair still prints
     message = rf"^{pid.family} takes .* not {len(pid.params)}$"
     with pytest.raises(UnsupportedPairError, match=message):
+        satake_of(pid)
+    with pytest.raises(UnsupportedPairError):
+        build_pair(pid)
+    assert str(pid) == shown
+
+
+@pytest.mark.parametrize("pid, shown", [
+    (PairId("sl_so", 4), "sl_so(4)"),
+    (PairId("sl_so", ("4",)), "sl_so('4',)"),
+    (PairId("sl_so", (4.0,)), "sl_so(4.0,)"),
+    (PairId("sl_so", (True,)), "sl_so(True,)"),
+    (PairId("sl_gl", (4, "1")), "sl_gl(4, '1')"),
+    (PairId("e6_f4", [1]), "e6_f4([1])"),
+])
+def test_catalog_parameter_types(pid, shown):
+    # parameters that are not a tuple of ints are an unsupported pair,
+    # caught before the count, and the pair still prints
+    with pytest.raises(UnsupportedPairError, match="tuple of int"):
         satake_of(pid)
     with pytest.raises(UnsupportedPairError):
         build_pair(pid)
@@ -467,6 +486,48 @@ def test_canonical_idempotent():
     for d in enumerate_valid_diagrams(6):
         d.validate()
         assert d.canonical() == d, d.serialize()
+
+
+def test_component_identification_is_pinned():
+    # every connected node subset of every standard component up to 8
+    # nodes, relabeled by a seeded permutation, its edges shuffled and
+    # flipped; the digest of (type, rank, all relabelings) was taken from
+    # the recognizer that worked types out from path orders, arm lengths,
+    # fork positions and arrow directions
+    rng = random.Random(1312)
+    sizes = {"A": range(1, 9), "B": range(2, 9), "C": range(2, 9),
+             "D": range(3, 9), "E": (6, 7, 8), "F": (4,), "G": (2,)}
+    records = []
+    for letter, ranks in sizes.items():
+        for r in ranks:
+            edges = diagram.component_edges(letter, r)
+            for k in range(1, r + 1):
+                for sub in itertools.combinations(range(1, r + 1), k):
+                    inside = [e for e in edges if e[0] in sub and e[1] in sub]
+                    if len(inside) != k - 1:  # a forest is a tree iff connected
+                        continue
+                    new = dict(zip(sub, rng.sample(range(1, 100), k)))
+                    raw = [(new[b], new[a], bond, tgt and new[tgt])
+                           if rng.random() < 0.5 else
+                           (new[a], new[b], bond, tgt and new[tgt])
+                           for a, b, bond, tgt in inside]
+                    rng.shuffle(raw)
+                    t, rank, maps = diagram._identify_component(
+                        sorted(new.values()), raw)
+                    records.append((t, rank, sorted(maps)))
+    assert len(records) == 605
+    assert connected_dynkin_types(8) == (
+        [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+        + [("C", n) for n in range(3, 9)] + [("D", n) for n in range(4, 9)]
+        + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+    graphs = [(t,) for t in connected_dynkin_types(8)]
+    graphs += [(("A", 2),) * 2, (("D", 4),) * 2, (("A", 1),) * 4,
+               (("E", 6), ("A", 1))]
+    autos = [sorted(diagram._diagram_automorphisms(diagram.DynkinGraph(g)))
+             for g in graphs]
+    text = repr((records, autos))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7ad02357d7295cdb3b231cc7798fa316048759f2f70cbebc1649e4c8cda30cdf")
 
 
 # ----------------------------------------------------------------------
