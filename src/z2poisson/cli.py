@@ -72,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random seed (env Z2C_SEED overrides the default 1)")
     v.add_argument("--format", choices=("json", "markdown"), default="json")
     v.add_argument("--out", help="directory for report files")
-    v.add_argument("--exact", action="store_true", default=None,
-                   help="re-derive genericity-dependent results symbolically "
-                        "(summary only)")
 
     b = sub.add_parser("bracket", help="Poisson bracket of two polynomials")
     b.add_argument("f")
@@ -183,7 +180,6 @@ SUITE_FLAGS = {
     "max_nodes": ("main", 6),
     "samples": ("dimstab", 20),
     "degree_bound": ("nreg", 4),
-    "exact": ("summary", False),
 }
 
 

@@ -320,50 +320,58 @@ def _identify_component(nodes: list[int], edges: Sequence[Edge]):
     """Type a connected decorated subgraph and list all relabelings onto the
     standard component (template position -> original node).  The type is
     the first letter in ``ABCDEFG`` whose template maps onto the subgraph,
-    so A3 wins over D3 and B2 over C2.  Both are trees of the same edge
-    shape, so the search places the template positions in breadth-first
-    order, each on an unused neighbor of its parent's image with the same
-    degree, bond and arrow target, and backtracks on an explicit stack."""
+    so A3 wins over D3 and B2 over C2."""
     n = len(nodes)
     adj, shape = _edge_index(nodes, edges)
     for letter in "ABCDEFG":
         if not _MIN_RANK[letter] <= n <= _MAX_RANK.get(letter, n):
             continue
-        tadj, tshape = _edge_index(range(1, n + 1), component_edges(letter, n))
-        if tshape != shape:
-            continue
-        # each later position's parent, and the bond and arrow target between
-        order, parent = [1], {1: (0, 0, None)}
-        for p in order:
-            for q, bond, tgt in tadj[p]:
-                if q not in parent:
-                    parent[q] = (p, bond, tgt)
-                    order.append(q)
-        maps: list[tuple[int, ...]] = []
-        image: dict[int, int] = {}  # template position -> node
-        used: set[int] = set()
-        stack = [[v for v in nodes if len(adj[v]) == len(tadj[1])]]
-        while stack:
-            p = order[len(stack) - 1]
-            used.discard(image.pop(p, None))
-            if not stack[-1]:
-                stack.pop()
-                continue
-            image[p] = v = stack[-1].pop()
-            used.add(v)
-            if len(stack) == n:
-                maps.append(tuple(image[q] for q in range(1, n + 1)))
-                continue
-            q = order[len(stack)]
-            par, bond, tgt = parent[q]
-            src = image[par]
-            # tgt is None, par or q
-            stack.append([
-                u for u, b, t in adj[src] if u not in used and len(adj[u]) == len(tadj[q])
-                and b == bond and t == (tgt and (u if tgt == q else src))])
+        maps = _template_maps(letter, nodes, adj, shape)
         if maps:
             return letter, n, maps
     raise DiagramValidationError("unrecognized component")
+
+
+def _template_maps(letter: str, nodes: list[int], adj, shape) -> list[tuple[int, ...]]:
+    """Every relabeling of the ``letter`` template onto a connected subgraph
+    given by its ``_edge_index``.  Templates are trees, so once the edge
+    shapes agree the search places the template positions in breadth-first
+    order, each on an unused neighbor of its parent's image with the same
+    degree, bond and arrow target, and backtracks on an explicit stack."""
+    n = len(nodes)
+    tadj, tshape = _edge_index(range(1, n + 1), component_edges(letter, n))
+    if tshape != shape:
+        return []
+    # each later position's parent, and the bond and arrow target between
+    order, parent = [1], {1: (0, 0, None)}
+    for p in order:
+        for q, bond, tgt in tadj[p]:
+            if q not in parent:
+                parent[q] = (p, bond, tgt)
+                order.append(q)
+    maps: list[tuple[int, ...]] = []
+    image: dict[int, int] = {}  # template position -> node
+    used: set[int] = set()
+    stack = [[v for v in nodes if len(adj[v]) == len(tadj[1])]]
+    while stack:
+        p = order[len(stack) - 1]
+        used.discard(image.pop(p, None))
+        if not stack[-1]:
+            stack.pop()
+            continue
+        image[p] = v = stack[-1].pop()
+        used.add(v)
+        if len(stack) == n:
+            maps.append(tuple(image[q] for q in range(1, n + 1)))
+            continue
+        q = order[len(stack)]
+        par, bond, tgt = parent[q]
+        src = image[par]
+        # tgt is None, par or q
+        stack.append([
+            u for u, b, t in adj[src] if u not in used and len(adj[u]) == len(tadj[q])
+            and b == bond and t == (tgt and (u if tgt == q else src))])
+    return maps
 
 
 def _components(nodes, pairs) -> list[list[int]]:
@@ -943,8 +951,8 @@ def _diagram_automorphisms(graph: DynkinGraph) -> list[tuple[int, ...]]:
     relabelings onto itself.  An element ``g`` puts the 0-based node
     ``g[p]`` at position ``p``."""
     comps, offsets = graph.components, graph.offsets()
-    own = [_identify_component(list(range(1, r + 1)),
-                               list(component_edges(letter, r)))[2]
+    own = [_template_maps(letter, list(range(1, r + 1)),
+                          *_edge_index(range(1, r + 1), component_edges(letter, r)))
            for letter, r in comps]
     blocks = [list(g) for _, g in itertools.groupby(range(len(comps)),
                                                    key=comps.__getitem__)]

@@ -25,13 +25,15 @@ class InvariantSet:
     degrees; ``meta`` holds the facts reported beside them."""
 
     def __init__(self, algebra: LieAlgebra, polys: list[Poly],
-                 verified_central: list[bool], degrees: list[int],
-                 meta: dict | None = None):
+                 verified_central: list[bool], meta: dict):
         self.algebra = algebra
         self.polys = polys
         self.verified_central = verified_central
-        self.degrees = degrees
-        self.meta = {} if meta is None else meta
+        self.meta = meta
+
+    @property
+    def degrees(self) -> list[int]:
+        return [p.degree() for p in self.polys]
 
     def to_json(self) -> dict:
         return {
@@ -166,8 +168,7 @@ def classical_invariants(real: MatrixRealization | PairRealization) -> Invariant
     flags = [verify_central(alg, p) for p in polys]
     if not all(flags):
         raise AssertionError("classical invariant failed the centrality check")
-    return InvariantSet(alg, polys, flags, [p.degree() for p in polys],
-                        meta={"kind": kind})
+    return InvariantSet(alg, polys, flags, meta={"kind": kind})
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +275,7 @@ def contraction_invariants(pr: PairRealization, seed: int = 1,
         "sample_point": [str(c) for c in (best_point or [])],
         "full": best_rank == len(tops) == pr.rank_g,
     }
-    return InvariantSet(k, tops, flags, [p.degree() for p in tops], meta)
+    return InvariantSet(k, tops, flags, meta)
 
 
 def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
@@ -316,7 +317,6 @@ def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
         raise AssertionError("selected generators fail to commute")
     flags = [verify_central(k, p, pr.grading.odd_idx) for p in selected]
     return InvariantSet(k, selected, flags,
-                        [p.degree() for p in selected],
                         meta={"certified_rank": current, "m": m, "b": target,
                               "commuting": ok, "seed": seed,
                               "count": len(selected)})

@@ -408,10 +408,6 @@ def is_zero_mat(a: Mat) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def identity(n: int) -> Mat:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def invert(a: Mat) -> Mat:
     """Exact inverse of a nonsingular rational matrix."""
     n = len(a)
@@ -420,41 +416,3 @@ def invert(a: Mat) -> Mat:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [[row.get(n + j, Q(0)) for j in range(n)] for row in red]
-
-
-def min_poly_squarefree(a: Mat) -> bool:
-    """Whether the minimal polynomial of a rational matrix is squarefree,
-    i.e. whether the matrix is semisimple (diagonalizable over the closure)."""
-    n = len(a)
-    powers = [identity(n)]
-    for _ in range(n):
-        powers.append(mat_mul(powers[-1], a))
-    # columns vec(I), vec(a), ..., vec(a^n): the powers below the degree of
-    # the minimal polynomial are the pivots, so the first kernel vector is
-    # zero at every later power and holds the monic minimal polynomial
-    rows = [{k: p[i][j] for k, p in enumerate(powers)}
-            for i in range(n) for j in range(n)]
-    v = kernel(rows, range(n + 1))[0]
-    p = [v.get(k, Q(0)) for k in range(max(v) + 1)]
-    dp = [p[i] * i for i in range(1, len(p))]
-    return _poly1_gcd_degree(p, dp) == 0
-
-
-def _poly1_trim(p: list[Q]) -> list[Q]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly1_gcd_degree(p: list[Q], q: list[Q]) -> int:
-    p, q = _poly1_trim(p[:]), _poly1_trim(q[:])
-    while q:
-        # remainder of p by q
-        while len(p) >= len(q) and p:
-            f = p[-1] / q[-1]
-            shift = len(p) - len(q)
-            for i, c in enumerate(q):
-                p[i + shift] -= f * c
-            _poly1_trim(p)
-        p, q = q, p
-    return len(p) - 1 if p else -1

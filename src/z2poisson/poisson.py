@@ -150,12 +150,11 @@ class ShiftFamily:
     ``(generator position, power of the shift, component)``."""
 
     def __init__(self, algebra: LieAlgebra, direction: tuple[Q, ...],
-                 generators: list[Poly],
-                 components: list[tuple[int, int, Poly]] | None = None):
+                 generators: list[Poly]):
         self.algebra = algebra
         self.direction = direction
         self.generators = generators
-        self.components = [] if components is None else components
+        self.components: list[tuple[int, int, Poly]] = []
 
     def polys(self) -> list[Poly]:
         return [p for _, _, p in self.components]

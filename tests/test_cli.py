@@ -224,13 +224,15 @@ def test_classify_canonical_budget_exit(capsys):
 
 
 def test_flags_only_where_read(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bracket", "--pair", "sl2,so2", "--exact", "u", "v"])
-    assert exc.value.code == 2
+    for argv in (["bracket", "--pair", "sl2,so2", "--exact", "u", "v"],
+                 ["verify", "--suite", "summary", "--pair", "sl2,so2", "--exact"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --exact" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, flag, suite", [
-    (["--suite", "main", "--max-nodes", "2", "--exact"], "--exact", "main"),
     (["--suite", "summary", "--pair", "sl2,so2", "--samples", "3"],
      "--samples", "summary"),
     (["--suite", "main", "--max-nodes", "2", "--degree-bound", "2"],
@@ -239,7 +241,7 @@ def test_flags_only_where_read(capsys):
      "--max-nodes", "nreg"),
     (["--suite", "main", "--max-nodes", "2", "--pair", "sl2,so2"],
      "--pair", "main"),
-], ids=["exact", "samples", "degree-bound", "max-nodes", "pair"])
+], ids=["samples", "degree-bound", "max-nodes", "pair"])
 def test_verify_rejects_flags_of_other_suites(flags, flag, suite, capsys):
     code, out, err = run(["verify"] + flags, capsys)
     assert code == 2 and out == ""
@@ -270,8 +272,21 @@ def test_verify_suite_flags_keep_their_defaults(capsys, monkeypatch):
         "main": {"seed": 1, "max_nodes": 6},
         "dimstab": {"seed": 1, "samples": 20, "pair": sl2},
         "nreg": {"seed": 1, "degree_bound": 4, "pair": sl2},
-        "summary": {"seed": 1, "exact": False, "pair": sl2},
+        "summary": {"seed": 1, "pair": sl2},
     }
+
+
+def test_library_suites_default_like_the_cli(capsys, monkeypatch):
+    # the nreg degree bound changes the report on small pairs: the library
+    # default must be the CLI's
+    from z2poisson.analysis import report_to_json_text, verify_nreg
+    from z2poisson.diagram import parse_pair_name
+    monkeypatch.delenv("Z2C_SEED", raising=False)
+    code, out, _ = run(["verify", "--suite", "nreg", "--pair", "sl2+sl2,diag"],
+                       capsys)
+    assert code == 0
+    assert out == report_to_json_text(verify_nreg(parse_pair_name("sl2+sl2,diag")))
+    assert "up to degree 4" in out
 
 
 @pytest.mark.parametrize("xi", ["0,1/0,0", "0,x,0"])

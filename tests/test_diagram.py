@@ -530,6 +530,32 @@ def test_component_identification_is_pinned():
         "7ad02357d7295cdb3b231cc7798fa316048759f2f70cbebc1649e4c8cda30cdf")
 
 
+def test_diagram_automorphisms_are_automorphisms():
+    # C2 and D3 are graphs of their own even though they identify as B2 and
+    # A3; each component's maps come from its own template
+    graphs = [((letter, r),) for letter in "ABCDEFG"
+              for r in range(diagram._MIN_RANK[letter],
+                             min(diagram._MAX_RANK.get(letter, 8), 8) + 1)]
+    graphs += [(("A", 2),) * 2, (("D", 4),) * 2]
+    for comps in graphs:
+        graph = diagram.DynkinGraph(comps)
+        edges = {(frozenset(e[:2]), e[2], e[3]) for e in graph.edges()}
+        maps = diagram._diagram_automorphisms(graph)
+        assert tuple(range(graph.n_nodes)) in maps, comps
+        assert len(set(maps)) == len(maps), comps
+        for g in maps:
+            pos = {v + 1: p for p, v in enumerate(g, start=1)}
+            moved = {(frozenset((pos[a], pos[b])), bond, tgt and pos[tgt])
+                     for a, b, bond, tgt in graph.edges()}
+            assert moved == edges, (comps, g)
+    autos = lambda *comps: sorted(diagram._diagram_automorphisms(
+        diagram.DynkinGraph(comps)))
+    assert autos(("C", 2)) == [(0, 1)]
+    assert autos(("D", 3)) == [(0, 1, 2), (0, 2, 1)]
+    assert len(autos(("A", 2), ("A", 2))) == 8
+    assert len(autos(("D", 4), ("D", 4))) == 72
+
+
 # ----------------------------------------------------------------------
 # enumeration
 # ----------------------------------------------------------------------

@@ -12,8 +12,10 @@ from z2poisson import (AlgebraValidationError, LieAlgebra, PairId,
                        index, is_regular, linalg, matrix_algebra, satake_of,
                        stabilizer)
 from z2poisson.linalg import ColumnSolver
-from z2poisson.structure import (algebra_from_matrices, centralizer_of_cartan,
-                                 sample_covector, subalgebra)
+from z2poisson.poly import Poly
+from z2poisson.structure import (_check_cartan, algebra_from_matrices,
+                                 centralizer_of_cartan, sample_covector,
+                                 subalgebra)
 
 SUPPORTED = ["sl2,so2", "sl3,so3", "sl3,gl2", "sl4,sp4", "so5,so4",
              "sp4,sp2+sp2", "sl2+sl2,diag", "sl3+sl3,diag"]
@@ -390,9 +392,51 @@ def test_regular_stabilizer_index(pair):
         assert rep["ind_g0z"] == ind_g0z
 
 
-def test_regular_stabilizer_index_exact_mode(pair):
-    rep = check_regular_stabilizer_index(pair("sl2+sl2,diag"), seed=3, exact=True)
-    assert rep["symbolic_dim_g1z"] == rep["dim_g1z"]
+def _symbolic_odd_centralizer_dim(pr):
+    """Generic dimension of g1^z for z in the Cartan subspace: dim g1 minus
+    the rank of ad(z) on g1, with z's Cartan coefficients as variables."""
+    r = len(pr.cartan_subspace)
+    cols = list(pr.grading.odd_idx)
+    rows = [[Poly.zero(r) for _ in cols] for _ in range(pr.g.dim)]
+    for t, vec in enumerate(pr.cartan_subspace):
+        ad = pr.g.ad_matrix(vec)
+        for i, row in enumerate(rows):
+            for jj, j in enumerate(cols):
+                if ad[i][j] != 0:
+                    row[jj] = row[jj] + Poly.var(r, t, ad[i][j])
+    return len(cols) - linalg.poly_rank(rows)
+
+
+def test_odd_centralizer_certificate_matches_symbolic_reference(pair):
+    # the Cartan certificate makes the sampled dim g1^z exact: the symbolic
+    # rank over the Cartan coefficients gives the same number
+    for name in SUPPORTED + ["sl4,so4", "sp6,gl3", "so7,so3+so4",
+                             "sl4+sl4,diag", "sl5,so5"]:
+        pr = pair(name)
+        rep = check_regular_stabilizer_index(pr, seed=3)
+        assert _symbolic_odd_centralizer_dim(pr) == pr.rank_pair == rep["dim_g1z"], name
+
+
+def _cartan_mutant(pr, *groups):
+    """The matrices, grading and Satake diagram of ``pr`` with a Cartan
+    subspace of one vector per group of labels (the sum of those basis
+    vectors)."""
+    vecs = [[Q(sum(pr.g.labels[i] == lab for lab in group)) for i in range(pr.g.dim)]
+            for group in groups]
+    return pr.realization.matrices, pr.grading, vecs, pr.satake
+
+
+@pytest.mark.parametrize("name, groups, message", [
+    ("sl3,so3", [["v1"]], "does not match the diagram rank"),
+    ("sl3,so3", [["v1", "u1_2"], ["v2"]], "leaves the odd eigenspace"),
+    ("sl4,so4", [["v1"], ["v1"], ["v3"]], "linearly dependent"),
+    ("sl3,so3", [["v1"], ["w1_2"]], "do not commute"),
+    ("sl3,gl2", [["b1_3"]], "not a normal matrix"),
+], ids=["count", "even-component", "repeated", "noncommuting", "nilpotent"])
+def test_check_cartan_rejects(pair, name, groups, message):
+    pr = pair(name)
+    with pytest.raises(ValueError, match=message):
+        _check_cartan(*_cartan_mutant(pr, *groups))
 
 
 # ----------------------------------------------------------------------
