@@ -10,15 +10,14 @@ from .invariants import (InvariantSet, classical_invariants,
                          contraction_invariants, noncommutativity_witness,
                          nreg_subalgebra, top_component)
 from .poisson import (ShiftFamily, certified_index, jacobian_rank_at, mf_family,
-                      pairwise_commuting, poisson_bracket,
-                      regularity_via_differentials, shift, trdeg_lower_bound,
-                      verify_central)
+                      pairwise_commuting, poisson_bracket, shift,
+                      trdeg_lower_bound, verify_central)
 from .poly import Poly
 from .structure import (LieAlgebra, MatrixRealization, PairRealization,
                         Z2Grading, b_value, build_pair,
-                        check_regular_stabilizer_index, coadjoint_check,
-                        contract, graded_centralizer, index, is_regular,
-                        matrix_algebra, stabilizer)
+                        check_regular_stabilizer_index, contract,
+                        graded_centralizer, index, is_regular, matrix_algebra,
+                        stabilizer)
 
 __version__ = "0.1.0"
 
@@ -30,10 +29,9 @@ __all__ = [
     "SatakeDiagram", "ShiftFamily", "UnsupportedPairError", "Z2Grading",
     "Z2PoissonError", "b_value", "build_pair", "certified_index",
     "check_regular_stabilizer_index", "classical_invariants", "classify",
-    "coadjoint_check", "contract", "contraction_invariants",
-    "graded_centralizer", "index", "is_regular", "jacobian_rank_at",
-    "matrix_algebra", "mf_family", "noncommutativity_witness",
-    "nreg_subalgebra", "pairwise_commuting", "parse_pair_name", "parse_satake",
-    "poisson_bracket", "regularity_via_differentials", "satake_of", "shift",
+    "contract", "contraction_invariants", "graded_centralizer", "index",
+    "is_regular", "jacobian_rank_at", "matrix_algebra", "mf_family",
+    "noncommutativity_witness", "nreg_subalgebra", "pairwise_commuting",
+    "parse_pair_name", "parse_satake", "poisson_bracket", "satake_of", "shift",
     "stabilizer", "top_component", "trdeg_lower_bound", "verify_central",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -316,15 +317,30 @@ def _edge_index(nodes: Iterable[int], edges: Sequence[Edge]):
     return adj, shape
 
 
+def _counts(edges: Sequence[Edge]) -> tuple:
+    """The edge count, how many nodes have each degree and how many edges
+    have each bond: a template whose counts differ cannot map onto the
+    graph."""
+    degree = Counter(map(itemgetter(0), edges))
+    degree.update(map(itemgetter(1), edges))
+    return (len(edges), sorted(Counter(degree.values()).items()),
+            sorted(Counter(map(itemgetter(2), edges)).items()))
+
+
 def _identify_component(nodes: list[int], edges: Sequence[Edge]):
     """Type a connected decorated subgraph and list all relabelings onto the
     standard component (template position -> original node).  The type is
     the first letter in ``ABCDEFG`` whose template maps onto the subgraph,
-    so A3 wins over D3 and B2 over C2."""
+    so A3 wins over D3 and B2 over C2.  A letter whose template has other
+    node, edge, degree or bond counts is rejected before its index is
+    built."""
     n = len(nodes)
     adj, shape = _edge_index(nodes, edges)
+    counts = _counts(edges)
     for letter in "ABCDEFG":
         if not _MIN_RANK[letter] <= n <= _MAX_RANK.get(letter, n):
+            continue
+        if _counts(component_edges(letter, n)) != counts:
             continue
         maps = _template_maps(letter, nodes, adj, shape)
         if maps:

@@ -137,15 +137,57 @@ def _dual_matrices(mats) -> list[list[list[Q]]]:
     return dual
 
 
+def _certify_equivariant(real: MatrixRealization, duals) -> None:
+    """Raise ``AssertionError`` unless ``X(xi) = sum_k xi_k D_k`` is
+    equivariant: ``sum_j c_ij^k D_j + [B_i, D_k] = 0`` for all i and k, with
+    ``{x_i, x_j} = sum_k c_ij^k x_k`` and B_i the matrix of e_i.  Then
+    ``{x_i, P(X)} = dP_X(-[B_i, X]) = 0`` for every conjugation-invariant P.
+    The Pfaffian of F X is only so(F)-invariant, so every ``F B_i`` must be
+    antisymmetric, with F a symmetric involution (F = I without a form); for
+    ``diag_*`` every B_i must be block diagonal, so that each block's
+    coefficients stay invariant."""
+    mats, kind, half, f = real.matrices, real.kind, real.size, real.form
+    if f is not None and (f != [list(col) for col in zip(*f)] or linalg.mat_mul(f, f)
+                          != [[int(a == b) for b in range(len(f))] for a in range(len(f))]):
+        raise AssertionError("form is not a symmetric involution")
+    if kind in ("so", "so_split", "diag_so"):
+        for m in mats if f is None else (linalg.mat_mul(f, m) for m in mats):
+            if any(m[a][b] != -m[b][a] for a in range(len(m)) for b in range(a + 1)):
+                raise AssertionError("basis matrix is not antisymmetric under the form")
+    if kind.startswith("diag_") and any(x and (a < half) != (b < half) for m in mats
+                                        for a, row in enumerate(m) for b, x in enumerate(row)):
+        raise AssertionError("basis matrix leaves the diagonal blocks")
+    # sparse rows of (column, value); the duals scaled to integers by den
+    den = lcm(1, *(x.denominator for m in duals for row in m for x in row))
+    d_rows = [[[(b, int(x * den)) for b, x in enumerate(row) if x] for row in m] for m in duals]
+    b_rows = [[[(b, x) for b, x in enumerate(row) if x] for row in m] for m in mats]
+    ident = [[(a, 1)] for a in range(len(mats[0]))]
+    for i, row in enumerate(real.algebra.bracket_rows):
+        acc = [{} for _ in duals]       # den * (sum_j c_ij^k D_j + [B_i, D_k])
+        terms = [(acc[k], sign * c, ident, d_rows[j])
+                 for j, sign, entry in row for k, c in entry.items()]
+        for k, dk in enumerate(d_rows):
+            terms += [(acc[k], 1, b_rows[i], dk), (acc[k], -1, dk, b_rows[i])]
+        for out, s, left, right in terms:   # out += s * left * right
+            for a, l_row in enumerate(left):
+                for b, x in l_row:
+                    for c, y in right[b]:
+                        out[a, c] = out.get((a, c), 0) + s * x * y
+        if any(v for out in acc for v in out.values()):
+            raise AssertionError("generic element is not equivariant")
+
+
 def classical_invariants(real: MatrixRealization | PairRealization) -> InvariantSet:
     """Free generators of the invariant algebra of the matrix algebra:
     characteristic coefficients, plus the Pfaffian for even orthogonal types.
-    All generators are verified central symbolically."""
+    All generators are certified central by the linear equivariance check
+    ``_certify_equivariant``; none is bracketed."""
     if isinstance(real, PairRealization):
         real = real.realization
     alg = real.algebra
     nvars = alg.dim
     mats = _dual_matrices(real.matrices)
+    _certify_equivariant(real, mats)
     size = len(mats[0])
     kind = real.kind
     if kind.startswith("diag_"):
@@ -165,10 +207,7 @@ def classical_invariants(real: MatrixRealization | PairRealization) -> Invariant
         x = _generic_matrix(mats, nvars, range(size), range(size))
         polys = _kind_generators(kind, x)
 
-    flags = [verify_central(alg, p) for p in polys]
-    if not all(flags):
-        raise AssertionError("classical invariant failed the centrality check")
-    return InvariantSet(alg, polys, flags, meta={"kind": kind})
+    return InvariantSet(alg, polys, [True] * len(polys), meta={"kind": kind})
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +297,10 @@ def contraction_invariants(pr: PairRealization, seed: int = 1,
     elimination when that certificate does not close."""
     inv_g = classical_invariants(pr)
     k = pr.contraction
-    tops = _weight_echelon_tops(inv_g.polys, pr.grading)
+    # the products run on integers: scaling each invariant keeps every row
+    # span, so the reduced rows, and the tops, stay the same
+    tops = _weight_echelon_tops([Poly(p.nvars, linalg._primitive(p.terms))
+                                 for p in inv_g.polys], pr.grading)
     flags = [verify_central(k, p) for p in tops]
     if not all(flags):
         raise AssertionError("top component is not central in the contraction")

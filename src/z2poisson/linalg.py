@@ -24,7 +24,7 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 
 from .errors import BudgetError
-from .poly import TERM_BUDGET, Poly, coeff_num
+from .poly import TERM_BUDGET, Poly
 
 Mat = list[list[Q]]
 Row = dict[int, Q]
@@ -129,9 +129,10 @@ class ColumnSolver:
     """Solves ``B x = b`` for a fixed column basis B, exactly.
 
     Precomputes the row-reduction of B applied to an identity block so each
-    solve is a sparse matrix-vector product plus a consistency check.  The
-    stored operator entries are ``int`` wherever they are integral, so an
-    integer basis and an integer b solve on ints.
+    solve is a sparse matrix-vector product plus a consistency check.  Each
+    operator row is stored as ``int`` entries, scaled by the lcm of its
+    denominators (``dens``), so an integer b solves on ints and each
+    coordinate is divided by its row's scale once, at the end.
     """
 
     def __init__(self, columns: list[list[Q]]):
@@ -147,9 +148,11 @@ class ColumnSolver:
         if len(bpiv) != self.ncols:
             raise ValueError("columns are not linearly independent")
         self.pivots = bpiv
-        self.ops = [{k - self.ncols: coeff_num(x) for k, x in row.items()
-                     if k >= self.ncols}
-                    for row in red]
+        ops = [{k - self.ncols: x for k, x in row.items() if k >= self.ncols}
+               for row in red]
+        self.dens = [lcm(1, *(x.denominator for x in op.values())) for op in ops]
+        self.ops = [{i: int(x * d) for i, x in op.items()}
+                    for op, d in zip(ops, self.dens)]
 
     def solve(self, b: list[Q]) -> list[Q] | None:
         """Coordinates of b in the column basis, or None if b is outside."""
@@ -158,7 +161,8 @@ class ColumnSolver:
              for op in self.ops]
         x = [0] * self.ncols
         for r, c in enumerate(self.pivots):
-            x[c] = y[r]
+            d = self.dens[r]
+            x[c] = y[r] if d == 1 else Q(y[r], d)
         for r in range(self.ncols, self.nrows):
             if y[r] != 0:
                 return None

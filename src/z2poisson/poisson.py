@@ -6,14 +6,16 @@ algebra.  The bracket is the unique biderivation extending the structure
 constants; shifting an argument expands f(mu + a*xi) exactly and collects
 the coefficients of the powers of a.
 
-One route each: brackets go through ``bracket_with_coordinate``, centrality
-through ``verify_central``, and the index that central polynomials certify
-through ``certified_index``.
+One route each: brackets go through ``bracket_with_coordinate``, the
+centrality of a polynomial through ``verify_central``, and the index that
+central polynomials certify through ``certified_index``.  The classical
+invariants of g are the one exception: ``invariants.classical_invariants``
+certifies them by a linear equivariance check of the generic matrix, and
+``verify_central`` is the test oracle for that certificate.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction as Q
 from math import lcm, prod
 from operator import add as _add
@@ -21,7 +23,7 @@ from operator import add as _add
 from . import linalg
 from .errors import BudgetError
 from .poly import TERM_BUDGET, Poly
-from .structure import LieAlgebra, index, sample_covector, stabilizer
+from .structure import LieAlgebra, index, stabilizer
 
 BRACKET_DEGREE_BUDGET = 10_000
 
@@ -238,33 +240,3 @@ def certified_index(q: LieAlgebra, central: list[Poly], points):
         return rank, rank, point
     return index(q), rank, point
 
-
-def regularity_via_differentials(q: LieAlgebra, free_gens: list[Poly], xi) -> bool:
-    """Regularity test through the differentials of a free generating set of
-    the Poisson centre: xi is regular iff the differentials at xi are
-    linearly independent.
-
-    Preconditions (asserted): the generators are central, there are
-    index-many of them, their degrees sum to b(q), and they are
-    algebraically independent.  The index comes from the generators' own
-    certificate (``certified_index``).  The verdict is cross-checked against
-    the Kirillov-kernel notion of regularity.
-    """
-    if not all(verify_central(q, g) for g in free_gens):
-        raise ValueError("generator is not central")
-    rng = random.Random(7)
-    points = (sample_covector(q.dim, rng, bound=997) for _ in range(12))
-    l, rank, _ = certified_index(q, free_gens, points)
-    if len(free_gens) != l:
-        raise ValueError(f"need index-many generators: got {len(free_gens)}, want {l}")
-    total = sum(p.degree() for p in free_gens)
-    b = Q(q.dim + l, 2)
-    if total != b:
-        raise ValueError(f"degree sum {total} does not match b = {b}")
-    if rank < l:
-        raise ValueError("generators are not algebraically independent")
-    verdict = jacobian_rank_at(free_gens, xi) == l
-    if verdict != (len(stabilizer(q, xi)) == l):
-        raise AssertionError(
-            "differential criterion disagrees with the Kirillov-kernel test")
-    return verdict

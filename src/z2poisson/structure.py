@@ -808,44 +808,3 @@ def check_regular_stabilizer_index(pr: PairRealization, seed: int = 1) -> dict:
     raise GenericityError(
         "no generic Cartan point found within the attempt budget")
 
-
-def coadjoint_check(pr: PairRealization) -> bool:
-    """Verifies on every basis pair that the coadjoint action of the
-    contraction, computed from structure constants, matches the block
-    formula obtained by identifying each eigenspace with its dual through
-    the trace form.
-
-    Convention: (x * xi)(y) = <xi, [y, x]>.
-    """
-    k = pr.contraction
-    mats = pr.realization.matrices
-    dim = k.dim
-    tform = [[linalg.trace_pair(mats[i], mats[j]) for j in range(dim)]
-             for i in range(dim)]
-    try:
-        tinv = linalg.invert(tform)
-    except ValueError:
-        raise ValueError("trace form is degenerate") from None
-    parity = pr.grading.parity()
-    even = set(pr.grading.even_idx)
-    for m in range(dim):
-        # xi = m-th dual basis vector; its trace-form partner as a matrix
-        coeffs = [tinv[j][m] for j in range(dim)]
-        big = [[sum(coeffs[t] * mats[t][i][j] for t in range(dim) if coeffs[t] != 0)
-                for j in range(len(mats[0]))] for i in range(len(mats[0]))]
-        big_even = [[sum(coeffs[t] * mats[t][i][j] for t in range(dim)
-                         if coeffs[t] != 0 and t in even)
-                     for j in range(len(mats[0]))] for i in range(len(mats[0]))]
-        big_odd = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(big, big_even)]
-        for a in range(dim):
-            if parity[a] == 0:
-                eta = linalg.commutator(mats[a], big)
-            else:
-                eta = linalg.commutator(mats[a], big_odd)
-            rhs = [linalg.trace_pair(eta, mats[l]) for l in range(dim)]
-            lhs = [Q(0)] * dim
-            for l in range(dim):
-                lhs[l] = k.bracket_basis(l, a).get(m, Q(0))
-            if lhs != rhs:
-                return False
-    return True

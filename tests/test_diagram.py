@@ -530,6 +530,27 @@ def test_component_identification_is_pinned():
         "7ad02357d7295cdb3b231cc7798fa316048759f2f70cbebc1649e4c8cda30cdf")
 
 
+def test_identify_component_indexes_only_letters_with_matching_counts(monkeypatch):
+    # A, B and C share D's node count but not its degree or bond counts, so
+    # only the subgraph and the D template get an edge index; B and C differ
+    # only in the arrow, so C is reached through B's index
+    calls = []
+    raw = diagram._edge_index
+
+    def counted(*args):
+        calls.append(1)
+        return raw(*args)
+
+    monkeypatch.setattr(diagram, "_edge_index", counted)
+    for letter, n, indexes in [("D", 2000, 2), ("C", 9, 3), ("A", 7, 2), ("G", 2, 2)]:
+        calls.clear()
+        got, rank, maps = diagram._identify_component(
+            list(range(1, n + 1)), diagram.component_edges(letter, n))
+        assert (got, rank, len(calls)) == (letter, n, indexes)
+        assert tuple(range(1, n + 1)) in maps
+
+
+
 def test_diagram_automorphisms_are_automorphisms():
     # C2 and D3 are graphs of their own even though they identify as B2 and
     # A3; each component's maps come from its own template

@@ -49,6 +49,76 @@ def test_classical_count_is_rank(pair):
         assert sum(inv.degrees) == Q(pr.g.dim + pr.rank_g, 2)
 
 
+def _oracle_realizations(pair):
+    # every orthogonal kind: so_split (so8,gl4) and diag_so (so5+so5,diag)
+    for name in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS + ["so8,gl4", "so5+so5,diag"]):
+        yield name, pair(name)
+    for name, n in [("sl", 3), ("so", 4), ("so", 5), ("sp", 4)]:
+        yield f"{name}{n}", matrix_algebra(name, n)
+
+
+def test_equivariance_certificate_agrees_with_symbolic_brackets(pair):
+    # the oracle: every certified invariant is central by coordinate brackets
+    for name, real in _oracle_realizations(pair):
+        inv = classical_invariants(real)
+        assert inv.verified_central == [True] * len(inv.polys), name
+        for f in inv.polys:
+            assert verify_central(inv.algebra, f), name
+
+
+def test_classical_invariants_take_no_bracket(pair, monkeypatch):
+    calls = []
+    raw = poisson.bracket_with_coordinate
+
+    def counted(*args):
+        calls.append(1)
+        return raw(*args)
+
+    monkeypatch.setattr(poisson, "bracket_with_coordinate", counted)
+    monkeypatch.setattr(invariants, "bracket_with_coordinate", counted)
+    for name, real in _oracle_realizations(pair):
+        classical_invariants(real)
+    assert calls == []
+    verify_central(pair("sl3,so3").g, P.parse("u1_2", pair("sl3,so3").g.labels))
+    assert calls                          # the counter does see brackets
+
+
+@pytest.mark.parametrize("name", ["sl3,so3", "sp4,gl2", "so5,so4", "sl3+sl3,diag",
+                                  "so8,gl4"])
+def test_equivariance_certificate_rejects_wrong_duals(name, pair):
+    real = pair(name).realization
+    duals = _dual_matrices(real.matrices)
+    invariants._certify_equivariant(real, duals)
+    perturbed = [[row[:] for row in m] for m in duals]
+    a, b = next((a, b) for a, row in enumerate(perturbed[0]) for b, x in enumerate(row) if x)
+    perturbed[0][a][b] += Q(1, 3)
+    swapped = list(duals)
+    swapped[0], swapped[-1] = swapped[-1], swapped[0]
+    for bad in (perturbed, swapped):
+        with pytest.raises(AssertionError, match="not equivariant"):
+            invariants._certify_equivariant(real, bad)
+
+
+def test_equivariance_certificate_rejects_wrong_form_or_blocks(pair):
+    from z2poisson.structure import MatrixRealization
+    real = pair("so8,gl4").realization
+    size = len(real.matrices[0])
+    plain = MatrixRealization(real.algebra, real.matrices, "so_split", size,
+                              form=[[int(a == b) for b in range(size)] for a in range(size)])
+    with pytest.raises(AssertionError, match="not antisymmetric"):
+        invariants._certify_equivariant(plain, _dual_matrices(real.matrices))
+    doubled = MatrixRealization(real.algebra, real.matrices, "so_split", size,
+                                form=[[2 * x for x in row] for row in real.form])
+    with pytest.raises(AssertionError, match="symmetric involution"):
+        invariants._certify_equivariant(doubled, _dual_matrices(real.matrices))
+    real = pair("sl3+sl3,diag").realization
+    mats = [[row[:] for row in m] for m in real.matrices]
+    mats[0][0][-1] = 1
+    leaky = MatrixRealization(real.algebra, mats, real.kind, real.size)
+    with pytest.raises(AssertionError, match="diagonal blocks"):
+        invariants._certify_equivariant(leaky, _dual_matrices(real.matrices))
+
+
 def test_sl2_casimir_value(pair):
     pr = pair("sl2,so2")
     inv = classical_invariants(pr)
@@ -270,6 +340,20 @@ def test_central_on_generating_set_matches_all_coordinates(pair):
                 assert not verify_central(q, planted), (name, i)
                 assert not verify_central(q, planted, everything), (name, i)
     assert verdicts == {True, False}
+
+
+def test_tops_from_integer_invariants_match_the_rational_route(pair):
+    # contraction_invariants multiplies primitive integer invariants; the
+    # row spans, so the reduced rows and the tops, are those of the
+    # invariants as classical_invariants returns them
+    for name in ["sl3,so3", "sl4,sp4", "so5,so4", "sp4,sp2+sp2", "sl3+sl3,diag",
+                 "sl5,gl3", "sp6,gl3"]:
+        pr = pair(name)
+        gens = classical_invariants(pr).polys
+        assert any(type(c) is Q for f in gens for c in f.terms.values()), name
+        want = _weight_echelon_tops(gens, pr.grading)
+        got = contraction_invariants(pr).polys
+        assert [f.terms for f in got] == [f.terms for f in want], name
 
 
 def test_top_component(pair):

@@ -7,8 +7,8 @@ import pytest
 from z2poisson import (BudgetError, LieAlgebra, Poly, b_value, certified_index,
                        contract, contraction_invariants, jacobian_rank_at,
                        mf_family, pairwise_commuting, poisson,
-                       poisson_bracket, regularity_via_differentials, shift,
-                       trdeg_lower_bound)
+                       poisson_bracket, shift, stabilizer, trdeg_lower_bound,
+                       verify_central)
 from z2poisson.invariants import classical_invariants
 from z2poisson.poisson import bracket_with_coordinate
 from z2poisson.structure import sample_covector
@@ -339,6 +339,37 @@ def test_certified_index(pair):
     assert certified_index(k, [gen], [[0, 0, 0], [0, 1, 0]]) == (1, 1, [0, 1, 0])
     # no positive rank: the elimination decides
     assert certified_index(k, [gen], [[0, 0, 0]]) == (1, 0, None)
+
+
+def regularity_via_differentials(q: LieAlgebra, free_gens: list[Poly], xi) -> bool:
+    """Regularity test through the differentials of a free generating set of
+    the Poisson centre: xi is regular iff the differentials at xi are
+    linearly independent.
+
+    Preconditions (asserted): the generators are central, there are
+    index-many of them, their degrees sum to b(q), and they are
+    algebraically independent.  The index comes from the generators' own
+    certificate (``certified_index``).  The verdict is cross-checked against
+    the Kirillov-kernel notion of regularity.
+    """
+    if not all(verify_central(q, g) for g in free_gens):
+        raise ValueError("generator is not central")
+    rng = random.Random(7)
+    points = (sample_covector(q.dim, rng, bound=997) for _ in range(12))
+    l, rank, _ = certified_index(q, free_gens, points)
+    if len(free_gens) != l:
+        raise ValueError(f"need index-many generators: got {len(free_gens)}, want {l}")
+    total = sum(p.degree() for p in free_gens)
+    b = Q(q.dim + l, 2)
+    if total != b:
+        raise ValueError(f"degree sum {total} does not match b = {b}")
+    if rank < l:
+        raise ValueError("generators are not algebraically independent")
+    verdict = jacobian_rank_at(free_gens, xi) == l
+    if verdict != (len(stabilizer(q, xi)) == l):
+        raise AssertionError(
+            "differential criterion disagrees with the Kirillov-kernel test")
+    return verdict
 
 
 def test_regularity_via_differentials(pair):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as Q
@@ -7,9 +8,9 @@ import pytest
 
 from z2poisson import (AlgebraValidationError, LieAlgebra, PairId,
                        UnsupportedPairError, Z2Grading, b_value, build_pair,
-                       check_regular_stabilizer_index, coadjoint_check,
-                       contract, contraction_invariants, graded_centralizer,
-                       index, is_regular, linalg, matrix_algebra, satake_of,
+                       check_regular_stabilizer_index, contract,
+                       contraction_invariants, graded_centralizer, index,
+                       is_regular, linalg, matrix_algebra, satake_of,
                        stabilizer)
 from z2poisson.linalg import ColumnSolver
 from z2poisson.poly import Poly
@@ -139,6 +140,19 @@ def test_structure_constants_match_dense_oracle():
         pr = build_pair(pid)
         assert pr.g.dim == dim, pid
         assert pr.g.sc == _dense_structure_constants(pr.realization.matrices), pid
+
+
+def test_column_solver_operators_are_integers(pair):
+    # the operator rows for E_ij -+ E_ji read (b_ij +- b_ji)/2: each row is
+    # scaled to integers and divided once per solve
+    for name in ["sl3,so3", "sl4,sp4", "sl3+sl3,diag"]:
+        mats = pair(name).realization.matrices
+        n = len(mats[0])
+        solver = ColumnSolver([[m[i][j] for i in range(n) for j in range(n)] for m in mats])
+        assert all(type(x) is int for op in solver.ops for x in op.values()), name
+        assert any(d != 1 for d in solver.dens), name
+        coords = solver.solve([2 * x for x in itertools.chain(*mats[-1])])
+        assert coords == [0] * (len(mats) - 1) + [2], name
 
 
 def _realization_digest(real, pr=None):
@@ -485,6 +499,39 @@ def test_r_type_labels_match_computed_centralizers(pair):
         assert label is not None, name
         assert _dim_from_label(label) == len(centralizer_of_cartan(pr)), \
             (name, label)
+
+
+def coadjoint_check(pr) -> bool:
+    """The trace-form equivariance oracle: on every basis pair, the coadjoint
+    action of the contraction, computed from structure constants, matches
+    the block formula obtained by identifying each eigenspace with its dual
+    through the trace form.
+
+    Convention: (x * xi)(y) = <xi, [y, x]>.
+    """
+    k = pr.contraction
+    mats = pr.realization.matrices
+    dim, size = k.dim, len(mats[0])
+    tinv = linalg.invert([[linalg.trace_pair(mats[i], mats[j]) for j in range(dim)]
+                          for i in range(dim)])
+    even = set(pr.grading.even_idx)
+
+    def partner(coeffs, keep):
+        return [[sum(coeffs[t] * mats[t][a][b] for t in range(dim) if coeffs[t] and keep(t))
+                 for b in range(size)] for a in range(size)]
+
+    for m in range(dim):
+        # xi = m-th dual basis vector; its trace-form partner as a matrix
+        coeffs = [tinv[j][m] for j in range(dim)]
+        big = partner(coeffs, lambda t: True)
+        big_odd = partner(coeffs, lambda t: t not in even)
+        for a in range(dim):
+            eta = linalg.commutator(mats[a], big if a in even else big_odd)
+            rhs = [linalg.trace_pair(eta, mats[l]) for l in range(dim)]
+            lhs = [k.bracket_basis(l, a).get(m, Q(0)) for l in range(dim)]
+            if lhs != rhs:
+                return False
+    return True
 
 
 def test_coadjoint_check(pair):
