@@ -116,15 +116,15 @@ def verify_summary(pair: PairId, seed: int = 1) -> VerificationReport:
     rep = VerificationReport("summary", str(pair), seed)
     pr = build_pair(pair)
     rk = pr.rank_g
-    inv = contraction_invariants(pr, seed=seed)
+    inv_g = classical_invariants(pr)
+    inv = contraction_invariants(pr, seed=seed, classical=inv_g)
     rep.add("index(k) = rk g", rk, inv.meta["index"])
     rep.add("b(k) = b(g)", Q(pr.g.dim + rk, 2), Q(inv.meta["b"]),
             note="b(g) from dim and rank")
     if pr.g.dim <= 10:
         rng = random.Random(seed)
         points = (sample_covector(pr.g.dim, rng) for _ in range(6))
-        ind_g, _, _ = certified_index(pr.g, classical_invariants(pr).polys,
-                                      points)
+        ind_g, _, _ = certified_index(pr.g, inv_g.polys, points)
         rep.add("index(g) = rk g", rk, ind_g)
     rep.add("central generator count", rk, inv.meta["count"])
     if inv.meta["full"]:
@@ -215,10 +215,11 @@ def verify_dim_stab(pair: PairId, samples: int = 20,
 
 
 def verify_nreg(pair: PairId, seed: int = 1,
-                degree_bound: int = 4) -> VerificationReport:
+                degree_bound: int | None = None) -> VerificationReport:
     """Construction of the abelian-ideal invariant subalgebra for a pair
     with no black nodes: generator count, certified rank, and absence of a
-    noncommutativity witness up to the degree bound."""
+    noncommutativity witness up to the degree bound (by default 4 if
+    dim g <= 8, else 2)."""
     rep = VerificationReport("nreg", str(pair), seed)
     pr = build_pair(pair)
     inv = nreg_subalgebra(pr, seed=seed)
@@ -227,15 +228,16 @@ def verify_nreg(pair: PairId, seed: int = 1,
     rep.add("generator count = b(k)", inv.meta["b"], inv.meta["count"])
     rep.add("certified Jacobian rank", inv.meta["b"], inv.meta["certified_rank"])
     rep.add("pairwise commuting", True, inv.meta["commuting"])
-    bound = degree_bound if pr.g.dim <= 8 else min(degree_bound, 2)
-    witness = noncommutativity_witness(pr, degree_bound=bound)
+    if degree_bound is None:
+        degree_bound = 4 if pr.g.dim <= 8 else 2
+    witness = noncommutativity_witness(pr, degree_bound=degree_bound)
     shown = None
     if witness is not None:
         f, g, _ = witness
         labels = inv.algebra.labels
         shown = f"{{{f.to_text(labels)}, {g.to_text(labels)}}} != 0"
     rep.add("no noncommutativity witness", None, shown,
-            note=f"odd-invariant search up to degree {bound}")
+            note=f"odd-invariant search up to degree {degree_bound}")
     return rep
 
 

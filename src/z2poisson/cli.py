@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=_count,
                    help="random points (dimstab only; default 20)")
     v.add_argument("--degree-bound", type=_count,
-                   help="witness search degree (nreg only; default 4)")
+                   help="witness search degree (nreg only; default 4 if "
+                        "dim g <= 8, else 2)")
     v.add_argument("--seed", type=int,
                    help="random seed (env Z2C_SEED overrides the default 1)")
     v.add_argument("--format", choices=("json", "markdown"), default="json")
@@ -179,7 +180,7 @@ def _seed(args) -> int:
 SUITE_FLAGS = {
     "max_nodes": ("main", 6),
     "samples": ("dimstab", 20),
-    "degree_bound": ("nreg", 4),
+    "degree_bound": ("nreg", None),      # worked out from the pair
 }
 
 

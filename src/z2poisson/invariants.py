@@ -21,27 +21,17 @@ from .structure import (LieAlgebra, MatrixRealization, PairRealization, Z2Gradin
 
 
 class InvariantSet:
-    """Polynomials on an algebra's dual with their centrality flags and
-    degrees; ``meta`` holds the facts reported beside them."""
+    """Polynomials on an algebra's dual with their degrees; ``meta`` holds
+    the facts reported beside them."""
 
-    def __init__(self, algebra: LieAlgebra, polys: list[Poly],
-                 verified_central: list[bool], meta: dict):
+    def __init__(self, algebra: LieAlgebra, polys: list[Poly], meta: dict):
         self.algebra = algebra
         self.polys = polys
-        self.verified_central = verified_central
         self.meta = meta
 
     @property
     def degrees(self) -> list[int]:
         return [p.degree() for p in self.polys]
-
-    def to_json(self) -> dict:
-        return {
-            "polys": [p.to_text(self.algebra.labels) for p in self.polys],
-            "degrees": self.degrees,
-            "verified_central": self.verified_central,
-            "meta": {k: v for k, v in self.meta.items()},
-        }
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +197,7 @@ def classical_invariants(real: MatrixRealization | PairRealization) -> Invariant
         x = _generic_matrix(mats, nvars, range(size), range(size))
         polys = _kind_generators(kind, x)
 
-    return InvariantSet(alg, polys, [True] * len(polys), meta={"kind": kind})
+    return InvariantSet(alg, polys, meta={"kind": kind})
 
 
 # ----------------------------------------------------------------------
@@ -283,8 +273,8 @@ def _weight_echelon_tops(polys: list[Poly], grading: Z2Grading) -> list[Poly]:
     return out
 
 
-def contraction_invariants(pr: PairRealization, seed: int = 1,
-                           trials: int = 6) -> InvariantSet:
+def contraction_invariants(pr: PairRealization, seed: int = 1, trials: int = 6,
+                           classical: InvariantSet | None = None) -> InvariantSet:
     """Verified central generators of the contraction's Poisson centre,
     obtained as weight-echelon top components of the classical invariants.
 
@@ -294,15 +284,15 @@ def contraction_invariants(pr: PairRealization, seed: int = 1,
 
     ``meta['index']`` is the index of the contraction, certified by the
     central generators at the sampled point (``certified_index``), or by
-    elimination when that certificate does not close."""
-    inv_g = classical_invariants(pr)
+    elimination when that certificate does not close.  ``classical`` is
+    ``classical_invariants(pr)`` if the caller has it already."""
+    inv_g = classical_invariants(pr) if classical is None else classical
     k = pr.contraction
     # the products run on integers: scaling each invariant keeps every row
     # span, so the reduced rows, and the tops, stay the same
     tops = _weight_echelon_tops([Poly(p.nvars, linalg._primitive(p.terms))
                                  for p in inv_g.polys], pr.grading)
-    flags = [verify_central(k, p) for p in tops]
-    if not all(flags):
+    if not all(verify_central(k, p) for p in tops):
         raise AssertionError("top component is not central in the contraction")
     rng = random.Random(seed)
     points = (sample_covector(k.dim, rng, bound=10 ** 6) for _ in range(trials))
@@ -317,7 +307,7 @@ def contraction_invariants(pr: PairRealization, seed: int = 1,
         "sample_point": [str(c) for c in (best_point or [])],
         "full": best_rank == len(tops) == pr.rank_g,
     }
-    return InvariantSet(k, tops, flags, meta)
+    return InvariantSet(k, tops, meta)
 
 
 def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
@@ -341,27 +331,24 @@ def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
 
     selected = list(coords)
     current = rank_of(selected)
-    extras: list[Poly] = []
     for cand in sorted(pool.polys, key=lambda p: p.degree()):
         if current >= target:
             break
         trial = selected + [cand]
         r = rank_of(trial)
         if r > current:
-            selected, current, extras = trial, r, extras + [cand]
+            selected, current = trial, r
     if current != target or len(selected) != len(coords) + m:
         raise UnsupportedPairError(
             f"invariant pool is insufficient for {pr.pair}: achieved rank "
             f"{current} with {len(selected)} generators, want rank {target} "
             f"with {len(coords) + m}")
-    ok, witness = pairwise_commuting(k, selected)
+    ok, _ = pairwise_commuting(k, selected)
     if not ok:
         raise AssertionError("selected generators fail to commute")
-    flags = [verify_central(k, p, pr.grading.odd_idx) for p in selected]
-    return InvariantSet(k, selected, flags,
-                        meta={"certified_rank": current, "m": m, "b": target,
-                              "commuting": ok, "seed": seed,
-                              "count": len(selected)})
+    return InvariantSet(k, selected, meta={"certified_rank": current, "m": m,
+                                           "b": target, "commuting": ok,
+                                           "seed": seed, "count": len(selected)})
 
 
 def _monomials(nvars: int, degree: int):

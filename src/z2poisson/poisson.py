@@ -16,7 +16,6 @@ certifies them by a linear equivariance check of the generic matrix, and
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from math import lcm, prod
 from operator import add as _add
 
@@ -151,11 +150,7 @@ class ShiftFamily:
     """All shift components of a generating set in a fixed direction, as
     ``(generator position, power of the shift, component)``."""
 
-    def __init__(self, algebra: LieAlgebra, direction: tuple[Q, ...],
-                 generators: list[Poly]):
-        self.algebra = algebra
-        self.direction = direction
-        self.generators = generators
+    def __init__(self):
         self.components: list[tuple[int, int, Poly]] = []
 
     def polys(self) -> list[Poly]:
@@ -171,7 +166,7 @@ def mf_family(q: LieAlgebra, gens: list[Poly], xi) -> ShiftFamily:
     for g in gens:
         if not verify_central(q, g):
             raise ValueError(f"generator {g.to_text(q.labels)} is not central")
-    fam = ShiftFamily(q, tuple(Q(x) for x in xi), list(gens))
+    fam = ShiftFamily()
     for gi, g in enumerate(gens):
         comps = shift(g, xi)
         for j, p in enumerate(comps):

@@ -18,9 +18,11 @@ certificate from its classical invariants does not close; the index of a
 contraction is certified from its central generators instead
 (``poisson.certified_index``).
 
-Realizations are integer matrices, built and validated from their nonzero
-entries: commutators and the Jacobi check touch only entries that can
-contribute, and run on ``int``.
+Realizations are integer matrices, built from their nonzero entries:
+commutators touch only entries that can contribute, and run on ``int``.
+Every algebra built here is Lie by construction (``_span_algebra``,
+``contract``), so the exhaustive ``LieAlgebra.check_jacobi`` runs only on
+outside input, in ``LieAlgebra.from_json``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ Covector = tuple[Q, ...]
 
 class LieAlgebra:
     """Finite-dimensional Lie algebra with sparse rational structure
-    constants ``[e_i, e_j] = sum_k c_ij^k e_k`` stored for i < j only."""
+    constants ``[e_i, e_j] = sum_k c_ij^k e_k`` stored for i < j only;
+    the Jacobi identity is not checked here (``check_jacobi``)."""
 
     def __init__(self, labels, sc):
         self.labels: tuple[str, ...] = tuple(labels)
@@ -61,7 +64,6 @@ class LieAlgebra:
                 raise ValueError(f"bad structure-constant key ({i},{j})")
             if any(k not in range(self.dim) for k in entry):
                 raise ValueError(f"bad structure-constant target in ({i},{j})")
-        self.check_jacobi()
 
     @property
     def dim(self) -> int:
@@ -168,7 +170,8 @@ class LieAlgebra:
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     def check_jacobi(self) -> None:
-        """Exhaustive on all basis triples."""
+        """Raise ``ValueError`` unless the Jacobi identity holds on every
+        basis triple; ``from_json`` runs it on outside input."""
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
@@ -227,7 +230,9 @@ class LieAlgebra:
                 raise ValueError("label count does not match dim")
             sc = {(i - 1, j - 1): {k - 1: Q(c) for k, c in entry}
                   for i, j, entry in data["sc"]}
-            return LieAlgebra(labels, sc)
+            alg = LieAlgebra(labels, sc)
+            alg.check_jacobi()
+            return alg
         except KeyError as e:
             raise AlgebraValidationError(f"not a Lie algebra: missing {e}") from None
         except (TypeError, ValueError, ZeroDivisionError) as e:
@@ -348,6 +353,25 @@ def _blocks(a: Mat, b: Mat, c: Mat, d: Mat) -> Mat:
     return [x + y for x, y in zip(a, b)] + [x + y for x, y in zip(c, d)]
 
 
+def _span_algebra(cols, bracket, labels) -> LieAlgebra:
+    """Structure constants of the span of ``cols``, with ``bracket(a, b)``
+    the bracket of members a and b in the columns' coordinates; dependent
+    columns or a bracket outside the span raise ``ValueError``.  Jacobi
+    needs no check: matrix commutators satisfy it by associativity, a
+    closed subspace of a Lie algebra by restriction."""
+    solver = ColumnSolver(cols)
+    sc: dict[tuple[int, int], dict[int, Q]] = {}
+    for a in range(len(cols)):
+        for b in range(a + 1, len(cols)):
+            coords = solver.solve(bracket(a, b))
+            if coords is None:
+                raise ValueError(f"family is not bracket-closed at ({a},{b})")
+            entry = {k: v for k, v in enumerate(coords) if v != 0}
+            if entry:
+                sc[(a, b)] = entry
+    return LieAlgebra(labels, sc)
+
+
 def algebra_from_matrices(matrices: list[Mat], labels) -> LieAlgebra:
     """Structure constants of the span of the given matrices (must be a
     linearly independent, bracket-closed family).
@@ -356,29 +380,23 @@ def algebra_from_matrices(matrices: list[Mat], labels) -> LieAlgebra:
     entry ``(i, k)`` of one factor meets only row ``k`` of the other.
     """
     n = len(matrices[0])
-    cols = [[m[i][j] for i in range(n) for j in range(n)] for m in matrices]
-    solver = ColumnSolver(cols)
     # per matrix, per row: the (column, value) pairs of its nonzero entries
     rows = [[[(j, x) for j, x in enumerate(row) if x] for row in m] for m in matrices]
-    sc: dict[tuple[int, int], dict[int, Q]] = {}
-    for a in range(len(matrices)):
-        for b in range(a + 1, len(matrices)):
-            flat = [0] * (n * n)
-            for i, row in enumerate(rows[a]):
-                for k, x in row:
-                    for j, y in rows[b][k]:
-                        flat[i * n + j] += x * y
-            for i, row in enumerate(rows[b]):
-                for k, y in row:
-                    for j, x in rows[a][k]:
-                        flat[i * n + j] -= y * x
-            coords = solver.solve(flat)
-            if coords is None:
-                raise ValueError(f"matrix family is not bracket-closed at ({a},{b})")
-            entry = {k: v for k, v in enumerate(coords) if v != 0}
-            if entry:
-                sc[(a, b)] = entry
-    return LieAlgebra(labels, sc)
+
+    def commutator(a: int, b: int) -> list[int]:
+        flat = [0] * (n * n)
+        for i, row in enumerate(rows[a]):
+            for k, x in row:
+                for j, y in rows[b][k]:
+                    flat[i * n + j] += x * y
+        for i, row in enumerate(rows[b]):
+            for k, y in row:
+                for j, x in rows[a][k]:
+                    flat[i * n + j] -= y * x
+        return flat
+
+    cols = [[m[i][j] for i in range(n) for j in range(n)] for m in matrices]
+    return _span_algebra(cols, commutator, labels)
 
 
 # ----------------------------------------------------------------------
@@ -659,7 +677,8 @@ def _split_so_form(pair: PairId) -> Mat:
 
 def contract(g: LieAlgebra, grading: Z2Grading) -> LieAlgebra:
     """The semidirect contraction: brackets between two odd basis vectors
-    are set to zero, everything else is kept."""
+    are set to zero, everything else is kept.  ``validate`` is the proof
+    that the result is the Lie algebra ``g0 ⋉ g1``."""
     grading.validate(g)
     odd = set(grading.odd_idx)
     sc = {key: dict(entry) for key, entry in g.sc.items()
@@ -746,20 +765,9 @@ def graded_centralizer(pr: PairRealization, v) -> tuple[list[list[Q]], list[list
 
 def subalgebra(q: LieAlgebra, vectors: list[list[Q]]) -> LieAlgebra:
     """Structure constants of a bracket-closed subspace in its own basis."""
-    if not vectors:
-        return LieAlgebra((), {})
-    solver = ColumnSolver([list(map(Q, v)) for v in vectors])
-    r = len(vectors)
-    sc: dict[tuple[int, int], dict[int, Q]] = {}
-    for a in range(r):
-        for b in range(a + 1, r):
-            coords = solver.solve(q.bracket(vectors[a], vectors[b]))
-            if coords is None:
-                raise ValueError("subspace is not bracket-closed")
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
-            if entry:
-                sc[(a, b)] = entry
-    return LieAlgebra(tuple(f"t{i+1}" for i in range(r)), sc)
+    return _span_algebra([list(map(Q, v)) for v in vectors],
+                         lambda a, b: q.bracket(vectors[a], vectors[b]),
+                         tuple(f"t{i+1}" for i in range(len(vectors))))
 
 
 def sample_covector(dim: int, rng: random.Random, bound: int = 10 ** 6) -> list[Q]:

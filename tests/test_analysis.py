@@ -144,6 +144,37 @@ def test_each_job_contracts_once(run, monkeypatch):
     assert calls == [8]
 
 
+def test_summary_builds_the_classical_invariants_once(monkeypatch):
+    # every binding of classical_invariants, so that a call from any layer
+    # is counted
+    calls = []
+    real = invariants.classical_invariants
+
+    def counting(pr):
+        calls.append(pr.g.dim)
+        return real(pr)
+
+    for module in (analysis, invariants):
+        if getattr(module, "classical_invariants", None) is real:
+            monkeypatch.setattr(module, "classical_invariants", counting)
+    rep = verify_summary(parse_pair_name("so5,so4"))
+    assert rep.passed
+    assert calls == [10]
+
+
+@pytest.mark.parametrize("run", [
+    verify_summary, verify_nreg, demonstrate_nonmaximality,
+    lambda p: verify_dim_stab(p, samples=3),
+], ids=["summary", "nreg", "nonmax", "dimstab"])
+def test_suites_run_no_jacobi_check(run, monkeypatch):
+    # every algebra a suite builds is Lie by construction
+    calls = []
+    monkeypatch.setattr(structure.LieAlgebra, "check_jacobi",
+                        lambda self: calls.append(self.dim))
+    assert run(parse_pair_name("sl3,so3")).passed
+    assert calls == []
+
+
 def test_nonmaximality_demonstration():
     rep = demonstrate_nonmaximality(PairId("sl_so", (2,)), seed=1)
     assert rep.passed

@@ -271,7 +271,7 @@ def test_verify_suite_flags_keep_their_defaults(capsys, monkeypatch):
     assert seen == {
         "main": {"seed": 1, "max_nodes": 6},
         "dimstab": {"seed": 1, "samples": 20, "pair": sl2},
-        "nreg": {"seed": 1, "degree_bound": 4, "pair": sl2},
+        "nreg": {"seed": 1, "degree_bound": None, "pair": sl2},
         "summary": {"seed": 1, "pair": sl2},
     }
 
@@ -287,6 +287,14 @@ def test_library_suites_default_like_the_cli(capsys, monkeypatch):
     assert code == 0
     assert out == report_to_json_text(verify_nreg(parse_pair_name("sl2+sl2,diag")))
     assert "up to degree 4" in out
+
+
+def test_given_degree_bound_runs_as_given(capsys):
+    # dim sl4 = 15 > 8, so the default would be 2
+    code, out, _ = run(["verify", "--suite", "nreg", "--pair", "sl4,so4",
+                        "--degree-bound", "3"], capsys)
+    assert code == 0
+    assert "odd-invariant search up to degree 3" in out
 
 
 @pytest.mark.parametrize("xi", ["0,1/0,0", "0,x,0"])
@@ -317,6 +325,23 @@ def test_bad_algebra_file(tmp_path, capsys, text, code, message):
         path.write_text(text)
     got, _, err = run(["bracket", "--algebra", str(path), "e", "f"], capsys)
     assert got == code and message in err
+
+
+def test_algebra_file_is_checked_for_jacobi_once(tmp_path, capsys, monkeypatch):
+    from z2poisson.structure import LieAlgebra
+    calls = []
+    real = LieAlgebra.check_jacobi
+
+    def counting(self):
+        calls.append(self.dim)
+        return real(self)
+
+    monkeypatch.setattr(LieAlgebra, "check_jacobi", counting)
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(SL2_JSON))
+    code, out, _ = run(["bracket", "--algebra", str(path), "e", "f"], capsys)
+    assert (code, out) == (0, "h\n")
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("flags", [

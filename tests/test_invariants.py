@@ -5,11 +5,13 @@ from fractions import Fraction as Q
 import pytest
 
 from z2poisson import (LieAlgebra, Poly, UnsupportedPairError, b_value,
-                       classical_invariants, contract, contraction_invariants, index, matrix_algebra,
+                       check_regular_stabilizer_index, classical_invariants,
+                       contract, contraction_invariants, index, matrix_algebra,
                        noncommutativity_witness, nreg_subalgebra,
                        pairwise_commuting, poisson_bracket, top_component,
                        verify_central)
-from z2poisson import invariants, linalg, poisson
+from z2poisson import analysis, invariants, linalg, poisson, structure
+from z2poisson.analysis import verify_dim_stab
 from z2poisson.invariants import (_dual_matrices, _generic_matrix, _weight_echelon_tops,
                                   char_coefficients)
 from z2poisson.linalg import pfaffian
@@ -24,7 +26,7 @@ from z2poisson.poly import Poly as P
 def test_classical_degrees_sl(pair):
     inv = classical_invariants(pair("sl2,so2"))
     assert inv.degrees == [2]
-    assert all(inv.verified_central)
+    assert all(verify_central(inv.algebra, f) for f in inv.polys)
     inv3 = classical_invariants(matrix_algebra("sl", 3))
     assert inv3.degrees == [2, 3]
     assert sum(inv3.degrees) == 5 == b_value(inv3.algebra)
@@ -61,7 +63,6 @@ def test_equivariance_certificate_agrees_with_symbolic_brackets(pair):
     # the oracle: every certified invariant is central by coordinate brackets
     for name, real in _oracle_realizations(pair):
         inv = classical_invariants(real)
-        assert inv.verified_central == [True] * len(inv.polys), name
         for f in inv.polys:
             assert verify_central(inv.algebra, f), name
 
@@ -295,6 +296,28 @@ def _tier1_algebras(pair):
         yield name, pr, contract(pr.g, pr.grading)
 
 
+def test_derived_algebras_satisfy_jacobi(pair, monkeypatch):
+    # the oracle for building without a Jacobi check: g, its contraction,
+    # the g0^z of the summary suite, and one g0^beta and g0 of dimstab
+    built = []
+    real = structure.subalgebra
+
+    def recording(q, vectors):
+        built.append(real(q, vectors))
+        return built[-1]
+
+    monkeypatch.setattr(structure, "subalgebra", recording)
+    monkeypatch.setattr(analysis, "subalgebra", recording)
+    for name in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS):
+        pr = pair(name)
+        built.clear()
+        check_regular_stabilizer_index(pr)
+        verify_dim_stab(pr.pair, samples=1)
+        assert [q.dim for q in built[2:]] == [pr.d0], name
+        for q in [pr.g, pr.contraction] + built:
+            q.check_jacobi()
+
+
 def test_generating_set_spans(pair):
     # the iterated brackets of the generating set reach rank dim q
     for name, _, q in _tier1_algebras(pair):
@@ -409,7 +432,7 @@ def test_contraction_invariants_full_for_supported_pairs(pair):
         assert inv.meta["full"], name
         assert inv.meta["sum_degrees"] == inv.meta["b"], name
         assert len(inv.polys) == pr.rank_g
-        assert all(inv.verified_central)
+        assert all(verify_central(inv.algebra, p) for p in inv.polys)
 
 
 def test_contraction_invariants_commute(pair):
@@ -437,12 +460,11 @@ def test_index_fallback_without_samples(pair):
     assert inv.meta["b"] == 5
 
 
-def test_invariant_set_json(pair):
+def test_invariant_set_record(pair):
     inv = contraction_invariants(pair("sl2,so2"))
-    blob = inv.to_json()
-    assert blob["polys"] == ["v^2+w^2"]
-    assert blob["degrees"] == [2]
-    assert blob["meta"]["full"] is True
+    assert [p.to_text(inv.algebra.labels) for p in inv.polys] == ["v^2+w^2"]
+    assert inv.degrees == [2]
+    assert inv.meta["full"] is True
 
 
 # ----------------------------------------------------------------------

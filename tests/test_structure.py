@@ -68,7 +68,7 @@ def test_unsupported_families_rejected():
 
 def test_jacobi_rejects_bad_constants():
     with pytest.raises(ValueError, match="Jacobi"):
-        LieAlgebra(("a", "b", "c"), {(0, 1): {2: 1}, (0, 2): {0: 1}})
+        LieAlgebra(("a", "b", "c"), {(0, 1): {2: 1}, (0, 2): {0: 1}}).check_jacobi()
 
 
 def test_grading_closure_violation():
@@ -85,7 +85,21 @@ def test_jacobi_rejects_a_triple_that_cancels_in_one_coordinate():
     sc = {(0, 1): {3: 1}, (1, 2): {3: 1}, (0, 2): {3: 1},
           (0, 3): {4: 1}, (2, 3): {4: -1}, (1, 3): {0: 1}}
     with pytest.raises(ValueError, match=r"Jacobi identity fails on basis triple \(0,1,2\)"):
-        LieAlgebra(("a", "b", "c", "d", "e"), sc)
+        LieAlgebra(("a", "b", "c", "d", "e"), sc).check_jacobi()
+
+
+def test_spans_must_be_independent_and_closed(pair):
+    e12, e21 = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+    with pytest.raises(ValueError, match="not linearly independent"):
+        algebra_from_matrices([e12, [[0, 2], [0, 0]]], ["a", "b"])
+    with pytest.raises(ValueError, match=r"not bracket-closed at \(0,1\)"):
+        algebra_from_matrices([e12, e21], ["a", "b"])
+    g = pair("sl2,so2").g
+    u, v = unit(3, 0), unit(3, 1)
+    with pytest.raises(ValueError, match="not linearly independent"):
+        subalgebra(g, [u, [2 * x for x in u]])
+    with pytest.raises(ValueError, match=r"not bracket-closed at \(0,1\)"):
+        subalgebra(g, [u, v])
 
 
 def _catalog_pairs_up_to(max_dim):
