@@ -14,7 +14,7 @@ from .poisson import (ShiftFamily, certified_index, jacobian_rank_at, mf_family,
                       trdeg_lower_bound, verify_central)
 from .poly import Poly
 from .structure import (LieAlgebra, MatrixRealization, PairRealization,
-                        Z2Grading, b_value, build_pair,
+                        Z2Grading, build_pair,
                         check_regular_stabilizer_index, contract,
                         graded_centralizer, index, is_regular, matrix_algebra,
                         stabilizer)
@@ -27,7 +27,7 @@ __all__ = [
     "GenericityError", "InvariantSet", "LieAlgebra", "MatrixRealization",
     "PairId", "PairRealization", "Poly", "PolyParseError",
     "SatakeDiagram", "ShiftFamily", "UnsupportedPairError", "Z2Grading",
-    "Z2PoissonError", "b_value", "build_pair", "certified_index",
+    "Z2PoissonError", "build_pair", "certified_index",
     "check_regular_stabilizer_index", "classical_invariants", "classify",
     "contract", "contraction_invariants", "graded_centralizer", "index",
     "is_regular", "jacobian_rank_at", "matrix_algebra", "mf_family",

@@ -54,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="classify a diagram or catalog pair")
     c.add_argument("diagram", nargs="?",
                    help="diagram DSL, e.g. \"A3 colors=wbw arrows=[(1,3)]\"")
-    c.add_argument("--diagram", dest="diagram_flag", metavar="DIAGRAM",
-                   help="diagram DSL (alternative to the positional form)")
     c.add_argument("--pair", help="catalog pair name, e.g. sl2,so2 or E6,F4")
     c.add_argument("--format", choices=("json", "markdown"), default="json")
 
@@ -69,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--degree-bound", type=_count,
                    help="witness search degree (nreg only; default 4 if "
                         "dim g <= 8, else 2)")
-    v.add_argument("--seed", type=int,
-                   help="random seed (env Z2C_SEED overrides the default 1)")
+    v.add_argument("--seed", type=int, default=1,
+                   help="random seed (default 1)")
     v.add_argument("--format", choices=("json", "markdown"), default="json")
     v.add_argument("--out", help="directory for report files")
 
@@ -136,13 +134,12 @@ def _emit_report(rep: VerificationReport, args) -> None:
 
 
 def _cmd_classify(args) -> int:
-    diagram = args.diagram if args.diagram is not None else args.diagram_flag
-    if (diagram is None) == (args.pair is None):
+    if (args.diagram is None) == (args.pair is None):
         raise UnsupportedPairError("classify needs a diagram or --pair")
     if args.pair:
         d = satake_of(parse_pair_name(args.pair))
     else:
-        d = parse_satake(diagram)
+        d = parse_satake(args.diagram)
     record = classify(d)
     if args.format == "markdown":
         r = record.to_json()
@@ -160,20 +157,6 @@ def _cmd_classify(args) -> int:
     else:
         sys.stdout.write(json.dumps(record.to_json(), indent=2) + "\n")
     return EXIT_OK
-
-
-def _seed(args) -> int:
-    """``--seed``, else the ``Z2C_SEED`` environment variable, else 1."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("Z2C_SEED")
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise _InputError(EXIT_PARSE,
-                          f"Z2C_SEED={env!r} is not an integer") from None
 
 
 # verify flag -> (the one suite that reads it, its default there)
@@ -201,7 +184,6 @@ def _suite_options(args) -> dict:
 
 def _cmd_verify(args) -> int:
     suite = SUITES[args.suite]
-    seed = _seed(args)
     options = _suite_options(args)
     if args.suite == "main":
         if args.pair is not None:
@@ -215,7 +197,7 @@ def _cmd_verify(args) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as e:
             raise _cannot_write(args.out, e) from None
-    rep = suite(seed=seed, **options)
+    rep = suite(seed=args.seed, **options)
     _emit_report(rep, args)
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 

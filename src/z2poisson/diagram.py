@@ -191,18 +191,6 @@ class SatakeDiagram(Value):
     def is_n_regular(self) -> bool:
         return "b" not in self.colors
 
-    # -- connectivity ---------------------------------------------------
-    def is_connected(self) -> bool:
-        """Connectivity of the graph with arrows counted as edges."""
-        pairs = self.graph.edges() + list(self.arrows)
-        return len(_components(range(1, self.n_nodes + 1), pairs)) <= 1
-
-    def decompose(self) -> list["SatakeDiagram"]:
-        """Connected components (arrows included), each canonicalized."""
-        pairs = self.graph.edges() + list(self.arrows)
-        return [_canonical_from_raw(*self._restrict(comp))
-                for comp in _components(range(1, self.n_nodes + 1), pairs)]
-
     # -- subdiagram calculus ---------------------------------------------
     # A removal unit is an arrow-free white node or an arrow pair.  Units
     # are disjoint, and removing one leaves every other unit removable and

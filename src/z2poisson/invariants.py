@@ -21,17 +21,13 @@ from .structure import (LieAlgebra, MatrixRealization, PairRealization, Z2Gradin
 
 
 class InvariantSet:
-    """Polynomials on an algebra's dual with their degrees; ``meta`` holds
-    the facts reported beside them."""
+    """Polynomials on an algebra's dual; ``meta`` holds the facts reported
+    beside them."""
 
     def __init__(self, algebra: LieAlgebra, polys: list[Poly], meta: dict):
         self.algebra = algebra
         self.polys = polys
         self.meta = meta
-
-    @property
-    def degrees(self) -> list[int]:
-        return [p.degree() for p in self.polys]
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +193,7 @@ def classical_invariants(real: MatrixRealization | PairRealization) -> Invariant
         x = _generic_matrix(mats, nvars, range(size), range(size))
         polys = _kind_generators(kind, x)
 
-    return InvariantSet(alg, polys, meta={"kind": kind})
+    return InvariantSet(alg, polys, meta={})
 
 
 # ----------------------------------------------------------------------

@@ -402,12 +402,6 @@ def commutator(a: Mat, b: Mat) -> Mat:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def trace_pair(a: Mat, b: Mat) -> Q:
-    """tr(ab), summed over the nonzero entries of a."""
-    return sum([x * b[k][i] for i, row in enumerate(a) for k, x in enumerate(row) if x],
-               0)
-
-
 def is_zero_mat(a: Mat) -> bool:
     return all(x == 0 for row in a for x in row)
 

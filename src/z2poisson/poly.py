@@ -73,19 +73,6 @@ class Poly:
         exps[i] = 1
         return cls(nvars, {tuple(exps): c})
 
-    @classmethod
-    def linear(cls, coords) -> "Poly":
-        """Linear form with the given coefficient vector."""
-        coords = list(coords)
-        p = cls(len(coords))
-        for i, c in enumerate(coords):
-            c = coeff_num(c)
-            if c != 0:
-                exps = [0] * len(coords)
-                exps[i] = 1
-                p.terms[tuple(exps)] = c
-        return p
-
     def copy(self) -> "Poly":
         return Poly(self.nvars, dict(self.terms))
 
@@ -249,17 +236,6 @@ class Poly:
             e2[i] -= 1
             out[tuple(e2)] = c * e[i]
         return Poly(self.nvars, out)
-
-    def eval(self, point) -> Q:
-        point = [Q(x) for x in point]
-        total = Q(0)
-        for e, c in self.terms.items():
-            v = c
-            for i, p in enumerate(e):
-                if p:
-                    v *= point[i] ** p
-            total += v
-        return total
 
     def grad_at(self, point) -> list[Q]:
         """The gradient at a point in one pass over the terms.

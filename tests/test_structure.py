@@ -7,16 +7,18 @@ from fractions import Fraction as Q
 import pytest
 
 from z2poisson import (AlgebraValidationError, LieAlgebra, PairId,
-                       UnsupportedPairError, Z2Grading, b_value, build_pair,
+                       UnsupportedPairError, Z2Grading, build_pair,
                        check_regular_stabilizer_index, contract,
                        contraction_invariants, graded_centralizer, index,
                        is_regular, linalg, matrix_algebra, satake_of,
                        stabilizer)
 from z2poisson.linalg import ColumnSolver
 from z2poisson.poly import Poly
-from z2poisson.structure import (_check_cartan, algebra_from_matrices,
-                                 centralizer_of_cartan, sample_covector,
+from z2poisson.structure import (_check_cartan, _greedy_zero_block,
+                                 algebra_from_matrices, sample_covector,
                                  subalgebra)
+
+from oracles import b_value, centralizer_of_cartan, trace_pair
 
 SUPPORTED = ["sl2,so2", "sl3,so3", "sl3,gl2", "sl4,sp4", "so5,so4",
              "sp4,sp2+sp2", "sl2+sl2,diag", "sl3+sl3,diag"]
@@ -334,6 +336,36 @@ def test_index_examples(pair):
     assert index(abelian) == 4
 
 
+def _g0z(pr, seed=1):
+    """g0^z at a generic point z of the Cartan subspace."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        coeffs = [rng.randint(-10 ** 6, 10 ** 6) for _ in pr.cartan_subspace]
+        z = [sum((c * v[i] for c, v in zip(coeffs, pr.cartan_subspace)), Q(0))
+             for i in range(pr.g.dim)]
+        even_c, odd_c = graded_centralizer(pr, z)
+        if len(odd_c) == pr.rank_pair:
+            return subalgebra(pr.g, even_c)
+    pytest.fail(f"no generic Cartan point for {pr.pair}")
+
+
+def test_index_matches_plain_elimination(pair):
+    # index splits the Kirillov matrix along a greedy zero block of any
+    # size; the rank of the whole matrix, unsplit, is the oracle
+    cases = [
+        (LieAlgebra(tuple("abcd"), {}), 4),
+        (matrix_algebra("sl", 2).algebra, 1),
+        (_g0z(pair("so5,so4")), 1),
+        (_g0z(pair("so6,so5")), 1),
+        (_g0z(pair("sl4,sp4")), 2),
+        (_g0z(pair("sl6,sp6")), 3),
+        (pair("sl3,so3").contraction, 5),
+    ]
+    for q, block in cases:
+        assert len(_greedy_zero_block(q)) == block
+        assert index(q) == q.dim - linalg.poly_rank(q.kirillov_poly())
+
+
 def test_index_of_contraction_equals_rank(pair):
     # the certificate of the central generators equals rk g; criterion 4
     # checks the elimination against rk g on the same pairs
@@ -526,7 +558,7 @@ def coadjoint_check(pr) -> bool:
     k = pr.contraction
     mats = pr.realization.matrices
     dim, size = k.dim, len(mats[0])
-    tinv = linalg.invert([[linalg.trace_pair(mats[i], mats[j]) for j in range(dim)]
+    tinv = linalg.invert([[trace_pair(mats[i], mats[j]) for j in range(dim)]
                           for i in range(dim)])
     even = set(pr.grading.even_idx)
 
@@ -541,7 +573,7 @@ def coadjoint_check(pr) -> bool:
         big_odd = partner(coeffs, lambda t: t not in even)
         for a in range(dim):
             eta = linalg.commutator(mats[a], big if a in even else big_odd)
-            rhs = [linalg.trace_pair(eta, mats[l]) for l in range(dim)]
+            rhs = [trace_pair(eta, mats[l]) for l in range(dim)]
             lhs = [k.bracket_basis(l, a).get(m, Q(0)) for l in range(dim)]
             if lhs != rhs:
                 return False
