@@ -22,7 +22,7 @@ from .poisson import (certified_index, mf_family, pairwise_commuting,
 from .poly import Poly
 from .structure import (PairRealization, _kernel_on, build_pair,
                         check_regular_stabilizer_index,
-                        sample_covector, stabilizer, subalgebra)
+                        sample_covector, stabilizer)
 
 
 class Check:
@@ -180,36 +180,33 @@ def verify_dim_stab(pair: PairId, samples: int = 20,
                     seed: int = 1) -> VerificationReport:
     """Stabilizer-dimension bookkeeping at random points eta = (alpha, beta):
     the kernel of the contraction's Kirillov form at eta must equal the orbit
-    codimension of beta plus the stabilizer dimension of the restricted alpha
-    inside the even stabilizer of beta."""
+    codimension of beta plus the stabilizer dimension of alpha restricted
+    to the even stabilizer of beta, the kernel of ``alpha([x, y])`` on it."""
     rep = VerificationReport("dimstab", str(pair), seed)
     pr = build_pair(pair)
     k = pr.contraction
     rng = random.Random(seed)
     d0, d1 = pr.d0, pr.d1
+    even = pr.grading.even_idx
     failures = []
     for s in range(samples):
         eta = sample_covector(k.dim, rng)
         beta = [eta[i] if i in pr.grading.odd_idx else Q(0) for i in range(k.dim)]
+        alpha = [eta[i] if i in even else Q(0) for i in range(k.dim)]
         lhs = len(stabilizer(k, eta))
-        g0b_vectors = _coadjoint_stabilizer_in_even(pr, beta)
-        g0b = subalgebra(pr.g, g0b_vectors)
-        codim_orbit = d1 - (d0 - len(g0b_vectors))
-        alpha_hat = [sum((Q(eta[i]) * v[i] for i in pr.grading.even_idx), Q(0))
-                     for v in g0b_vectors]
-        rhs = codim_orbit + len(stabilizer(g0b, alpha_hat))
+        g0b = _coadjoint_stabilizer_in_even(pr, beta)
+        codim_orbit = d1 - (d0 - len(g0b))
+        rhs = codim_orbit + len(stabilizer(k, alpha, basis=g0b))
         if lhs != rhs:
             failures.append({"sample": s, "lhs": lhs, "rhs": rhs})
     rep.add("stabilizer dimension identity failures", [], failures,
             note=f"{samples} random points")
     # the degenerate slice beta = 0 reduces to the even Kirillov kernel
     alpha = sample_covector(k.dim, rng)
-    alpha = [alpha[i] if i in pr.grading.even_idx else Q(0) for i in range(k.dim)]
+    alpha = [alpha[i] if i in even else Q(0) for i in range(k.dim)]
     lhs = len(stabilizer(k, alpha))
-    g0 = subalgebra(pr.g, [[Q(1 if t == i else 0) for t in range(k.dim)]
-                           for i in pr.grading.even_idx])
-    ahat = [alpha[i] for i in pr.grading.even_idx]
-    rhs = d1 + len(stabilizer(g0, ahat))
+    g0 = [[Q(1 if t == i else 0) for t in range(k.dim)] for i in even]
+    rhs = d1 + len(stabilizer(k, alpha, basis=g0))
     rep.add("beta = 0 slice", lhs, rhs)
     return rep
 

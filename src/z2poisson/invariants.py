@@ -244,6 +244,11 @@ def _weight_echelon_tops(polys: list[Poly], grading: Z2Grading) -> list[Poly]:
     descending odd-weight.  Raw top components can coincide (the diagonal
     pairs) or degenerate into powers of lower tops (the quaternionic pairs);
     the reduction exposes one genuinely new top per generator.
+
+    The product rows are eliminated once; each invariant's residue against
+    them is zero on their pivots, so the reduced echelon form of the
+    residues is exactly the part of the joint form that the products do
+    not pivot (the joint pivot set is the union of the two).
     """
     odd = set(grading.odd_idx)
     by_degree: dict[int, list[Poly]] = {}
@@ -257,13 +262,19 @@ def _weight_echelon_tops(polys: list[Poly], grading: Z2Grading) -> list[Poly]:
         monomials = sorted({e for p in prods + group for e in p.terms},
                            key=lambda e: (-sum(e[i] for i in odd), e))
         column = {e: c for c, e in enumerate(monomials)}
-        rows = [{column[e]: x for e, x in p.terms.items()} for p in prods + group]
-        red, pivots = linalg.rref(rows)
-        prod_pivots = set(linalg.rref(rows[:len(prods)])[1])
-        for row, c in zip(red, pivots):
-            if c in prod_pivots:
-                continue
-            poly = Poly(group[0].nvars, {monomials[cc]: x for cc, x in row.items()})
+        red, pivots = linalg.rref({column[e]: x for e, x in p.terms.items()}
+                                  for p in prods)
+        residues = []
+        for p in group:
+            row = {column[e]: x for e, x in p.terms.items()}
+            for prow, c in zip(red, pivots):
+                f = row.get(c)
+                if f:
+                    for j, x in prow.items():
+                        row[j] = row.get(j, 0) - f * x
+            residues.append(row)
+        for row in linalg.rref(residues)[0]:
+            poly = Poly(group[0].nvars, {monomials[c]: x for c, x in row.items()})
             out.append(top_component(poly, grading))
         earlier.extend(group)
     return out

@@ -125,50 +125,6 @@ def kernel(rows: Iterable[Mapping[int, Q]], columns: Iterable[int]) -> list[Row]
     return basis
 
 
-class ColumnSolver:
-    """Solves ``B x = b`` for a fixed column basis B, exactly.
-
-    Precomputes the row-reduction of B applied to an identity block so each
-    solve is a sparse matrix-vector product plus a consistency check.  Each
-    operator row is stored as ``int`` entries, scaled by the lcm of its
-    denominators (``dens``), so an integer b solves on ints and each
-    coordinate is divided by its row's scale once, at the end.
-    """
-
-    def __init__(self, columns: list[list[Q]]):
-        self.ncols = len(columns)
-        self.nrows = len(columns[0]) if columns else 0
-        aug = [{self.ncols + i: 1} for i in range(self.nrows)]
-        for j, col in enumerate(columns):
-            for i, x in enumerate(col):
-                if x:
-                    aug[i][j] = x
-        red, pivots = rref(aug)
-        bpiv = [p for p in pivots if p < self.ncols]
-        if len(bpiv) != self.ncols:
-            raise ValueError("columns are not linearly independent")
-        self.pivots = bpiv
-        ops = [{k - self.ncols: x for k, x in row.items() if k >= self.ncols}
-               for row in red]
-        self.dens = [lcm(1, *(x.denominator for x in op.values())) for op in ops]
-        self.ops = [{i: int(x * d) for i, x in op.items()}
-                    for op, d in zip(ops, self.dens)]
-
-    def solve(self, b: list[Q]) -> list[Q] | None:
-        """Coordinates of b in the column basis, or None if b is outside."""
-        nonzero = [(i, x) for i, x in enumerate(b) if x]
-        y = [sum([op[i] * x for i, x in nonzero if i in op], 0)
-             for op in self.ops]
-        x = [0] * self.ncols
-        for r, c in enumerate(self.pivots):
-            d = self.dens[r]
-            x[c] = y[r] if d == 1 else Q(y[r], d)
-        for r in range(self.ncols, self.nrows):
-            if y[r] != 0:
-                return None
-        return x
-
-
 # ----------------------------------------------------------------------
 # polynomial matrices (fraction-free)
 # ----------------------------------------------------------------------

@@ -20,9 +20,13 @@ contraction is certified from its central generators instead
 
 Realizations are integer matrices, built from their nonzero entries:
 commutators touch only entries that can contribute, and run on ``int``.
-Every algebra built here is Lie by construction (``_span_algebra``,
-``contract``), so the exhaustive ``LieAlgebra.check_jacobi`` runs only on
-outside input, in ``LieAlgebra.from_json``.
+The structure constants of a span (a realization, a bracket-closed
+subspace) come from one elimination over its members and all their
+brackets (``_span_algebra``).  Every algebra built here is Lie by
+construction (``_span_algebra``, ``contract``), so the exhaustive
+``LieAlgebra.check_jacobi`` runs only on outside input, in
+``LieAlgebra.from_json``.  A stabilizer inside a subalgebra needs no
+algebra built: ``stabilizer(q, xi, basis)`` restricts the Kirillov form.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from functools import cached_property
 from . import linalg
 from .diagram import PairId, SatakeDiagram, parse_pair_name, satake_of
 from .errors import AlgebraValidationError, GenericityError, UnsupportedPairError
-from .linalg import ColumnSolver, Mat
+from .linalg import Mat
 from .poly import NAME_PATTERN, Poly, coeff_num
 from .record import Value
 
@@ -354,21 +358,33 @@ def _blocks(a: Mat, b: Mat, c: Mat, d: Mat) -> Mat:
 
 
 def _span_algebra(cols, bracket, labels) -> LieAlgebra:
-    """Structure constants of the span of ``cols``, with ``bracket(a, b)``
-    the bracket of members a and b in the columns' coordinates; dependent
-    columns or a bracket outside the span raise ``ValueError``.  Jacobi
-    needs no check: matrix commutators satisfy it by associativity, a
-    closed subspace of a Lie algebra by restriction."""
-    solver = ColumnSolver(cols)
+    """Structure constants of the span of the m vectors ``cols``, with
+    ``bracket(a, b)`` the bracket of members a and b in the columns'
+    coordinates, by one Gauss-Jordan elimination whose columns are the
+    members, then each bracket a < b in loop order.  The members must be
+    the first m pivots (else they are dependent), and the first bracket
+    that pivots is the first pair not closed (``ValueError`` either way);
+    pivot row r holds the r-th coordinate of every bracket.  Jacobi needs
+    no check: matrix commutators satisfy it by associativity, a closed
+    subspace of a Lie algebra by restriction."""
+    m = len(cols)
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    rows: list[dict[int, Q]] = [{} for _ in range(len(cols[0]) if cols else 0)]
+    for c, vec in enumerate(list(cols) + [bracket(a, b) for a, b in pairs]):
+        for i, x in enumerate(vec):
+            if x:
+                rows[i][c] = x
+    red, pivots = linalg.rref(rows)
+    if pivots[:m] != list(range(m)):
+        raise ValueError("columns are not linearly independent")
+    if len(pivots) > m:
+        a, b = pairs[pivots[m] - m]
+        raise ValueError(f"family is not bracket-closed at ({a},{b})")
     sc: dict[tuple[int, int], dict[int, Q]] = {}
-    for a in range(len(cols)):
-        for b in range(a + 1, len(cols)):
-            coords = solver.solve(bracket(a, b))
-            if coords is None:
-                raise ValueError(f"family is not bracket-closed at ({a},{b})")
-            entry = {k: v for k, v in enumerate(coords) if v != 0}
-            if entry:
-                sc[(a, b)] = entry
+    for c, key in enumerate(pairs, m):
+        entry = {r: row[c] for r, row in enumerate(red) if c in row}
+        if entry:
+            sc[key] = entry
     return LieAlgebra(labels, sc)
 
 
@@ -727,10 +743,29 @@ def _kernel_on(rows: list[dict[int, Q]], cols, dim: int) -> list[list[Q]]:
     return [[v.get(j, zero) for j in range(dim)] for v in linalg.kernel(rows, cols)]
 
 
-def stabilizer(q: LieAlgebra, xi) -> list[list[Q]]:
-    """Exact kernel basis of the Kirillov form at a point."""
-    rows = [dict(enumerate(row)) for row in q.kirillov_at(xi)]
-    return _kernel_on(rows, range(q.dim), q.dim)
+def stabilizer(q: LieAlgebra, xi, basis=None) -> list[list[Q]]:
+    """Exact kernel basis of the Kirillov form at a point.
+
+    Given ``basis`` (vectors of q spanning a subalgebra), the kernel of the
+    restricted form ``xi([x, y])`` for x and y in its span instead: the
+    stabilizer of xi restricted to that subalgebra, in q's coordinates.
+    The form is read on the span of the members as primitive integer rows."""
+    if basis is None:
+        rows = [dict(enumerate(row)) for row in q.kirillov_at(xi)]
+        return _kernel_on(rows, range(q.dim), q.dim)
+    xi = [coeff_num(x) for x in xi]
+    support = [linalg._primitive(dict(enumerate(v))) for v in basis]
+    span = sorted({i for s in support for i in s})
+    form = {(i, j): sum([c * xi[k] for k, c in q.bracket_basis(i, j).items()], 0)
+            for i in span for j in span}
+    rows: list[dict[int, Q]] = [{} for _ in basis]
+    for b, sb in enumerate(support):
+        # xi([e_i, basis[b]]) on the support, then xi([basis[a], basis[b]])
+        u = {i: sum([y * form[i, j] for j, y in sb.items()], 0) for i in span}
+        for a, sa in enumerate(support):
+            rows[a][b] = sum([x * u[i] for i, x in sa.items()], 0)
+    return [[sum((c * support[b].get(j, 0) for b, c in v.items()), Q(0))
+             for j in range(q.dim)] for v in linalg.kernel(rows, range(len(basis)))]
 
 
 def is_regular(q: LieAlgebra, xi) -> bool:

@@ -3,8 +3,9 @@ definitions, used as oracles against what the package computes."""
 
 from fractions import Fraction as Q
 
+from z2poisson import linalg
 from z2poisson.diagram import SatakeDiagram, _components
-from z2poisson.invariants import InvariantSet
+from z2poisson.invariants import InvariantSet, _products_of_degree, top_component
 from z2poisson.poly import Poly, coeff_num
 from z2poisson.structure import LieAlgebra, PairRealization, _kernel_on, index
 
@@ -65,3 +66,69 @@ def is_connected(d: SatakeDiagram) -> bool:
     """Connectivity of the graph with arrows counted as edges."""
     pairs = d.graph.edges() + list(d.arrows)
     return len(_components(range(1, d.n_nodes + 1), pairs)) <= 1
+
+
+def span_coordinates(vectors, v) -> list[Q] | None:
+    """Coordinates of v in the span of the independent ``vectors``, from
+    the reduced echelon form of the columns ``[vectors | v]``; None if v
+    lies outside the span."""
+    m = len(vectors)
+    rows = [{j: u[i] for j, u in enumerate(list(vectors) + [v]) if u[i]}
+            for i in range(len(v))]
+    red, pivots = linalg.rref(rows)
+    assert pivots[:m] == list(range(m)), "vectors are not independent"
+    if len(pivots) > m:
+        return None
+    return [row.get(m, Q(0)) for row in red]
+
+
+def span_structure_constants(vectors, bracket) -> dict:
+    """Structure constants of the span of ``vectors``, with
+    ``bracket(a, b)`` the bracket of members a and b: each bracket is
+    solved in the span on its own."""
+    sc = {}
+    for a in range(len(vectors)):
+        for b in range(a + 1, len(vectors)):
+            coords = span_coordinates(vectors, bracket(a, b))
+            assert coords is not None, f"not bracket-closed at ({a},{b})"
+            entry = {k: x for k, x in enumerate(coords) if x}
+            if entry:
+                sc[(a, b)] = entry
+    return sc
+
+
+def dense_structure_constants(matrices) -> dict:
+    """Structure constants of the span of the matrices, from dense
+    commutators."""
+    flat = lambda m: [x for row in m for x in row]
+    return span_structure_constants(
+        [flat(m) for m in matrices],
+        lambda a, b: flat(linalg.commutator(matrices[a], matrices[b])))
+
+
+def weight_echelon_tops(polys: list[Poly], grading) -> list[Poly]:
+    """Weight-echelon tops by two eliminations per degree: the joint
+    reduced echelon form of the products and the invariants, and the pivot
+    columns of the products alone; the joint rows whose pivots the products
+    do not have give the tops."""
+    odd = set(grading.odd_idx)
+    by_degree: dict[int, list[Poly]] = {}
+    for p in polys:
+        by_degree.setdefault(p.degree(), []).append(p)
+    out: list[Poly] = []
+    earlier: list[Poly] = []
+    for d in sorted(by_degree):
+        group = by_degree[d]
+        prods = _products_of_degree(earlier, d)
+        monomials = sorted({e for p in prods + group for e in p.terms},
+                           key=lambda e: (-sum(e[i] for i in odd), e))
+        column = {e: c for c, e in enumerate(monomials)}
+        rows = [{column[e]: x for e, x in p.terms.items()} for p in prods + group]
+        red, pivots = linalg.rref(rows)
+        prod_pivots = set(linalg.rref(rows[:len(prods)])[1])
+        for row, c in zip(red, pivots):
+            if c not in prod_pivots:
+                poly = Poly(group[0].nvars, {monomials[cc]: x for cc, x in row.items()})
+                out.append(top_component(poly, grading))
+        earlier.extend(group)
+    return out

@@ -98,6 +98,17 @@ def test_dim_stab(pair):
         assert rep.passed, rep.to_markdown()
 
 
+def test_dim_stab_builds_no_subalgebra(monkeypatch):
+    # g0^beta and g0 enter only through the restricted Kirillov form
+    calls = []
+    real = structure._span_algebra
+    monkeypatch.setattr(structure, "_span_algebra",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    rep = verify_dim_stab(parse_pair_name("sp6,gl3"), samples=3)
+    assert rep.passed
+    assert len(calls) == 1 and len(calls[0]) == 21    # the realization of g
+
+
 def test_nreg_suite():
     rep = verify_nreg(parse_pair_name("sl2+sl2,diag"))
     assert rep.passed

@@ -11,14 +11,15 @@ from z2poisson import (LieAlgebra, Poly, UnsupportedPairError,
                        pairwise_commuting, poisson_bracket, top_component,
                        verify_central)
 from z2poisson import analysis, invariants, linalg, poisson, structure
-from z2poisson.analysis import verify_dim_stab
 from z2poisson.invariants import (_dual_matrices, _generic_matrix, _weight_echelon_tops,
                                   char_coefficients)
 from z2poisson.linalg import pfaffian
 from z2poisson.poisson import bracket_with_coordinate
 from z2poisson.poly import Poly as P
+from z2poisson.structure import sample_covector, stabilizer, subalgebra
 
-from oracles import b_value, centralizer_of_cartan, degrees, linear
+from oracles import (b_value, centralizer_of_cartan, degrees, linear,
+                     span_structure_constants, weight_echelon_tops)
 
 
 # ----------------------------------------------------------------------
@@ -298,26 +299,86 @@ def _tier1_algebras(pair):
         yield name, pr, contract(pr.g, pr.grading)
 
 
+def _summary_g0z_vectors(pr, monkeypatch) -> list:
+    """The vectors of the g0^z that the summary suite builds."""
+    seen = []
+    real = structure.subalgebra
+    monkeypatch.setattr(structure, "subalgebra",
+                        lambda q, vectors: seen.append(vectors) or real(q, vectors))
+    check_regular_stabilizer_index(pr)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen[0]
+
+
+def _dimstab_points(pr, count: int, seed: int = 1):
+    """The first ``count`` points eta that ``verify_dim_stab`` samples, each
+    with the vectors of its g0^beta."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        eta = sample_covector(pr.g.dim, rng)
+        beta = [eta[i] if i in pr.grading.odd_idx else Q(0) for i in range(pr.g.dim)]
+        yield eta, analysis._coadjoint_stabilizer_in_even(pr, beta)
+
+
+def _even_units(pr) -> list:
+    return [[Q(1 if t == i else 0) for t in range(pr.g.dim)] for i in pr.grading.even_idx]
+
+
 def test_derived_algebras_satisfy_jacobi(pair, monkeypatch):
     # the oracle for building without a Jacobi check: g, its contraction,
-    # the g0^z of the summary suite, and one g0^beta and g0 of dimstab
-    built = []
-    real = structure.subalgebra
-
-    def recording(q, vectors):
-        built.append(real(q, vectors))
-        return built[-1]
-
-    monkeypatch.setattr(structure, "subalgebra", recording)
-    monkeypatch.setattr(analysis, "subalgebra", recording)
+    # the g0^z of the summary suite, and a g0^beta and g0 of dimstab
     for name in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS):
         pr = pair(name)
-        built.clear()
-        check_regular_stabilizer_index(pr)
-        verify_dim_stab(pr.pair, samples=1)
-        assert [q.dim for q in built[2:]] == [pr.d0], name
-        for q in [pr.g, pr.contraction] + built:
+        g0z = subalgebra(pr.g, _summary_g0z_vectors(pr, monkeypatch))
+        (_, g0b), = _dimstab_points(pr, 1)
+        g0 = subalgebra(pr.g, _even_units(pr))
+        assert g0.dim == pr.d0, name
+        for q in [pr.g, pr.contraction, g0z, subalgebra(pr.g, g0b), g0]:
             q.check_jacobi()
+
+
+def test_derived_structure_constants_match_solved_brackets(pair, monkeypatch):
+    # one elimination over every bracket gives what solving each bracket
+    # on its own gives, on the summary's g0^z and a dimstab g0^beta
+    for name in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS):
+        pr = pair(name)
+        (_, g0b), = _dimstab_points(pr, 1)
+        for vectors in (_summary_g0z_vectors(pr, monkeypatch), g0b):
+            want = span_structure_constants(
+                vectors, lambda a, b: pr.g.bracket(vectors[a], vectors[b]))
+            assert subalgebra(pr.g, vectors).sc == want, name
+
+
+def test_restricted_stabilizer_matches_the_built_subalgebra(pair):
+    # the kernel of alpha([x, y]) on V is the stabilizer of alpha restricted
+    # to the subalgebra V, built in its own basis
+    for name in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS):
+        pr = pair(name)
+        k = pr.contraction
+        for eta, g0b in _dimstab_points(pr, 3):
+            alpha = [eta[i] if i in pr.grading.even_idx else Q(0) for i in range(k.dim)]
+            for vectors in (g0b, _even_units(pr)):
+                got = stabilizer(k, alpha, basis=vectors)
+                alpha_hat = [sum((alpha[i] * v[i] for i in range(k.dim)), Q(0))
+                             for v in vectors]
+                want = stabilizer(subalgebra(pr.g, vectors), alpha_hat)
+                assert len(got) == len(want), name
+                # in k's coordinates: members of the span, killed by the form
+                assert linalg.rank([dict(enumerate(v)) for v in vectors + got]) \
+                    == len(vectors), name
+                assert all(sum((a * b for a, b in zip(alpha, k.bracket(x, v))), Q(0)) == 0
+                           for x in got for v in vectors), name
+
+
+def test_weight_echelon_tops_match_two_eliminations(pair):
+    for name in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS):
+        pr = pair(name)
+        polys = [P(p.nvars, linalg._primitive(p.terms))
+                 for p in classical_invariants(pr).polys]
+        got = _weight_echelon_tops(polys, pr.grading)
+        want = weight_echelon_tops(polys, pr.grading)
+        assert [p.terms for p in got] == [p.terms for p in want], name
 
 
 def test_generating_set_spans(pair):

@@ -42,30 +42,6 @@ def test_kernel_annihilates():
         assert linalg.rank(sparse(m)) + len(linalg.kernel(sparse(m), range(6))) == 6
 
 
-def test_column_solver():
-    cols = [[Q(1), Q(0), Q(2)], [Q(0), Q(1), Q(1)]]
-    s = linalg.ColumnSolver(cols)
-    assert s.solve([Q(3), Q(4), Q(10)]) == [Q(3), Q(4)]
-    assert s.solve([Q(0), Q(0), Q(1)]) is None
-    with pytest.raises(ValueError):
-        linalg.ColumnSolver([[Q(1), Q(2)], [Q(2), Q(4)]])
-
-
-def test_column_solver_on_integers():
-    # a basis whose coordinates need no division solves on ints
-    s = linalg.ColumnSolver([[1, 0, 0], [1, 1, 0]])
-    assert all(type(x) is int for op in s.ops for x in op.values())
-    got = s.solve([3, 4, 0])
-    assert got == [-1, 4] and all(type(x) is int for x in got)
-    assert s.solve([0, 0, 1]) is None
-    with pytest.raises(ValueError, match="not linearly independent"):
-        linalg.ColumnSolver([[1, 2], [2, 4]])
-    # coordinates (b1 - b2)/2 and (b1 + b2)/2 keep their halves exact
-    half = linalg.ColumnSolver([[1, 1], [1, -1]])
-    assert half.solve([1, 2]) == [Q(3, 2), Q(-1, 2)]
-    assert half.solve([2, 0]) == [1, 1]
-
-
 def dense_rref(rows):
     """Reference: textbook dense Gauss-Jordan over Fraction, first nonzero
     row as pivot."""
@@ -190,32 +166,6 @@ def test_mat_mul_matches_triple_sum():
                     for i in range(n)]
             assert linalg.mat_mul(a, b) == want
     assert linalg.mat_mul([[Q(0)] * 3] * 2, [[Q(1)] * 4] * 3) == [[0] * 4] * 2
-
-
-def test_column_solver_sparse_and_out_of_span():
-    rng = random.Random(5)
-    for density in (0.1, 0.4, 1.0):
-        for nrows, ncols in ((6, 2), (9, 4), (5, 5)):
-            # column j alone is nonzero on row marks[j], so the basis is
-            # independent
-            cols = sparse_mat(rng, ncols, nrows, density, True)
-            marks = rng.sample(range(nrows), ncols)
-            for j, col in enumerate(cols):
-                for t in marks:
-                    col[t] = Q(0)
-                col[marks[j]] = Q(rng.randint(1, 5))
-            s = linalg.ColumnSolver(cols)
-            coords = [Q(0)] * ncols
-            coords[rng.randrange(ncols)] = Q(rng.randint(1, 9), 7)
-            b = [sum(coords[j] * cols[j][i] for j in range(ncols))
-                 for i in range(nrows)]
-            assert s.solve(b) == coords
-            assert s.solve([Q(0)] * nrows) == [0] * ncols
-            if ncols < nrows:
-                # a vector outside the span: kernel of the transposed basis
-                normal = dense(linalg.kernel(sparse(cols), range(nrows)), nrows)[0]
-                assert s.solve(normal) is None
-                assert s.solve([x + y for x, y in zip(b, normal)]) is None
 
 
 def test_invert():

@@ -49,6 +49,16 @@ DIGESTS = {
         "6657cd19b4f7d6f29077ddcb8748ebb876827d4f3bba2cfc49b1f5bce988475c",
 }
 
+# dimstab jobs whose g0^beta is non-abelian, outside the benchmark
+DIMSTAB_DIGESTS = {
+    "--suite dimstab --pair sl4,sp4":
+        "ba2cd2d5656d92873673938fb3dea5bf81cfa6f7f5816b4400365a7af4d45683",
+    "--suite dimstab --pair so7,so6":
+        "302da91a7e1afd5b71709a9ed4e73ae27dd0baa77538ca01ddcaf02f80311775",
+    "--suite dimstab --pair sp4,sp2+sp2":
+        "e2a846a5b6385144031ab36f98c50c638fc8f97a228c7098848bb4d75bdde603",
+}
+
 
 def _benchmark_jobs() -> list[str]:
     spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
@@ -69,8 +79,17 @@ def test_digests_cover_every_benchmark_job():
 
 @pytest.mark.parametrize("job", sorted(DIGESTS))
 def test_report_digest(job):
+    _check_digest(job, DIGESTS[job])
+
+
+@pytest.mark.parametrize("job", sorted(DIMSTAB_DIGESTS))
+def test_dimstab_report_digest(job):
+    _check_digest(job, DIMSTAB_DIGESTS[job])
+
+
+def _check_digest(job: str, digest: str) -> None:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["verify", *job.split(), "--seed", "1"])
     assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[job]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import random
 from fractions import Fraction as Q
@@ -12,13 +11,13 @@ from z2poisson import (AlgebraValidationError, LieAlgebra, PairId,
                        contraction_invariants, graded_centralizer, index,
                        is_regular, linalg, matrix_algebra, satake_of,
                        stabilizer)
-from z2poisson.linalg import ColumnSolver
 from z2poisson.poly import Poly
 from z2poisson.structure import (_check_cartan, _greedy_zero_block,
                                  algebra_from_matrices, sample_covector,
                                  subalgebra)
 
-from oracles import b_value, centralizer_of_cartan, trace_pair
+from oracles import (b_value, centralizer_of_cartan, dense_structure_constants,
+                     trace_pair)
 
 SUPPORTED = ["sl2,so2", "sl3,so3", "sl3,gl2", "sl4,sp4", "so5,so4",
              "sp4,sp2+sp2", "sl2+sl2,diag", "sl3+sl3,diag"]
@@ -102,6 +101,9 @@ def test_spans_must_be_independent_and_closed(pair):
         subalgebra(g, [u, [2 * x for x in u]])
     with pytest.raises(ValueError, match=r"not bracket-closed at \(0,1\)"):
         subalgebra(g, [u, v])
+    # the empty family (g0^z = 0 on sl_n,so_n) spans the zero algebra
+    empty = subalgebra(g, [])
+    assert (empty.dim, empty.sc) == (0, {})
 
 
 def _catalog_pairs_up_to(max_dim):
@@ -132,43 +134,29 @@ def _catalog_pairs_up_to(max_dim):
     return out
 
 
-def _dense_structure_constants(matrices):
-    """Reference route: dense commutators, solved in the matrix basis."""
-    n = len(matrices[0])
-    solver = ColumnSolver([[m[i][j] for i in range(n) for j in range(n)]
-                           for m in matrices])
-    sc = {}
-    for a in range(len(matrices)):
-        for b in range(a + 1, len(matrices)):
-            c = linalg.commutator(matrices[a], matrices[b])
-            coords = solver.solve([c[i][j] for i in range(n) for j in range(n)])
-            assert coords is not None
-            entry = {k: v for k, v in enumerate(coords) if v != 0}
-            if entry:
-                sc[(a, b)] = entry
-    return sc
-
-
 def test_structure_constants_match_dense_oracle():
     pairs = _catalog_pairs_up_to(24)
     assert len(pairs) >= 20
     for pid, dim in pairs:
         pr = build_pair(pid)
         assert pr.g.dim == dim, pid
-        assert pr.g.sc == _dense_structure_constants(pr.realization.matrices), pid
+        assert pr.g.sc == dense_structure_constants(pr.realization.matrices), pid
 
 
-def test_column_solver_operators_are_integers(pair):
-    # the operator rows for E_ij -+ E_ji read (b_ij +- b_ji)/2: each row is
-    # scaled to integers and divided once per solve
+def test_span_algebra_is_one_elimination(pair, monkeypatch):
+    # the members and every bracket are columns of one Gauss-Jordan
+    # elimination
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(1) or real(rows))
     for name in ["sl3,so3", "sl4,sp4", "sl3+sl3,diag"]:
-        mats = pair(name).realization.matrices
-        n = len(mats[0])
-        solver = ColumnSolver([[m[i][j] for i in range(n) for j in range(n)] for m in mats])
-        assert all(type(x) is int for op in solver.ops for x in op.values()), name
-        assert any(d != 1 for d in solver.dens), name
-        coords = solver.solve([2 * x for x in itertools.chain(*mats[-1])])
-        assert coords == [0] * (len(mats) - 1) + [2], name
+        pr = pair(name)
+        for build in (lambda: algebra_from_matrices(pr.realization.matrices, pr.g.labels),
+                      lambda: subalgebra(pr.g, [unit(pr.g.dim, i)
+                                                for i in pr.grading.even_idx])):
+            calls.clear()
+            build()
+            assert len(calls) == 1, name
 
 
 def _realization_digest(real, pr=None):
