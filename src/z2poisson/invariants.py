@@ -296,9 +296,11 @@ def contraction_invariants(pr: PairRealization, seed: int = 1, trials: int = 6,
     inv_g = classical_invariants(pr) if classical is None else classical
     k = pr.contraction
     # the products run on integers: scaling each invariant keeps every row
-    # span, so the reduced rows, and the tops, stay the same
-    tops = _weight_echelon_tops([Poly(p.nvars, linalg._primitive(p.terms))
-                                 for p in inv_g.polys], pr.grading)
+    # span, so the reduced rows, and the tops up to scale, stay the same;
+    # each top is returned as a primitive integer polynomial
+    integral = [Poly(p.nvars, linalg._primitive(p.terms)) for p in inv_g.polys]
+    tops = [Poly(p.nvars, linalg._primitive(p.terms))
+            for p in _weight_echelon_tops(integral, pr.grading)]
     if not all(verify_central(k, p) for p in tops):
         raise AssertionError("top component is not central in the contraction")
     rng = random.Random(seed)
@@ -376,7 +378,9 @@ def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
     bracket-with-odd-coordinates map.  The candidates are bracketed by
     ``pairwise_commuting``, so (f, g) is the lexicographically first
     noncommuting pair, and every pair is checked against the bracket
-    budgets before any bracket is taken.
+    budgets before any bracket is taken.  When no candidate has an even
+    variable they all commute, since g1 is an abelian ideal of k, and None
+    is returned with no bracket taken.
     """
     k = pr.contraction
     if k.dim > max_dim:
@@ -389,7 +393,7 @@ def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
         mat_rows: list[dict[int, Q]] = []
         for e_i in odd:
             for c, mono in enumerate(monos):
-                br = bracket_with_coordinate(k, e_i, Poly(k.dim, {mono: Q(1)}))
+                br = bracket_with_coordinate(k, e_i, Poly(k.dim, {mono: 1}))
                 for out_e, coeff in br.terms.items():
                     key = (e_i, out_e)
                     if key not in row_index:
@@ -398,6 +402,10 @@ def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
                     mat_rows[row_index[key]][c] = coeff
         for kv in linalg.kernel(mat_rows, range(len(monos))):
             candidates.append(Poly(k.dim, {monos[c]: x for c, x in kv.items()}))
+    # g1 is an abelian ideal of k: polynomials in the odd coordinates commute
+    even = pr.grading.even_idx
+    if not any(e[i] for p in candidates for e in p.terms for i in even):
+        return None
     ok, witness = pairwise_commuting(k, candidates)
     if ok:
         return None

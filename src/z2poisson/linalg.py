@@ -38,17 +38,21 @@ def _primitive(row: Mapping[int, Q]) -> dict[int, int]:
     """The nonzero entries of a rational row scaled to integers with content
     1: times the lcm of the denominators, divided by the gcd of the
     numerators.  A value that is neither ``int`` nor ``Fraction`` goes
-    through ``Fraction`` first."""
-    vals = [(j, x if isinstance(x, (int, Q)) else Q(x)) for j, x in row.items()]
-    vals = [(j, x) for j, x in vals if x]
-    d = lcm(1, *(x.denominator for _, x in vals))
-    ints = [(j, x.numerator * (d // x.denominator)) for j, x in vals]
-    g = gcd(*(v for _, v in ints))
-    return {j: v // g for j, v in ints}
+    through ``Fraction`` first; a row of ``int`` values is only divided."""
+    if all(type(x) is int for x in row.values()):
+        ints = {j: x for j, x in row.items() if x}
+    else:
+        vals = [(j, x if isinstance(x, (int, Q)) else Q(x)) for j, x in row.items()]
+        vals = [(j, x) for j, x in vals if x]
+        d = lcm(1, *(x.denominator for _, x in vals))
+        ints = {j: x.numerator * (d // x.denominator) for j, x in vals}
+    g = gcd(*ints.values())
+    return ints if g == 1 else {j: v // g for j, v in ints.items()}
 
 
-def rref(rows: Iterable[Mapping[int, Q]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form of ``{column: value}`` rows.
+def _echelon(rows: Iterable[Mapping[int, Q]]) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced row echelon form of ``{column: value}`` rows, as primitive
+    integer rows.
 
     Zero entries are dropped and the input is not mutated.  Each row is
     held as a primitive integer row (:func:`_primitive`), a nonzero
@@ -58,8 +62,7 @@ def rref(rows: Iterable[Mapping[int, Q]]) -> tuple[list[Row], list[int]]:
     not change the (unique) result.  A row with entry f at the pivot column
     becomes ``(a/g) row - (f/g) prow``, where a is the pivot entry and
     ``g = gcd(a, f)``, and is divided by its content again.  Returns only
-    the pivot rows, divided by their pivot entries into Fraction maps in
-    pivot order, and the pivot columns.
+    the pivot rows, in pivot order, and the pivot columns.
     """
     pending = [r for r in map(_primitive, rows) if r]
     done: list[dict[int, int]] = []
@@ -95,12 +98,20 @@ def rref(rows: Iterable[Mapping[int, Q]]) -> tuple[list[Row], list[int]]:
         pending = [row for i, row in enumerate(pending) if i != p and row]
         done.append(prow)
         pivots.append(c)
+    return done, pivots
+
+
+def rref(rows: Iterable[Mapping[int, Q]]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of ``{column: value}`` rows: the rows of
+    :func:`_echelon` divided by their pivot entries into Fraction maps."""
+    done, pivots = _echelon(rows)
     return ([{j: Q(x, row[c]) for j, x in row.items()}
              for row, c in zip(done, pivots)], pivots)
 
 
 def rank(rows: Iterable[Mapping[int, Q]]) -> int:
-    return len(rref(rows)[1])
+    """The pivot count of the integer echelon; no Fraction is built."""
+    return len(_echelon(rows)[1])
 
 
 def kernel(rows: Iterable[Mapping[int, Q]], columns: Iterable[int]) -> list[Row]:

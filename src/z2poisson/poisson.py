@@ -122,7 +122,8 @@ def verify_central(q: LieAlgebra, f: Poly, coords=None) -> bool:
     # {x_i, d f} = d {x_i, f}: clearing denominators keeps the verdict and
     # runs the brackets on integers
     d = lcm(1, *(c.denominator for c in f.terms.values()))
-    f = Poly(f.nvars, {e: int(c * d) for e, c in f.terms.items()})
+    if d != 1:
+        f = Poly(f.nvars, {e: int(c * d) for e, c in f.terms.items()})
     return all(bracket_with_coordinate(q, i, f).is_zero() for i in coords)
 
 
@@ -206,17 +207,19 @@ def jacobian_rank_at(polys: list[Poly], mu) -> int:
     return linalg.rank([dict(enumerate(p.grad_at(mu))) for p in polys])
 
 
-def trdeg_lower_bound(polys: list[Poly], points) -> tuple[int, list | None]:
+def trdeg_lower_bound(polys: list[Poly], points,
+                      stop: int | None = None) -> tuple[int, list | None]:
     """Certified lower bound for the transcendence degree: the largest
     Jacobian rank over the points, with the first point that reaches it
     (None when no point gives a positive rank).  Stops once the rank is
-    len(polys)."""
+    ``stop``, a proven upper bound for it; len(polys) by default."""
+    stop = len(polys) if stop is None else stop
     best, best_point = 0, None
     for mu in points:
         r = jacobian_rank_at(polys, mu)
         if r > best:
             best, best_point = r, mu
-        if best == len(polys):
+        if best == stop:
             break
     return best, best_point
 

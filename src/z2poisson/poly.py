@@ -276,7 +276,7 @@ class Poly:
         Returns the list indexed by the power of ``a``, from 0 through
         ``degree``.  Component 0 is ``f`` itself.
         """
-        xi = [Q(x) for x in xi]
+        xi = [coeff_num(x) for x in xi]
         d = self.degree()
         if d < 0:
             return [Poly(self.nvars)]

@@ -37,8 +37,9 @@ from fractions import Fraction as Q
 from functools import cached_property
 
 from . import linalg
-from .diagram import PairId, SatakeDiagram, parse_pair_name, satake_of
-from .errors import AlgebraValidationError, GenericityError, UnsupportedPairError
+from .diagram import PairId, SatakeDiagram, _catalog_diagram, parse_pair_name
+from .errors import (AlgebraValidationError, BudgetError, GenericityError,
+                     UnsupportedPairError)
 from .linalg import Mat
 from .poly import NAME_PATTERN, Poly, coeff_num
 from .record import Value
@@ -196,11 +197,13 @@ class LieAlgebra:
 
     # -- Kirillov form ---------------------------------------------------
     def kirillov_at(self, xi) -> Mat:
-        xi = [Q(x) for x in xi]
+        """The matrix ``xi([e_i, e_j])``; ``int`` entries when xi and the
+        structure constants are integers."""
+        xi = [coeff_num(x) for x in xi]
         n = self.dim
-        m = [[Q(0)] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         for (i, j), entry in self.sc.items():
-            v = sum((c * xi[k] for k, c in entry.items()), Q(0))
+            v = sum([c * xi[k] for k, c in entry.items()], 0)
             m[i][j] = v
             m[j][i] = -v
         return m
@@ -505,14 +508,32 @@ def matrix_algebra(name: str, n: int) -> MatrixRealization:
 # symmetric-pair builders
 # ----------------------------------------------------------------------
 
+# dim g above which ``build_pair`` refuses a pair before building anything.
+# Building alone took 3.0 s and 157 MiB at dim 323 (sl18,so18), 9.1 s and
+# 476 MiB at dim 483 (sl22,so22) and 25.8 s and 1.2 GiB at dim 675
+# (sl26,so26); the largest pair any suite is run on is sl10,so10 (dim 99).
+PAIR_DIM_BUDGET = 400
+
+# dim of the simple algebra of each classical Dynkin type, by rank
+_SIMPLE_DIM = {"A": lambda r: r * (r + 2), "B": lambda r: r * (2 * r + 1),
+               "C": lambda r: r * (2 * r + 1), "D": lambda r: r * (2 * r - 1)}
+
+
 def build_pair(pair: PairId | str) -> PairRealization:
     """Matrix realization of a supported classical or diagonal pair, with
-    the basis adapted to the involution."""
+    the basis adapted to the involution.  A pair with ``dim g`` above
+    ``PAIR_DIM_BUDGET`` raises :class:`BudgetError` before any matrix is
+    built."""
     if isinstance(pair, str):
         pair = parse_pair_name(pair)
     if pair.family not in _BUILDERS:
         raise UnsupportedPairError(f"{pair} has no structure-level realization")
-    satake = satake_of(pair)        # checks the catalog parameters first
+    catalog = _catalog_diagram(pair)        # checks the catalog parameters first
+    dim = sum(_SIMPLE_DIM[letter](r) for letter, r in catalog.graph.components)
+    if dim > PAIR_DIM_BUDGET:
+        raise BudgetError(f"{pair} has dim g = {dim}, above the pair budget "
+                          f"of {PAIR_DIM_BUDGET}")
+    satake = catalog.canonical()
     even, odd, even_labels, odd_labels, cartan_local = _BUILDERS[pair.family](pair)
     mats = even + odd
     labels = list(even_labels) + list(odd_labels)
@@ -794,8 +815,8 @@ def subalgebra(q: LieAlgebra, vectors: list[list[Q]]) -> LieAlgebra:
                          tuple(f"t{i+1}" for i in range(len(vectors))))
 
 
-def sample_covector(dim: int, rng: random.Random, bound: int = 10 ** 6) -> list[Q]:
-    return [Q(rng.randint(-bound, bound)) for _ in range(dim)]
+def sample_covector(dim: int, rng: random.Random, bound: int = 10 ** 6) -> list[int]:
+    return [rng.randint(-bound, bound) for _ in range(dim)]
 
 
 def check_regular_stabilizer_index(pr: PairRealization, seed: int = 1) -> dict:

@@ -36,6 +36,13 @@ def poly_eval(p: Poly, point) -> Q:
     return total
 
 
+def kirillov_at(q: LieAlgebra, xi) -> list[list[Q]]:
+    """The matrix ``xi([e_i, e_j])``, summed in Fractions over every entry."""
+    n = q.dim
+    return [[sum((Q(c) * Q(xi[k]) for k, c in q.bracket_basis(i, j).items()), Q(0))
+             for j in range(n)] for i in range(n)]
+
+
 def degrees(inv: InvariantSet) -> list[int]:
     return [p.degree() for p in inv.polys]
 

@@ -10,7 +10,10 @@ from z2poisson import (PairId, UnsupportedPairError, analysis, certified_index,
 from z2poisson.analysis import (demonstrate_nonmaximality, report_to_json_text,
                                 verify_dim_stab, verify_main_combinatorics,
                                 verify_nreg, verify_summary)
+from z2poisson.diagram import satake_of
 from z2poisson.poisson import pairwise_commuting
+
+from test_invariants import LADDER_PAIRS, TIER1_PAIRS
 
 
 def test_summary_sl2(pair):
@@ -194,6 +197,66 @@ def test_nonmaximality_demonstration():
     assert rep2.passed
     rep3 = demonstrate_nonmaximality(PairId("sl_so", (3,)), seed=1)
     assert rep3.passed
+
+
+def _rank_row_calls(monkeypatch, keep_stop=True) -> list:
+    """Patch the rank row of the nonmax suite: record the points at which
+    its Jacobian rank is taken, and with ``keep_stop=False`` drop the
+    certified stop so that every point is evaluated."""
+    calls, inside = [], []
+    real_rank, real_bound = poisson.jacobian_rank_at, analysis.trdeg_lower_bound
+
+    def rank(polys, mu):
+        if inside:
+            calls.append(mu)
+        return real_rank(polys, mu)
+
+    def bound(polys, points, stop=None):
+        inside.append(True)
+        try:
+            return real_bound(polys, points, stop=stop if keep_stop else None)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(poisson, "jacobian_rank_at", rank)
+    monkeypatch.setattr(analysis, "trdeg_lower_bound", bound)
+    return calls
+
+
+def _maximal_rank(name: str) -> bool:
+    d = satake_of(parse_pair_name(name))
+    return not d.arrows and "b" not in d.colors
+
+
+@pytest.mark.parametrize("name", [p for p in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS)
+                                  if _maximal_rank(p)])
+def test_nonmax_rank_stop_matches_the_full_maximum(name, monkeypatch):
+    # on every maximal-rank pair the rank row stopped at b reads the
+    # maximum over all 5 points, and the whole report is the same
+    pid = parse_pair_name(name)
+    stopped = _rank_row_calls(monkeypatch)
+    rep = demonstrate_nonmaximality(pid)
+    monkeypatch.undo()
+    full = _rank_row_calls(monkeypatch, keep_stop=False)
+    want = demonstrate_nonmaximality(pid)
+    assert rep.checks[-1].name == "family rank stays at b" and rep.passed
+    assert report_to_json_text(rep) == report_to_json_text(want)
+    assert len(full) == 5 and 1 <= len(stopped) <= 5
+
+
+def test_nonmax_rank_row_stops_at_the_first_point_of_rank_b(monkeypatch):
+    calls = _rank_row_calls(monkeypatch)
+    rep = demonstrate_nonmaximality(parse_pair_name("sp6,gl3"))
+    assert rep.passed and len(calls) == 1
+
+
+def test_nonmax_rank_row_runs_every_point_without_commutation(monkeypatch):
+    # a failed commutation check leaves no upper bound: all 5 points run
+    calls = _rank_row_calls(monkeypatch)
+    monkeypatch.setattr(analysis, "pairwise_commuting",
+                        lambda q, polys: (False, (0, 1, polys[0])))
+    rep = demonstrate_nonmaximality(parse_pair_name("sp6,gl3"))
+    assert not rep.passed and len(calls) == 5
 
 
 def test_nonmaximality_requires_maximal_rank():

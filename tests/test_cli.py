@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from z2poisson import structure
 from z2poisson.cli import main
 
 SL2_JSON = {
@@ -212,6 +213,22 @@ def test_classify_canonical_budget_exit(capsys):
     assert time.monotonic() - t0 < 1.0
     code, out, _ = run(["classify", copies(8)], capsys)
     assert code == 0 and json.loads(out)["codim3"] is False
+
+
+def test_pair_dimension_budget_exit(capsys, monkeypatch):
+    # dim g of sl99999 is about 10^10: refused before any matrix is built;
+    # a builder that is reached fails the test instead of building
+    for family in structure._BUILDERS:
+        monkeypatch.setitem(structure._BUILDERS, family,
+                            lambda pair: pytest.fail(f"{pair} reached its builder"))
+    t0 = time.monotonic()
+    code, out, err = run(["verify", "--suite", "summary", "--pair",
+                          "sl99999,so99999", "--seed", "1"], capsys)
+    assert code == 5 and "budget" in err and out == ""
+    assert time.monotonic() - t0 < 1.0
+    monkeypatch.undo()
+    # the largest pair any suite is run on is well inside the budget
+    assert structure.build_pair("sl10,so10").g.dim == 99 < structure.PAIR_DIM_BUDGET
 
 
 def test_flags_only_where_read(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -18,7 +19,7 @@ from z2poisson.poisson import bracket_with_coordinate
 from z2poisson.poly import Poly as P
 from z2poisson.structure import sample_covector, stabilizer, subalgebra
 
-from oracles import (b_value, centralizer_of_cartan, degrees, linear,
+from oracles import (b_value, centralizer_of_cartan, degrees, kirillov_at, linear,
                      span_structure_constants, weight_echelon_tops)
 
 
@@ -299,6 +300,15 @@ def _tier1_algebras(pair):
         yield name, pr, contract(pr.g, pr.grading)
 
 
+def test_kirillov_at_an_integer_point_is_int(pair):
+    rng = random.Random(9)
+    for name, _, q in _tier1_algebras(pair):
+        xi = sample_covector(q.dim, rng)
+        got = q.kirillov_at(xi)
+        assert all(type(x) is int for row in got for x in row), name
+        assert got == kirillov_at(q, xi), name
+
+
 def _summary_g0z_vectors(pr, monkeypatch) -> list:
     """The vectors of the g0^z that the summary suite builds."""
     seen = []
@@ -431,7 +441,8 @@ def test_central_on_generating_set_matches_all_coordinates(pair):
 def test_tops_from_integer_invariants_match_the_rational_route(pair):
     # contraction_invariants multiplies primitive integer invariants; the
     # row spans, so the reduced rows and the tops, are those of the
-    # invariants as classical_invariants returns them
+    # invariants as classical_invariants returns them, up to scale: each
+    # top comes back as the primitive integer multiple of the rational one
     for name in ["sl3,so3", "sl4,sp4", "so5,so4", "sp4,sp2+sp2", "sl3+sl3,diag",
                  "sl5,gl3", "sp6,gl3"]:
         pr = pair(name)
@@ -439,7 +450,10 @@ def test_tops_from_integer_invariants_match_the_rational_route(pair):
         assert any(type(c) is Q for f in gens for c in f.terms.values()), name
         want = _weight_echelon_tops(gens, pr.grading)
         got = contraction_invariants(pr).polys
-        assert [f.terms for f in got] == [f.terms for f in want], name
+        assert [f.terms for f in got] == [linalg._primitive(f.terms) for f in want], name
+        for f in got:
+            assert all(type(c) is int for c in f.terms.values()), name
+            assert math.gcd(*f.terms.values()) == 1, name
 
 
 def test_top_component(pair):
@@ -628,12 +642,30 @@ def _double_loop_witness(pr, degree_bound):
     return candidates, None
 
 
-@pytest.mark.parametrize("name", ["sp4,sp2+sp2", "sl4,so4", "sl3+sl3,diag"])
+@pytest.mark.parametrize("name", ["sp4,sp2+sp2", "sl4,so4", "sl3+sl3,diag", "sp6,gl3"])
 def test_witness_matches_double_loop(name, pair):
     pr = pair(name)
     _, want = _double_loop_witness(pr, 2)
     assert (want is None) == (name != "sp4,sp2+sp2")
     assert noncommutativity_witness(pr, degree_bound=2) == want
+
+
+@pytest.mark.parametrize("name, brackets", [
+    ("sl4,so4", 0), ("sp6,gl3", 0), ("sp4,sp2+sp2", 1), ("sl3+sl3,diag", 1)])
+def test_witness_brackets_only_candidates_with_an_even_variable(name, brackets,
+                                                               pair, monkeypatch):
+    # polynomials in the odd coordinates commute in k; only a kernel with a
+    # candidate that has an even variable goes to pairwise_commuting
+    pr = pair(name)
+    candidates, _ = _double_loop_witness(pr, 2)
+    even = set(pr.grading.even_idx)
+    mixed = [f for f in candidates if any(e[i] for e in f.terms for i in even)]
+    assert bool(mixed) == bool(brackets)
+    calls = []
+    monkeypatch.setattr(invariants, "pairwise_commuting",
+                        lambda q, polys: calls.append(polys) or pairwise_commuting(q, polys))
+    noncommutativity_witness(pr, degree_bound=2)
+    assert len(calls) == brackets
 
 
 def test_witness_brackets_through_pairwise_commuting(pair, monkeypatch):

@@ -142,6 +142,31 @@ def test_rref_matches_dense_oracle_at_suite_scale():
         assert linalg.rank(sparse(m)) == len(pivots)
 
 
+def test_rank_counts_the_pivots_of_rref(monkeypatch):
+    # random integer and Fraction matrices, with zero and repeated rows;
+    # rank reads the integer echelon and never builds the Fraction rows
+    rng = random.Random(5)
+    cases = []
+    for _ in range(40):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        kind = rng.choice(["int", "fraction", "mixed"])
+
+        def entry():
+            x = rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-10 ** 6, 10 ** 6)])
+            if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
+                return Q(x, rng.randint(1, 12))
+            return x
+
+        m = [[entry() for _ in range(nc)] for _ in range(nr)]
+        m += [[0] * nc] * rng.randint(0, 2) + [list(rng.choice(m))] * rng.randint(0, 1)
+        rng.shuffle(m)
+        cases.append(sparse(m))
+    want = [len(linalg.rref(rows)[1]) for rows in cases]
+    monkeypatch.setattr(linalg, "rref", None)
+    assert [linalg.rank(rows) for rows in cases] == want
+    assert set(want) != {max(want)}
+
+
 def test_kernel_matches_oracle_and_keeps_input():
     for m in oracle_cases():
         before = [list(row) for row in m]

@@ -59,6 +59,20 @@ DIMSTAB_DIGESTS = {
         "e2a846a5b6385144031ab36f98c50c638fc8f97a228c7098848bb4d75bdde603",
 }
 
+# families jobs outside the benchmark, each at most 0.5 s
+FAMILY_DIGESTS = {
+    "--suite nonmax --pair sl3,so3":
+        "5a0399ac842051a40dc9aa6e80f249e66aa73d4242c073b585a4cac87fd329b3",
+    "--suite nonmax --pair sl5,so5":
+        "0f5c7d97424eeba9fb65b82adab6ed0558dbf0a18e4b5e817bdc5bdfde0f7ad3",
+    "--suite nreg --pair sl5,gl3":
+        "afb0680cbf7fc1385f2b5022dc5e8e10da2f87c436b67e3f414baf5ec6b43763",
+    "--suite nreg --pair sp4,gl2":
+        "261960a9f9dfa32862db7cd111c1d4c4f94d2f860b303dd5a4dd053578e7080f",
+    "--suite dimstab --pair sl4,so4":
+        "6cee24e94e0140167508505c37107e81934511d6a29796dac3d76a7c9f96ebed",
+}
+
 
 def _benchmark_jobs() -> list[str]:
     spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
@@ -85,6 +99,11 @@ def test_report_digest(job):
 @pytest.mark.parametrize("job", sorted(DIMSTAB_DIGESTS))
 def test_dimstab_report_digest(job):
     _check_digest(job, DIMSTAB_DIGESTS[job])
+
+
+@pytest.mark.parametrize("job", sorted(FAMILY_DIGESTS))
+def test_family_report_digest(job):
+    _check_digest(job, FAMILY_DIGESTS[job])
 
 
 def _check_digest(job: str, digest: str) -> None:

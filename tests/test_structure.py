@@ -316,6 +316,16 @@ def test_kirillov_matrix_example(pair):
     assert all(m[i][j] == -m[j][i] for i in range(3) for j in range(3))
 
 
+def test_sample_covector_draws_the_same_values_as_int():
+    # the draws a Fraction sampler would make, value for value and in print
+    for seed, dim, bound in ((1, 21, 10 ** 6), (7, 3, 97), (3, 0, 5)):
+        got = sample_covector(dim, random.Random(seed), bound=bound)
+        rng = random.Random(seed)
+        want = [Q(rng.randint(-bound, bound)) for _ in range(dim)]
+        assert got == want and [str(x) for x in got] == [str(x) for x in want]
+        assert all(type(x) is int for x in got)
+
+
 def test_index_examples(pair):
     pr = pair("sl2,so2")
     assert index(contract(pr.g, pr.grading)) == 1
