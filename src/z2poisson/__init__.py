@@ -15,9 +15,8 @@ from .poisson import (ShiftFamily, certified_index, jacobian_rank_at, mf_family,
 from .poly import Poly
 from .structure import (LieAlgebra, MatrixRealization, PairRealization,
                         Z2Grading, build_pair,
-                        check_regular_stabilizer_index, contract,
-                        graded_centralizer, index, is_regular, matrix_algebra,
-                        stabilizer)
+                        check_regular_stabilizer_index, contract, index,
+                        is_regular, matrix_algebra, stabilizer)
 
 __version__ = "0.1.0"
 
@@ -29,7 +28,7 @@ __all__ = [
     "SatakeDiagram", "ShiftFamily", "UnsupportedPairError", "Z2Grading",
     "Z2PoissonError", "build_pair", "certified_index",
     "check_regular_stabilizer_index", "classical_invariants", "classify",
-    "contract", "contraction_invariants", "graded_centralizer", "index",
+    "contract", "contraction_invariants", "index",
     "is_regular", "jacobian_rank_at", "matrix_algebra", "mf_family",
     "noncommutativity_witness", "nreg_subalgebra", "pairwise_commuting",
     "parse_pair_name", "parse_satake", "poisson_bracket", "satake_of", "shift",

@@ -20,9 +20,8 @@ from .invariants import (classical_invariants, contraction_invariants,
 from .poisson import (certified_index, mf_family, pairwise_commuting,
                       poisson_bracket, trdeg_lower_bound)
 from .poly import Poly
-from .structure import (PairRealization, _kernel_on, build_pair,
-                        check_regular_stabilizer_index,
-                        sample_covector, stabilizer)
+from .structure import (build_pair, check_regular_stabilizer_index,
+                        even_stabilizer, sample_covector, stabilizer)
 
 
 class Check:
@@ -109,9 +108,11 @@ def verify_summary(pair: PairId, seed: int = 1) -> VerificationReport:
     For g of dimension at most 10, index(g) is certified the same way by the
     classical invariants of g at points sampled from the seed: their
     Jacobian rank is a lower bound and the Kirillov corank an upper bound,
-    and elimination runs only if the two do not meet.  The generic
-    odd-centralizer dimension is certified at a sampled Cartan point
-    (``check_regular_stabilizer_index``).
+    and elimination runs only if the two do not meet.  At a generic
+    Cartan point z, the odd-centralizer dimension is read from the even
+    stabilizer g0^z of ``tr(Z .)``, and ``index(g0^z) = rk g - rk(g, g0)``
+    is certified from the contraction's index by Rais's identity, with no
+    elimination (``check_regular_stabilizer_index``).
     """
     rep = VerificationReport("summary", str(pair), seed)
     pr = build_pair(pair)
@@ -136,7 +137,7 @@ def verify_summary(pair: PairId, seed: int = 1) -> VerificationReport:
     else:
         rep.add("generator pool certified", True, False,
                 note=f"achieved rank {inv.meta['certified_rank']}")
-    stab = check_regular_stabilizer_index(pr, seed=seed)
+    stab = check_regular_stabilizer_index(pr, inv.meta["index"], seed=seed)
     rep.add("generic odd-centralizer dimension", stab["expected_dim_g1z"],
             stab["dim_g1z"])
     rep.add("index of the generic even centralizer", stab["expected_ind_g0z"],
@@ -167,15 +168,6 @@ def verify_main_combinatorics(max_nodes: int = 6,
     return rep
 
 
-def _coadjoint_stabilizer_in_even(pr: PairRealization, beta) -> list[list[Q]]:
-    """Basis of the stabilizer of an odd covector under the even part."""
-    g = pr.g
-    even = pr.grading.even_idx
-    rows = [{x: sum([c * beta[kk] for kk, c in g.bracket_basis(j, x).items()], 0)
-             for x in even} for j in pr.grading.odd_idx]
-    return _kernel_on(rows, even, g.dim)
-
-
 def verify_dim_stab(pair: PairId, samples: int = 20,
                     seed: int = 1) -> VerificationReport:
     """Stabilizer-dimension bookkeeping at random points eta = (alpha, beta):
@@ -194,7 +186,7 @@ def verify_dim_stab(pair: PairId, samples: int = 20,
         beta = [eta[i] if i in pr.grading.odd_idx else 0 for i in range(k.dim)]
         alpha = [eta[i] if i in even else 0 for i in range(k.dim)]
         lhs = len(stabilizer(k, eta))
-        g0b = _coadjoint_stabilizer_in_even(pr, beta)
+        g0b = even_stabilizer(pr, beta)
         codim_orbit = d1 - (d0 - len(g0b))
         rhs = codim_orbit + len(stabilizer(k, alpha, basis=g0b))
         if lhs != rhs:

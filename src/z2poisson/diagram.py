@@ -739,8 +739,11 @@ _PAIR_TOKEN = re.compile(r"^(sl|so|sp|gl|e|f|g|t)(\d+)$")
 
 def parse_pair_name(text: str) -> PairId:
     """Parse a command-line pair name like ``sl2,so2`` or ``sp4,sp2+sp2`` or
-    ``sl3+sl3,diag``."""
+    ``sl3+sl3,diag``; the name a report prints, like ``(sl3+sl3, diag)`` or
+    ``(sl6, sl1+sl5+t1)``, parses back to its pair."""
     compact = text.lower().replace(" ", "")
+    if compact.startswith("(") and compact.endswith(")"):
+        compact = compact[1:-1]
     if "," not in compact:
         raise UnsupportedPairError(f"pair name {text!r} needs the form '<g>,<g0>'")
     g, g0 = compact.split(",", 1)
@@ -791,6 +794,9 @@ def parse_pair_name(text: str) -> PairId:
             j = g0p[0][1]
             k = gn - j
             return PairId("sl_gl", (gn, k))
+        if len(g0p) == 3 and g0p[2] == ("t", 1) and g0p[0][0] == g0p[1][0] == "sl" \
+                and g0p[0][1] + g0p[1][1] == gn:
+            return PairId("sl_gl", (gn, min(g0p[0][1], g0p[1][1])))
     if gname == "so":
         if len(g0p) == 1 and g0p[0][0] == "so" and g0p[0][1] == gn - 1:
             return PairId("so_so", (1, gn - 1))

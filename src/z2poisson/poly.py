@@ -237,7 +237,7 @@ class Poly:
             out[tuple(e2)] = c * e[i]
         return Poly(self.nvars, out)
 
-    def grad_at(self, point) -> list[Q]:
+    def grad_at(self, point) -> list[int | Q]:
         """The gradient at a point in one pass over the terms.
 
         The point is converted once, and each coordinate's powers are
@@ -246,7 +246,8 @@ class Poly:
         products of the other factors come from prefix and suffix products
         over the term's support.  The coefficients are scaled once by the lcm
         of their denominators, so at an integral point every product is an
-        int product, and each entry is divided by that lcm once at the end.
+        int product, and each entry is divided by that lcm once at the end;
+        entries are ``int`` where they are integers (``coeff_num``).
         """
         point = [coeff_num(x) for x in point]
         den = lcm(*(c.denominator for c in self.terms.values()))
@@ -268,7 +269,7 @@ class Poly:
                 i, p = support[k]
                 grad[i] += prefix[k] * suffix * p * powers[i][p - 1]
                 suffix *= powers[i][p]
-        return [Q(g, den) for g in grad]
+        return [coeff_num(g if den == 1 else Q(g, den)) for g in grad]
 
     def shift_components(self, xi) -> list["Poly"]:
         """Coefficients of ``f(mu + a*xi)`` as a polynomial in ``a``.

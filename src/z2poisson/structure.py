@@ -12,19 +12,20 @@ doubles it along the diagonal, and finds its Cartan vectors by label.
 ``index`` is the reference route to the index of an algebra: the Kirillov
 matrix with entries in the polynomial ring over the dual coordinates is
 reduced by deterministic fraction-free elimination, exploiting the zero block
-that a contraction's abelian ideal creates.  The suites use it for the even
-centralizer ``g0^z`` of a generic Cartan point, and for ``g`` only when the
-certificate from its classical invariants does not close; the index of a
-contraction is certified from its central generators instead
-(``poisson.certified_index``).
+that a contraction's abelian ideal creates.  The suites use it for ``g``
+only when the certificate from its classical invariants does not close
+(``poisson.certified_index``).  The index of a contraction is certified from
+its central generators, and the index of the even centralizer ``g0^z`` of a
+generic Cartan point from that one by Rais's semidirect-product identity
+(``check_regular_stabilizer_index``); ``g0^z`` is the even stabilizer of a
+covector (``even_stabilizer``), as in the ``dimstab`` suite.
 
 Realizations are integer matrices, built from their nonzero entries:
 commutators touch only entries that can contribute, and run on ``int``.
-The structure constants of a span (a realization, a bracket-closed
-subspace) come from one elimination over its members and all their
-brackets (``_span_algebra``).  Every algebra built here is Lie by
-construction (``_span_algebra``, ``contract``), so the exhaustive
-``LieAlgebra.check_jacobi`` runs only on outside input, in
+The structure constants of a realization come from one elimination over
+its members and all their brackets (``_span_algebra``).  Every algebra
+built here is Lie by construction (``_span_algebra``, ``contract``), so the
+exhaustive ``LieAlgebra.check_jacobi`` runs only on outside input, in
 ``LieAlgebra.from_json``.  A stabilizer inside a subalgebra needs no
 algebra built: ``stabilizer(q, xi, basis)`` restricts the Kirillov form.
 """
@@ -81,18 +82,6 @@ class LieAlgebra:
         if i < j:
             return self.sc.get((i, j), {})
         return {k: -c for k, c in self.sc.get((j, i), {}).items()}
-
-    def bracket(self, x, y) -> list[Q]:
-        out = [Q(0)] * self.dim
-        nz_x = [(i, Q(v)) for i, v in enumerate(x) if v != 0]
-        nz_y = [(j, Q(v)) for j, v in enumerate(y) if v != 0]
-        for i, xi in nz_x:
-            for j, yj in nz_y:
-                if i == j:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] += xi * yj * c
-        return out
 
     @cached_property
     def bracket_rows(self) -> tuple[tuple[tuple[int, int, dict[int, Q]], ...], ...]:
@@ -167,12 +156,6 @@ class LieAlgebra:
                     close(v)
             pending.clear()
         return tuple(gens)
-
-    def ad_matrix(self, v) -> Mat:
-        """Matrix of ad(v): column j holds the coordinates of [v, e_j]."""
-        cols = [self.bracket(v, [Q(1) if t == j else Q(0) for t in range(self.dim)])
-                for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     def check_jacobi(self) -> None:
         """Raise ``ValueError`` unless the Jacobi identity holds on every
@@ -793,63 +776,72 @@ def is_regular(q: LieAlgebra, xi) -> bool:
     return len(stabilizer(q, xi)) == index(q)
 
 
-def graded_centralizer(pr: PairRealization, v) -> tuple[list[list[Q]], list[list[Q]]]:
-    """Kernels of ad(v) restricted to the even and odd eigenspaces, for v in
-    the odd eigenspace."""
-    v = [Q(x) for x in v]
-    for i, x in enumerate(v):
-        if x != 0 and i not in pr.grading.odd_idx:
-            raise ValueError("v must lie in the odd eigenspace")
-    ad = pr.g.ad_matrix(v)
-
-    def restricted_kernel(idx):
-        return _kernel_on([{j: row[j] for j in idx} for row in ad], idx, pr.g.dim)
-
-    return restricted_kernel(pr.grading.even_idx), restricted_kernel(pr.grading.odd_idx)
+def trace_covector(pr: PairRealization, v) -> list:
+    """The covector ``tr(V .)`` on g's basis, V the matrix of v; the trace
+    form is invariant and puts g0 and g1 orthogonal, so it vanishes on g0
+    for odd v."""
+    mats = pr.realization.matrices
+    n = len(mats[0])
+    vm = [[sum(coeff_num(x) * m[a][b] for x, m in zip(v, mats) if x) for b in range(n)]
+          for a in range(n)]
+    return [sum(vm[a][b] * m[b][a] for a in range(n) for b in range(n) if m[b][a])
+            for m in mats]
 
 
-def subalgebra(q: LieAlgebra, vectors: list[list[Q]]) -> LieAlgebra:
-    """Structure constants of a bracket-closed subspace in its own basis."""
-    return _span_algebra([list(map(Q, v)) for v in vectors],
-                         lambda a, b: q.bracket(vectors[a], vectors[b]),
-                         tuple(f"t{i+1}" for i in range(len(vectors))))
+def even_stabilizer(pr: PairRealization, beta) -> list[list[Q]]:
+    """Basis of g0^beta, the stabilizer of an odd covector beta under the
+    even part: the x in g0 with ``beta([x, y]) = 0`` for every odd y."""
+    g = pr.g
+    even = pr.grading.even_idx
+    rows = [{x: sum([c * beta[kk] for kk, c in g.bracket_basis(j, x).items()], 0)
+             for x in even} for j in pr.grading.odd_idx]
+    return _kernel_on(rows, even, g.dim)
 
 
 def sample_covector(dim: int, rng: random.Random, bound: int = 10 ** 6) -> list[int]:
     return [rng.randint(-bound, bound) for _ in range(dim)]
 
 
-def check_regular_stabilizer_index(pr: PairRealization, seed: int = 1) -> dict:
-    """At a generic point z of the Cartan subspace a: the odd centralizer has
-    dimension rk(g, g0) and the even centralizer has index rk g - rk(g, g0).
+def check_regular_stabilizer_index(pr: PairRealization, index_k: int,
+                                   seed: int = 1) -> dict:
+    """At a generic point z of the Cartan subspace a: the odd centralizer
+    has dimension rk(g, g0), and the index of the even centralizer ``g0^z``,
+    certified from ``index_k``, the index of the contraction k.
 
-    a is abelian, so a lies in g1^z at every z in a, and ``_check_cartan``
-    certifies dim a = rk(g, g0); a point with dim g1^z = rk(g, g0) is
-    therefore generic, and sampling retries until it finds one.  Returns a
-    report dict with both numbers.
+    ``g0^z`` is the even stabilizer of the covector ``beta = tr(Z .)``
+    (Kostant-Rallis), and ``dim g1^z = d1 - d0 + dim g0^z`` because ad(z)
+    maps g0 to g1 and g1 to g0 with transposed matrices under the trace
+    form.  a is abelian, so a lies in g1^z at every z in a, and
+    ``_check_cartan`` certifies dim a = rk(g, g0); a point with
+    dim g1^z = rk(g, g0) is therefore generic, and sampling retries until
+    it finds one.  There, Rais's identity ``dim k^(alpha, beta) =
+    dim g1^z + dim (g0^z)^alpha`` with ``dim k^xi >= index_k`` bounds
+    ind g0^z below by ``index_k - dim g1^z``, and the stabilizer of a
+    sampled even alpha in g0^z bounds it above; a point where the two do
+    not meet is retried as well.  Returns a report dict with both numbers.
     """
-    attempts = 12
     rng = random.Random(seed)
     rk_pair = pr.rank_pair
-    expected_ind = pr.rank_g - rk_pair
-    dim = pr.g.dim
-    for _ in range(attempts):
-        coeffs = [Q(rng.randint(-10 ** 6, 10 ** 6)) for _ in pr.cartan_subspace]
-        z = [sum((c * v[i] for c, v in zip(coeffs, pr.cartan_subspace)), Q(0))
-             for i in range(dim)]
-        even_c, odd_c = graded_centralizer(pr, z)
-        if len(odd_c) != rk_pair:
+    for _ in range(12):
+        coeffs = [rng.randint(-10 ** 6, 10 ** 6) for _ in pr.cartan_subspace]
+        z = [sum(c * v[i] for c, v in zip(coeffs, pr.cartan_subspace))
+             for i in range(pr.g.dim)]
+        g0z = even_stabilizer(pr, trace_covector(pr, z))
+        dim_g1z = pr.d1 - pr.d0 + len(g0z)
+        if dim_g1z != rk_pair:
             continue
-        g0z = subalgebra(pr.g, even_c)
-        got_ind = index(g0z)
+        alpha = sample_covector(pr.d0, rng) + [0] * pr.d1    # the even part is first
+        lower = index_k - dim_g1z
+        if lower != len(stabilizer(pr.contraction, alpha, basis=g0z)):
+            continue
+        expected_ind = pr.rank_g - rk_pair
         return {
             "z_coeffs": [str(c) for c in coeffs],
-            "dim_g1z": len(odd_c),
+            "dim_g1z": dim_g1z,
             "expected_dim_g1z": rk_pair,
-            "ind_g0z": got_ind,
+            "ind_g0z": lower,
             "expected_ind_g0z": expected_ind,
-            "pass": got_ind == expected_ind,
+            "pass": lower == expected_ind,
         }
     raise GenericityError(
-        "no generic Cartan point found within the attempt budget")
-
+        "no generic Cartan point certified ind g0^z within the attempt budget")

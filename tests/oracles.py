@@ -43,6 +43,40 @@ def kirillov_at(q: LieAlgebra, xi) -> list[list[Q]]:
              for j in range(n)] for i in range(n)]
 
 
+def bracket(q: LieAlgebra, x, y) -> list[Q]:
+    """[x, y] in coordinates, summed over the basis brackets."""
+    out = [Q(0)] * q.dim
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if a and b:
+                for k, c in q.bracket_basis(i, j).items():
+                    out[k] += Q(a) * Q(b) * c
+    return out
+
+
+def ad_matrix(q: LieAlgebra, v) -> list[list[Q]]:
+    """Matrix of ad(v): column j holds the coordinates of [v, e_j]."""
+    cols = [bracket(q, v, [int(t == j) for t in range(q.dim)]) for j in range(q.dim)]
+    return [[cols[j][i] for j in range(q.dim)] for i in range(q.dim)]
+
+
+def graded_centralizer(pr: PairRealization, v) -> tuple[list[list[Q]], list[list[Q]]]:
+    """Kernels of ad(v) restricted to the even and to the odd eigenspace."""
+    ad = ad_matrix(pr.g, v)
+
+    def restricted_kernel(idx):
+        return _kernel_on([{j: row[j] for j in idx} for row in ad], idx, pr.g.dim)
+
+    return restricted_kernel(pr.grading.even_idx), restricted_kernel(pr.grading.odd_idx)
+
+
+def subalgebra(q: LieAlgebra, vectors) -> LieAlgebra:
+    """The bracket-closed span of ``vectors`` in its own basis, each bracket
+    solved in the span on its own."""
+    sc = span_structure_constants(vectors, lambda a, b: bracket(q, vectors[a], vectors[b]))
+    return LieAlgebra([f"t{i+1}" for i in range(len(vectors))], sc)
+
+
 def degrees(inv: InvariantSet) -> list[int]:
     return [p.degree() for p in inv.polys]
 
@@ -65,7 +99,7 @@ def centralizer_of_cartan(pr: PairRealization) -> list[list[Q]]:
     """Basis of the centralizer of the Cartan subspace inside the even part."""
     even = pr.grading.even_idx
     rows = [{j: row[j] for j in even}
-            for c in pr.cartan_subspace for row in pr.g.ad_matrix(c)]
+            for c in pr.cartan_subspace for row in ad_matrix(pr.g, c)]
     return _kernel_on(rows, even, pr.g.dim)
 
 

@@ -144,6 +144,14 @@ def test_verify_nreg_unsupported_exit(capsys):
     assert code == 4
 
 
+def test_a_printed_pair_name_runs_as_given(capsys):
+    code, out, _ = run(["verify", "--suite", "dimstab", "--pair", "(sl3+sl3, diag)",
+                        "--samples", "2"], capsys)
+    assert code == 0 and json.loads(out)["pair"] == "(sl3+sl3, diag)"
+    code, out, _ = run(["classify", "--pair", "sl6,sl1+sl5+t1"], capsys)
+    assert code == 0 and json.loads(out)["params"] == [6, 1]
+
+
 @pytest.mark.parametrize("pair, message", [
     ("sl1,so1", "sl_so needs n >= 2"),
     ("sl3,gl1", "sl_gl needs 0 < k <= n-k"),

@@ -11,7 +11,7 @@ from z2poisson import (Classification, DiagramSyntaxError, DiagramValidationErro
                        classify, parse_pair_name, parse_satake, satake_of)
 from z2poisson.analysis import verify_main_combinatorics
 from z2poisson import diagram
-from z2poisson.diagram import (_EXCEPTIONAL, _partial_matchings,
+from z2poisson.diagram import (_EXCEPTIONAL, _PARAM_COUNT, _partial_matchings,
                                connected_dynkin_types, enumerate_valid_diagrams)
 
 from oracles import is_connected
@@ -218,6 +218,30 @@ def test_exceptional_names_round_trip():
         assert pid == PairId(f"diag_{h}")
         assert str(pid) == f"({h}+{h}, diag)"
     for name in ("e5+e5,diag", "e9+e9,diag", "f5+f5,diag", "g3+g3,diag"):
+        with pytest.raises(UnsupportedPairError):
+            parse_pair_name(name)
+
+
+def test_printed_pair_names_parse_back():
+    # the name a report prints runs as given, for every catalog family
+    pids = [PairId(fam) for fam in _EXCEPTIONAL]
+    pids += [PairId(f"diag_{h}") for h in ("e6", "e7", "e8", "f4", "g2")]
+    for fam, count in _PARAM_COUNT.items():
+        for params in itertools.product(range(1, 8), repeat=count):
+            try:
+                satake_of(PairId(fam, params))
+            except UnsupportedPairError:
+                continue
+            pids.append(PairId(fam, params))
+    families = {pid.family for pid in pids}
+    assert families >= set(_PARAM_COUNT) | set(_EXCEPTIONAL)
+    for pid in pids:
+        assert parse_pair_name(str(pid)) == pid, str(pid)
+    assert parse_pair_name("(sl3+sl3, diag)") == PairId("diag_sl", (3,))
+    assert parse_pair_name("sl6,sl1+sl5+t1") == parse_pair_name("sl6,gl5") \
+        == PairId("sl_gl", (6, 1))
+    for name in ("(sl3", "sl3,so3)", "((sl3,so3))", "sl6,sl1+sl4+t1", "sl6,sl1+sl5+t2",
+                 "sl6,so1+so5+t1"):
         with pytest.raises(UnsupportedPairError):
             parse_pair_name(name)
 

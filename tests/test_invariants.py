@@ -11,16 +11,18 @@ from z2poisson import (LieAlgebra, Poly, UnsupportedPairError,
                        noncommutativity_witness, nreg_subalgebra,
                        pairwise_commuting, poisson_bracket, top_component,
                        verify_central)
-from z2poisson import analysis, invariants, linalg, poisson, structure
+from z2poisson import invariants, linalg, poisson, structure
 from z2poisson.invariants import (_dual_matrices, _generic_matrix, _weight_echelon_tops,
                                   char_coefficients)
 from z2poisson.linalg import pfaffian
 from z2poisson.poisson import bracket_with_coordinate
 from z2poisson.poly import Poly as P
-from z2poisson.structure import sample_covector, stabilizer, subalgebra
+from z2poisson.structure import (_span_algebra, even_stabilizer, sample_covector,
+                                 stabilizer)
 
-from oracles import (b_value, centralizer_of_cartan, degrees, kirillov_at, linear,
-                     span_structure_constants, weight_echelon_tops)
+from oracles import (b_value, bracket, centralizer_of_cartan, degrees, kirillov_at,
+                     linear, span_structure_constants, subalgebra,
+                     weight_echelon_tops)
 
 
 # ----------------------------------------------------------------------
@@ -310,15 +312,15 @@ def test_kirillov_at_an_integer_point_is_int(pair):
 
 
 def _summary_g0z_vectors(pr, monkeypatch) -> list:
-    """The vectors of the g0^z that the summary suite builds."""
+    """The vectors of the g0^z whose index the summary suite certifies: the
+    even stabilizer at its last, generic, Cartan point."""
     seen = []
-    real = structure.subalgebra
-    monkeypatch.setattr(structure, "subalgebra",
-                        lambda q, vectors: seen.append(vectors) or real(q, vectors))
-    check_regular_stabilizer_index(pr)
+    real = structure.even_stabilizer
+    monkeypatch.setattr(structure, "even_stabilizer",
+                        lambda pr, beta: seen.append(real(pr, beta)) or seen[-1])
+    check_regular_stabilizer_index(pr, pr.rank_g)
     monkeypatch.undo()
-    assert len(seen) == 1
-    return seen[0]
+    return seen[-1]
 
 
 def _dimstab_points(pr, count: int, seed: int = 1):
@@ -328,7 +330,7 @@ def _dimstab_points(pr, count: int, seed: int = 1):
     for _ in range(count):
         eta = sample_covector(pr.g.dim, rng)
         beta = [eta[i] if i in pr.grading.odd_idx else Q(0) for i in range(pr.g.dim)]
-        yield eta, analysis._coadjoint_stabilizer_in_even(pr, beta)
+        yield eta, even_stabilizer(pr, beta)
 
 
 def _even_units(pr) -> list:
@@ -336,8 +338,9 @@ def _even_units(pr) -> list:
 
 
 def test_derived_algebras_satisfy_jacobi(pair, monkeypatch):
-    # the oracle for building without a Jacobi check: g, its contraction,
-    # the g0^z of the summary suite, and a g0^beta and g0 of dimstab
+    # the oracle for building without a Jacobi check: g and its contraction;
+    # and the spans whose restricted Kirillov forms the summary and dimstab
+    # suites read, g0^z, a g0^beta and g0, are subalgebras
     for name in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS):
         pr = pair(name)
         g0z = subalgebra(pr.g, _summary_g0z_vectors(pr, monkeypatch))
@@ -349,15 +352,17 @@ def test_derived_algebras_satisfy_jacobi(pair, monkeypatch):
 
 
 def test_derived_structure_constants_match_solved_brackets(pair, monkeypatch):
-    # one elimination over every bracket gives what solving each bracket
-    # on its own gives, on the summary's g0^z and a dimstab g0^beta
+    # one elimination over every bracket (``_span_algebra``, which builds
+    # every realization) gives what solving each bracket on its own gives,
+    # on the summary's g0^z and a dimstab g0^beta
     for name in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS):
         pr = pair(name)
         (_, g0b), = _dimstab_points(pr, 1)
         for vectors in (_summary_g0z_vectors(pr, monkeypatch), g0b):
-            want = span_structure_constants(
-                vectors, lambda a, b: pr.g.bracket(vectors[a], vectors[b]))
-            assert subalgebra(pr.g, vectors).sc == want, name
+            br = lambda a, b: bracket(pr.g, vectors[a], vectors[b])
+            labels = [f"t{i}" for i in range(len(vectors))]
+            assert _span_algebra(vectors, br, labels).sc \
+                == span_structure_constants(vectors, br), name
 
 
 def test_restricted_stabilizer_matches_the_built_subalgebra(pair):
@@ -377,7 +382,7 @@ def test_restricted_stabilizer_matches_the_built_subalgebra(pair):
                 # in k's coordinates: members of the span, killed by the form
                 assert linalg.rank([dict(enumerate(v)) for v in vectors + got]) \
                     == len(vectors), name
-                assert all(sum((a * b for a, b in zip(alpha, k.bracket(x, v))), Q(0)) == 0
+                assert all(sum((a * b for a, b in zip(alpha, bracket(k, x, v))), Q(0)) == 0
                            for x in got for v in vectors), name
 
 
@@ -401,7 +406,7 @@ def test_generating_set_spans(pair):
         span, layer = list(unit), list(unit)
         while layer:
             fresh = []
-            for v in (q.bracket(a, b) for a in layer for b in unit):
+            for v in (bracket(q, a, b) for a in layer for b in unit):
                 if linalg.rank([dict(enumerate(r)) for r in span + [v]]) > len(span):
                     span.append(v)
                     fresh.append(v)

@@ -107,7 +107,8 @@ def test_grad_at_matches_partials():
                   for _ in range(nvars)]
             got = p.grad_at(pt)
             assert got == [poly_eval(p.partial(i), pt) for i in range(nvars)]
-            assert all(isinstance(x, Q) for x in got)
+            # int where an entry is an integer, Fraction only where it is not
+            assert all(type(x) is (int if Q(x).denominator == 1 else Q) for x in got)
 
 
 def test_eval():

@@ -74,6 +74,20 @@ FAMILY_DIGESTS = {
 }
 
 
+# summary jobs outside the benchmark whose g0^z is non-abelian, so that
+# its index was once an elimination and is now certified
+SUMMARY_DIGESTS = {
+    "--suite summary --pair so6,so5":
+        "591ae9dfb79e74e1ee3fd7c1a7f49507eaa3637650b5286066959c2e85e1c192",
+    "--suite summary --pair so7,so6":
+        "379ce3f52791caa30c7853a7b35ff222ee0af66f0c821011f1e5f3c1ae3125c5",
+    "--suite summary --pair sp6,sp2+sp4":
+        "452ce145dcc0553b5283464afa8068e1ff7bae6b5b9782d6659a5571349232f0",
+    "--suite summary --pair sl4+sl4,diag":
+        "36165aef22d9e3e88cb9faa160036b2410783d10b567afebf6048425df9bb081",
+}
+
+
 def _benchmark_jobs() -> list[str]:
     spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
     mod = importlib.util.module_from_spec(spec)
@@ -104,6 +118,11 @@ def test_dimstab_report_digest(job):
 @pytest.mark.parametrize("job", sorted(FAMILY_DIGESTS))
 def test_family_report_digest(job):
     _check_digest(job, FAMILY_DIGESTS[job])
+
+
+@pytest.mark.parametrize("job", sorted(SUMMARY_DIGESTS))
+def test_summary_report_digest(job):
+    _check_digest(job, SUMMARY_DIGESTS[job])
 
 
 def _check_digest(job: str, digest: str) -> None:

@@ -5,18 +5,20 @@ from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import (AlgebraValidationError, LieAlgebra, PairId,
-                       UnsupportedPairError, Z2Grading, build_pair,
+from z2poisson import (AlgebraValidationError, GenericityError, LieAlgebra,
+                       PairId, UnsupportedPairError, Z2Grading, build_pair,
                        check_regular_stabilizer_index, contract,
-                       contraction_invariants, graded_centralizer, index,
-                       is_regular, linalg, matrix_algebra, satake_of,
-                       stabilizer)
+                       contraction_invariants, index, is_regular, linalg,
+                       matrix_algebra, satake_of, stabilizer)
 from z2poisson.poly import Poly
-from z2poisson.structure import (_check_cartan, _greedy_zero_block,
-                                 algebra_from_matrices, sample_covector,
-                                 subalgebra)
+from z2poisson.structure import (_check_cartan, _greedy_zero_block, _span_algebra,
+                                 algebra_from_matrices, even_stabilizer,
+                                 sample_covector, trace_covector)
 
-from oracles import (b_value, centralizer_of_cartan, dense_structure_constants,
+from test_invariants import LADDER_PAIRS, TIER1_PAIRS
+
+from oracles import (ad_matrix, b_value, bracket, centralizer_of_cartan,
+                     dense_structure_constants, graded_centralizer, subalgebra,
                      trace_pair)
 
 SUPPORTED = ["sl2,so2", "sl3,so3", "sl3,gl2", "sl4,sp4", "so5,so4",
@@ -96,13 +98,18 @@ def test_spans_must_be_independent_and_closed(pair):
     with pytest.raises(ValueError, match=r"not bracket-closed at \(0,1\)"):
         algebra_from_matrices([e12, e21], ["a", "b"])
     g = pair("sl2,so2").g
+
+    def span(vectors):
+        return _span_algebra(vectors, lambda a, b: bracket(g, vectors[a], vectors[b]),
+                             [f"t{i}" for i in range(len(vectors))])
+
     u, v = unit(3, 0), unit(3, 1)
     with pytest.raises(ValueError, match="not linearly independent"):
-        subalgebra(g, [u, [2 * x for x in u]])
+        span([u, [2 * x for x in u]])
     with pytest.raises(ValueError, match=r"not bracket-closed at \(0,1\)"):
-        subalgebra(g, [u, v])
-    # the empty family (g0^z = 0 on sl_n,so_n) spans the zero algebra
-    empty = subalgebra(g, [])
+        span([u, v])
+    # the empty family spans the zero algebra
+    empty = span([])
     assert (empty.dim, empty.sc) == (0, {})
 
 
@@ -151,9 +158,11 @@ def test_span_algebra_is_one_elimination(pair, monkeypatch):
     monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(1) or real(rows))
     for name in ["sl3,so3", "sl4,sp4", "sl3+sl3,diag"]:
         pr = pair(name)
+        even = [unit(pr.g.dim, i) for i in pr.grading.even_idx]
         for build in (lambda: algebra_from_matrices(pr.realization.matrices, pr.g.labels),
-                      lambda: subalgebra(pr.g, [unit(pr.g.dim, i)
-                                                for i in pr.grading.even_idx])):
+                      lambda: _span_algebra(even,
+                                            lambda a, b: bracket(pr.g, even[a], even[b]),
+                                            [f"t{i}" for i in range(len(even))])):
             calls.clear()
             build()
             assert len(calls) == 1, name
@@ -334,17 +343,23 @@ def test_index_examples(pair):
     assert index(abelian) == 4
 
 
-def _g0z(pr, seed=1):
-    """g0^z at a generic point z of the Cartan subspace."""
-    rng = random.Random(seed)
+def generic_cartan_point(pr):
+    """A point z of the Cartan subspace with dim g1^z = rk(g, g0), and the
+    bases of g0^z and g1^z, from the kernels of ad(z)."""
+    rng = random.Random(1)
     for _ in range(12):
         coeffs = [rng.randint(-10 ** 6, 10 ** 6) for _ in pr.cartan_subspace]
         z = [sum((c * v[i] for c, v in zip(coeffs, pr.cartan_subspace)), Q(0))
              for i in range(pr.g.dim)]
         even_c, odd_c = graded_centralizer(pr, z)
         if len(odd_c) == pr.rank_pair:
-            return subalgebra(pr.g, even_c)
+            return z, even_c, odd_c
     pytest.fail(f"no generic Cartan point for {pr.pair}")
+
+
+def _g0z(pr):
+    """g0^z at a generic point z of the Cartan subspace."""
+    return subalgebra(pr.g, generic_cartan_point(pr)[1])
 
 
 def test_index_matches_plain_elimination(pair):
@@ -404,38 +419,58 @@ def test_is_regular(pair):
 
 
 # ----------------------------------------------------------------------
-# graded centralizers
+# graded centralizers: g0^v is the even stabilizer of tr(V .)
 # ----------------------------------------------------------------------
 
+def _odd_vector(pr, rng):
+    return [rng.randint(-9, 9) if i in pr.grading.odd_idx else 0 for i in range(pr.g.dim)]
+
+
+def _same_span(a, b) -> bool:
+    rows = lambda vs: [dict(enumerate(v)) for v in vs]
+    return len(a) == len(b) == linalg.rank(rows(a)) == linalg.rank(rows(a + b))
+
+
 def test_graded_centralizer_dimension_identity(pair):
+    # ad(v) maps g0 to g1 and back with transposed matrices under the trace
+    # form: d0 - dim g0^v = d1 - dim g1^v, with g0^v the even stabilizer
     rng = random.Random(6)
-    for name in ["sl3,so3", "sp4,sp2+sp2", "sl2+sl2,diag"]:
+    for name in ["sl3,so3", "sp4,sp2+sp2", "sl2+sl2,diag", "sl4,sp4", "so5,so4"]:
         pr = pair(name)
         for _ in range(6):
-            v = [Q(rng.randint(-9, 9)) if i in pr.grading.odd_idx else Q(0)
-                 for i in range(pr.g.dim)]
+            v = _odd_vector(pr, rng)
+            g0v = even_stabilizer(pr, trace_covector(pr, v))
             even_c, odd_c = graded_centralizer(pr, v)
-            assert pr.d0 - len(even_c) == pr.d1 - len(odd_c)
+            assert _same_span(g0v, even_c), name
+            assert pr.d0 - len(g0v) == pr.d1 - len(odd_c), name
 
 
 def test_graded_centralizer_cartan_point(pair):
     pr = pair("sl2,so2")
     h = pr.cartan_subspace[0]
-    even_c, odd_c = graded_centralizer(pr, h)
-    assert odd_c == [h]
-    assert even_c == []
+    assert even_stabilizer(pr, trace_covector(pr, h)) == []
+    assert graded_centralizer(pr, h) == ([], [h])
 
 
 def test_graded_centralizer_zero(pair):
     pr = pair("so5,so4")
-    even_c, odd_c = graded_centralizer(pr, [0] * pr.g.dim)
-    assert len(even_c) == pr.d0 and len(odd_c) == pr.d1
+    assert len(even_stabilizer(pr, trace_covector(pr, [0] * pr.g.dim))) == pr.d0
 
 
-def test_graded_centralizer_requires_odd_vector(pair):
-    pr = pair("sl2,so2")
-    with pytest.raises(ValueError):
-        graded_centralizer(pr, [1, 0, 0])
+def test_trace_covector_of_odd_vector_vanishes_on_g0(pair):
+    # g0 and g1 are orthogonal under the trace form, so even_stabilizer may
+    # read the odd entries of beta alone
+    rng = random.Random(4)
+    for name in SUPPORTED:
+        pr = pair(name)
+        v = _odd_vector(pr, rng)
+        beta = trace_covector(pr, v)
+        mats = pr.realization.matrices
+        vm = [[sum(x * m[a][b] for x, m in zip(v, mats)) for b in range(len(mats[0]))]
+              for a in range(len(mats[0]))]
+        assert beta == [trace_pair(vm, m) for m in mats], name
+        assert all(beta[i] == 0 for i in pr.grading.even_idx), name
+        assert any(beta[i] for i in pr.grading.odd_idx), name
 
 
 def test_regular_stabilizer_index(pair):
@@ -444,10 +479,34 @@ def test_regular_stabilizer_index(pair):
         "sl3,so3": (2, 0), "so5,so4": (1, 1), "sl3,gl2": (1, 1),
     }
     for name, (dim_g1z, ind_g0z) in expected.items():
-        rep = check_regular_stabilizer_index(pair(name), seed=3)
+        pr = pair(name)
+        rep = check_regular_stabilizer_index(pr, contraction_invariants(pr).meta["index"],
+                                             seed=3)
         assert rep["pass"], (name, rep)
         assert rep["dim_g1z"] == dim_g1z
         assert rep["ind_g0z"] == ind_g0z
+
+
+def test_regular_stabilizer_index_matches_elimination(pair):
+    # the certified row against the elimination oracle on g0^z, built in its
+    # own basis from the kernel of ad(z); index_k = rk g is criterion 4
+    for name in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS):
+        pr = pair(name)
+        rep = check_regular_stabilizer_index(pr, pr.rank_g)
+        _, even_c, odd_c = generic_cartan_point(pr)
+        assert rep["dim_g1z"] == len(odd_c) == pr.rank_pair, name
+        assert rep["ind_g0z"] == index(subalgebra(pr.g, even_c)) \
+            == pr.rank_g - pr.rank_pair, name
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_regular_stabilizer_index_with_a_wrong_index_never_closes(pair, off):
+    # the lower bound index_k - dim g1^z moves with index_k, the upper bound
+    # does not, so no attempt closes and the row is never a wrong number
+    for name in ["sl2,so2", "sl3,so3", "so5,so4", "sl4,sp4", "sl3+sl3,diag"]:
+        pr = pair(name)
+        with pytest.raises(GenericityError):
+            check_regular_stabilizer_index(pr, pr.rank_g + off)
 
 
 def _symbolic_odd_centralizer_dim(pr):
@@ -457,7 +516,7 @@ def _symbolic_odd_centralizer_dim(pr):
     cols = list(pr.grading.odd_idx)
     rows = [[Poly.zero(r) for _ in cols] for _ in range(pr.g.dim)]
     for t, vec in enumerate(pr.cartan_subspace):
-        ad = pr.g.ad_matrix(vec)
+        ad = ad_matrix(pr.g, vec)
         for i, row in enumerate(rows):
             for jj, j in enumerate(cols):
                 if ad[i][j] != 0:
@@ -471,7 +530,7 @@ def test_odd_centralizer_certificate_matches_symbolic_reference(pair):
     for name in SUPPORTED + ["sl4,so4", "sp6,gl3", "so7,so3+so4",
                              "sl4+sl4,diag", "sl5,so5"]:
         pr = pair(name)
-        rep = check_regular_stabilizer_index(pr, seed=3)
+        rep = check_regular_stabilizer_index(pr, pr.rank_g, seed=3)
         assert _symbolic_odd_centralizer_dim(pr) == pr.rank_pair == rep["dim_g1z"], name
 
 
