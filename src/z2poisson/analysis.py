@@ -104,8 +104,13 @@ def verify_summary(pair: PairId, seed: int = 1) -> VerificationReport:
     """Index and degree-sum facts for one contraction: index equals the rank
     of the ambient algebra, b is preserved, and the central generator pool
     has the right degree sum when it is full.  The contraction's index is
-    the one certified by its central generators (``contraction_invariants``).
-    For g of dimension at most 10, index(g) is certified the same way by the
+    the one certified by its central generators (``contraction_invariants``:
+    read off the odd block on maximal-rank pairs, weight-echelon tops of the
+    classical invariants of g on the others; on both routes each top is
+    verified central and the index bounds must meet).  The classical
+    invariants of g are built only for the weight-echelon route and the
+    index(g) row, and at most once.  For g of dimension at most 10,
+    index(g) is certified the same way by the
     classical invariants of g at points sampled from the seed: their
     Jacobian rank is a lower bound and the Kirillov corank an upper bound,
     and elimination runs only if the two do not meet.  At a generic
@@ -117,8 +122,11 @@ def verify_summary(pair: PairId, seed: int = 1) -> VerificationReport:
     rep = VerificationReport("summary", str(pair), seed)
     pr = build_pair(pair)
     rk = pr.rank_g
-    inv_g = classical_invariants(pr)
-    inv = contraction_invariants(pr, seed=seed, classical=inv_g)
+    maximal = pr.maximal_rank
+    # the classical invariants of g serve the index(g) row and the
+    # weight-echelon route, and are built at most once
+    inv_g = classical_invariants(pr) if pr.g.dim <= 10 or not maximal else None
+    inv = contraction_invariants(pr, seed=seed, classical=None if maximal else inv_g)
     rep.add("index(k) = rk g", rk, inv.meta["index"])
     rep.add("b(k) = b(g)", Q(pr.g.dim + rk, 2), Q(inv.meta["b"]),
             note="b(g) from dim and rank")
@@ -241,7 +249,7 @@ def demonstrate_nonmaximality(pair: PairId, seed: int = 1) -> VerificationReport
     """
     rep = VerificationReport("nonmax", str(pair), seed)
     pr = build_pair(pair)
-    if pr.satake.arrows or "b" in pr.satake.colors:
+    if not pr.maximal_rank:
         raise UnsupportedPairError(
             f"{pair} is not of maximal rank; the demonstration "
             "applies to all-white, arrow-free diagrams")

@@ -2,6 +2,14 @@
 top components along the grading (candidate invariants of the contraction),
 the abelian-ideal invariant subalgebra for pairs without black nodes, and a
 graded kernel search for noncommutativity witnesses.
+
+The tops come by one of two routes.  On a maximal-rank pair (a Cartan
+subalgebra of g in g1) they are the characteristic coefficients and
+Pfaffian of the generic element of g1 alone (``_odd_block_tops``); on
+every other pair they are the weight-echelon tops of the classical
+invariants of g (``_weight_echelon_tops``).  Either way they are
+certificates only once ``verify_central`` has checked each top central in
+the contraction and ``certified_index`` has met its bounds with them.
 """
 
 from __future__ import annotations
@@ -34,10 +42,12 @@ class InvariantSet:
 # symbolic characteristic coefficients
 # ----------------------------------------------------------------------
 
-def _generic_matrix(mats, nvars: int, rows: range, cols: range) -> list[list[Poly]]:
-    """X = sum_i x_i M_i restricted to a block, with polynomial entries."""
+def _generic_matrix(mats, nvars: int, rows: range, cols: range,
+                    variables=None) -> list[list[Poly]]:
+    """X = sum_i x_i M_i restricted to a block, with polynomial entries; the
+    variable of ``mats[i]`` is ``variables[i]``, by default i."""
     out = [[Poly.zero(nvars) for _ in cols] for _ in rows]
-    for t, m in enumerate(mats):
+    for t, m in zip(range(len(mats)) if variables is None else variables, mats):
         for a, i in enumerate(rows):
             for b, j in enumerate(cols):
                 if m[i][j] != 0:
@@ -280,10 +290,50 @@ def _weight_echelon_tops(polys: list[Poly], grading: Z2Grading) -> list[Poly]:
     return out
 
 
+def _odd_block_tops(pr: PairRealization) -> list[Poly]:
+    """Top components of the classical invariants of a maximal-rank pair,
+    read off the odd block alone.
+
+    The component of odd degree d of an invariant of degree d is its
+    restriction to g1, the same characteristic coefficient or Pfaffian of
+    ``X1 = sum_(i odd) x_i D_i``.  When a Cartan subalgebra of g lies in g1,
+    no nonzero invariant vanishes on g1 (Kostant-Rallis), so that component
+    is the top one.  The trace form
+    makes g0 and g1 orthogonal, so the duals ``D_i`` of the odd basis lie in
+    g1 and come from the odd block of the Gram matrix.  Each generator is
+    returned as a primitive integer polynomial with a positive coefficient
+    at its least exponent tuple, and the list is sorted stably by degree:
+    the normalization and order of ``_weight_echelon_tops``.  Nothing here
+    is certified; the caller verifies every top central.
+    """
+    real = pr.realization
+    odd = pr.grading.odd_idx
+    duals = _dual_matrices([real.matrices[i] for i in odd])
+    size = len(duals[0])
+    x1 = _generic_matrix(duals, pr.g.dim, range(size), range(size), variables=odd)
+    tops = []
+    for p in _kind_generators(real.kind, x1):
+        terms = linalg._primitive(p.terms)
+        if terms[min(terms)] < 0:
+            terms = {e: -c for e, c in terms.items()}
+        tops.append(Poly(p.nvars, terms))
+    return sorted(tops, key=Poly.degree)
+
+
 def contraction_invariants(pr: PairRealization, seed: int = 1, trials: int = 6,
                            classical: InvariantSet | None = None) -> InvariantSet:
-    """Verified central generators of the contraction's Poisson centre,
-    obtained as weight-echelon top components of the classical invariants.
+    """Verified central generators of the contraction's Poisson centre: the
+    top components of the classical invariants of g.
+
+    On a maximal-rank pair (``pr.maximal_rank``) they come from the odd
+    block alone (``_odd_block_tops``), with no expansion over g0 and no
+    reduction.  On every other pair raw tops can coincide or degenerate, and
+    they are the weight-echelon tops of ``classical``, the classical
+    invariants of g (built here when None); giving ``classical`` for a
+    maximal-rank pair, which does not use it, is a ``ValueError``.  On both
+    routes the certificate is the same: every top is verified central in
+    the contraction (``verify_central``), and the index is certified from
+    them below.
 
     The returned metadata carries a Jacobian rank certificate at a sampled
     point; ``meta['full']`` is set when the pool has full rank (one free
@@ -291,16 +341,21 @@ def contraction_invariants(pr: PairRealization, seed: int = 1, trials: int = 6,
 
     ``meta['index']`` is the index of the contraction, certified by the
     central generators at the sampled point (``certified_index``), or by
-    elimination when that certificate does not close.  ``classical`` is
-    ``classical_invariants(pr)`` if the caller has it already."""
-    inv_g = classical_invariants(pr) if classical is None else classical
+    elimination when that certificate does not close."""
+    if pr.maximal_rank:
+        if classical is not None:
+            raise ValueError("the classical invariants of g are not used "
+                             "on a maximal-rank pair")
+        tops = _odd_block_tops(pr)
+    else:
+        inv_g = classical_invariants(pr) if classical is None else classical
+        # the products run on integers: scaling each invariant keeps every
+        # row span, so the reduced rows, and the tops up to scale, stay the
+        # same; each top is returned as a primitive integer polynomial
+        integral = [Poly(p.nvars, linalg._primitive(p.terms)) for p in inv_g.polys]
+        tops = [Poly(p.nvars, linalg._primitive(p.terms))
+                for p in _weight_echelon_tops(integral, pr.grading)]
     k = pr.contraction
-    # the products run on integers: scaling each invariant keeps every row
-    # span, so the reduced rows, and the tops up to scale, stay the same;
-    # each top is returned as a primitive integer polynomial
-    integral = [Poly(p.nvars, linalg._primitive(p.terms)) for p in inv_g.polys]
-    tops = [Poly(p.nvars, linalg._primitive(p.terms))
-            for p in _weight_echelon_tops(integral, pr.grading)]
     if not all(verify_central(k, p) for p in tops):
         raise AssertionError("top component is not central in the contraction")
     rng = random.Random(seed)
@@ -322,7 +377,10 @@ def contraction_invariants(pr: PairRealization, seed: int = 1, trials: int = 6,
 def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
     """Free generators of the odd-coordinate invariant subalgebra for pairs
     whose diagram has no black nodes: the odd coordinate functions plus
-    arrow-many central polynomials chosen greedily for Jacobian rank b(k)."""
+    arrow-many central polynomials chosen greedily for Jacobian rank b(k).
+    They commute without a bracket: each is an odd coordinate, and g1 is an
+    abelian ideal of k, or a top that ``contraction_invariants`` has just
+    verified central."""
     if not pr.satake.is_n_regular():
         raise UnsupportedPairError(
             f"{pr.pair} is not regular at the nilpotent level: "
@@ -352,11 +410,13 @@ def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
             f"invariant pool is insufficient for {pr.pair}: achieved rank "
             f"{current} with {len(selected)} generators, want rank {target} "
             f"with {len(coords) + m}")
-    ok, _ = pairwise_commuting(k, selected)
-    if not ok:
-        raise AssertionError("selected generators fail to commute")
+    # g1 is an abelian ideal of k and every pool member is verified
+    # central, so the selected generators commute with no bracket taken
+    if not all(any(p is q for q in coords + pool.polys) for p in selected):
+        raise AssertionError("a selected generator is neither an odd "
+                             "coordinate nor a central top")
     return InvariantSet(k, selected, meta={"certified_rank": current, "m": m,
-                                           "b": target, "commuting": ok,
+                                           "b": target, "commuting": True,
                                            "seed": seed, "count": len(selected)})
 
 

@@ -305,6 +305,15 @@ class PairRealization:
     def rank_pair(self) -> int:
         return self.satake.rank()
 
+    @property
+    def maximal_rank(self) -> bool:
+        """Whether a Cartan subalgebra of g lies in g1: rk(g, g0) = rk g, so
+        the Cartan subspace that ``_check_cartan`` certifies when the pair
+        is built (rk(g, g0) independent, commuting, semisimple odd vectors)
+        is one.  Equivalently, the Satake diagram is all white and
+        arrow-free."""
+        return self.rank_pair == self.rank_g
+
     @cached_property
     def contraction(self) -> LieAlgebra:
         """The contraction ``k = g0 ⋉ g1``, built once per realization."""

@@ -130,10 +130,11 @@ def test_nreg_suite():
         verify_nreg(parse_pair_name("sp4,sp2+sp2"))
 
 
-def test_verify_nreg_brackets_its_family_once(monkeypatch):
-    # nreg_subalgebra checks its generators commute; the report reuses that.
-    # The witness search brackets its own candidates through the same
-    # function, so only the calls on the nreg family are counted.
+def test_verify_nreg_takes_no_bracket_of_its_family(monkeypatch):
+    # every member of the nreg family is an odd coordinate or a verified
+    # central top, so it commutes with no bracket taken.  The witness search
+    # brackets its own candidates through the same function, so only the
+    # calls on the nreg family are counted.
     pid = parse_pair_name("sl2+sl2,diag")
     family = invariants.nreg_subalgebra(structure.build_pair(pid)).polys
     calls = []
@@ -146,7 +147,16 @@ def test_verify_nreg_brackets_its_family_once(monkeypatch):
     monkeypatch.setattr(invariants, "pairwise_commuting", counting)
     rep = verify_nreg(pid)
     assert rep.passed
-    assert calls.count(family) == 1
+    assert next(c for c in rep.checks if c.name == "pairwise commuting").computed is True
+    assert calls.count(family) == 0
+
+
+@pytest.mark.parametrize("name", [p for p in TIER1_PAIRS
+                                  if satake_of(parse_pair_name(p)).is_n_regular()])
+def test_nreg_family_commutes_by_brackets(name, pair):
+    # the oracle for taking no bracket: the family does commute
+    inv = invariants.nreg_subalgebra(pair(name))
+    assert pairwise_commuting(inv.algebra, inv.polys) == (True, None)
 
 
 @pytest.mark.parametrize("run", [
@@ -171,20 +181,23 @@ def test_each_job_contracts_once(run, monkeypatch):
 
 def test_summary_builds_the_classical_invariants_once(monkeypatch):
     # every binding of classical_invariants, so that a call from any layer
-    # is counted
-    calls = []
+    # is counted: so5,so4 (dim 10, not of maximal rank) needs them for the
+    # index(g) row and the weight-echelon route, and builds them once;
+    # sl4,so4 (dim 15, maximal rank) reads its tops off the odd block
     real = invariants.classical_invariants
+    for name, want in [("so5,so4", [10]), ("sl4,so4", [])]:
+        calls = []
 
-    def counting(pr):
-        calls.append(pr.g.dim)
-        return real(pr)
+        def counting(pr):
+            calls.append(pr.g.dim)
+            return real(pr)
 
-    for module in (analysis, invariants):
-        if getattr(module, "classical_invariants", None) is real:
+        for module in (analysis, invariants):
             monkeypatch.setattr(module, "classical_invariants", counting)
-    rep = verify_summary(parse_pair_name("so5,so4"))
-    assert rep.passed
-    assert calls == [10]
+        rep = verify_summary(parse_pair_name(name))
+        monkeypatch.undo()
+        assert rep.passed, name
+        assert calls == want, name
 
 
 @pytest.mark.parametrize("run", [

@@ -461,6 +461,62 @@ def test_tops_from_integer_invariants_match_the_rational_route(pair):
             assert math.gcd(*f.terms.values()) == 1, name
 
 
+MAXIMAL_RANK_PAIRS = ["sl2,so2", "sl3,so3", "sp4,gl2", "sl4,so4", "sp6,gl3",
+                      "so5,so2+so3", "so6,so3+so3", "so7,so3+so4", "so8,so4+so4"]
+
+
+def test_maximal_rank_pairs_are_those_of_white_arrow_free_diagrams(pair):
+    # the cross-check below covers every maximal-rank tier-1 and ladder pair
+    listed = [p for p in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS) if pair(p).maximal_rank]
+    assert listed == MAXIMAL_RANK_PAIRS[:4]
+    for name in TIER1_PAIRS + LADDER_PAIRS + MAXIMAL_RANK_PAIRS + ["sl2,gl1", "so8,gl4"]:
+        d = pair(name).satake
+        assert pair(name).maximal_rank == (not d.arrows and "b" not in d.colors), name
+
+
+@pytest.mark.parametrize("name", MAXIMAL_RANK_PAIRS)
+def test_odd_block_tops_match_the_weight_echelon_route(name, pair, monkeypatch):
+    # the cross-check of the odd-block route: on maximal-rank pairs its tops
+    # are the primitive weight-echelon tops of the classical invariants,
+    # term for term and in order, and it builds no classical invariant
+    pr = pair(name)
+    integral = [P(p.nvars, linalg._primitive(p.terms))
+                for p in classical_invariants(pr).polys]
+    want = [linalg._primitive(p.terms) for p in _weight_echelon_tops(integral, pr.grading)]
+    monkeypatch.setattr(invariants, "classical_invariants", None)
+    monkeypatch.setattr(invariants, "_weight_echelon_tops", None)
+    got = contraction_invariants(pr).polys
+    assert [p.terms for p in got] == want
+
+
+@pytest.mark.parametrize("name", ["sl3,so3", "sp4,gl2", "so6,so3+so3"])
+def test_odd_block_route_rejects_a_perturbed_dual(name, pair, monkeypatch):
+    # adding a third of the second odd dual to the first keeps X1 in g1 but
+    # breaks its equivariance; verify_central must catch the tops
+    real = invariants._dual_matrices
+
+    def perturbed(mats):
+        duals = real(mats)
+        first = [[x + Q(1, 3) * y for x, y in zip(r, s)]
+                 for r, s in zip(duals[0], duals[1])]
+        return [first] + duals[1:]
+
+    checked = []
+    verify = invariants.verify_central
+    monkeypatch.setattr(invariants, "_dual_matrices", perturbed)
+    monkeypatch.setattr(invariants, "verify_central",
+                        lambda q, f: checked.append(f) or verify(q, f))
+    with pytest.raises(AssertionError, match="not central"):
+        contraction_invariants(pair(name))
+    assert checked and not verify(pair(name).contraction, checked[-1])
+
+
+def test_classical_invariants_are_refused_on_a_maximal_rank_pair(pair):
+    pr = pair("sl3,so3")
+    with pytest.raises(ValueError, match="maximal-rank"):
+        contraction_invariants(pr, classical=classical_invariants(pr))
+
+
 def test_top_component(pair):
     pr = pair("sl2,so2")
     f = P.parse("u^2-v^2-w^2", pr.g.labels)
