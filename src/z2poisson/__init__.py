@@ -9,8 +9,8 @@ from .errors import (AlgebraValidationError, BudgetError, DiagramSyntaxError,
 from .invariants import (InvariantSet, classical_invariants,
                          contraction_invariants, noncommutativity_witness,
                          nreg_subalgebra, top_component)
-from .poisson import (ShiftFamily, certified_index, jacobian_rank_at, mf_family,
-                      pairwise_commuting, poisson_bracket, shift,
+from .poisson import (ShiftFamily, certified_index, gradients, jacobian_rank_at,
+                      mf_family, pairwise_commuting, poisson_bracket, shift,
                       trdeg_lower_bound, verify_central)
 from .poly import Poly
 from .structure import (LieAlgebra, MatrixRealization, PairRealization,
@@ -28,7 +28,7 @@ __all__ = [
     "SatakeDiagram", "ShiftFamily", "UnsupportedPairError", "Z2Grading",
     "Z2PoissonError", "build_pair", "certified_index",
     "check_regular_stabilizer_index", "classical_invariants", "classify",
-    "contract", "contraction_invariants", "index",
+    "contract", "contraction_invariants", "gradients", "index",
     "is_regular", "jacobian_rank_at", "matrix_algebra", "mf_family",
     "noncommutativity_witness", "nreg_subalgebra", "pairwise_commuting",
     "parse_pair_name", "parse_satake", "poisson_bracket", "satake_of", "shift",

@@ -16,8 +16,9 @@ from . import linalg
 from .diagram import PairId, enumerate_valid_diagrams
 from .errors import GenericityError, UnsupportedPairError
 from .invariants import (classical_invariants, contraction_invariants,
-                         noncommutativity_witness, nreg_subalgebra)
-from .poisson import (certified_index, mf_family, pairwise_commuting,
+                         noncommutativity_witness, nreg_subalgebra,
+                         pointwise_invariants)
+from .poisson import (certified_index, gradients, mf_family, pairwise_commuting,
                       poisson_bracket, trdeg_lower_bound)
 from .poly import Poly
 from .structure import (build_pair, check_regular_stabilizer_index,
@@ -104,48 +105,54 @@ def verify_summary(pair: PairId, seed: int = 1) -> VerificationReport:
     """Index and degree-sum facts for one contraction: index equals the rank
     of the ambient algebra, b is preserved, and the central generator pool
     has the right degree sum when it is full.  The contraction's index is
-    the one certified by its central generators (``contraction_invariants``:
-    read off the odd block on maximal-rank pairs, weight-echelon tops of the
-    classical invariants of g on the others; on both routes each top is
-    verified central and the index bounds must meet).  The classical
-    invariants of g are built only for the weight-echelon route and the
-    index(g) row, and at most once.  For g of dimension at most 10,
-    index(g) is certified the same way by the
-    classical invariants of g at points sampled from the seed: their
-    Jacobian rank is a lower bound and the Kirillov corank an upper bound,
-    and elimination runs only if the two do not meet.  At a generic
-    Cartan point z, the odd-centralizer dimension is read from the even
-    stabilizer g0^z of ``tr(Z .)``, and ``index(g0^z) = rk g - rk(g, g0)``
-    is certified from the contraction's index by Rais's identity, with no
-    elimination (``check_regular_stabilizer_index``).
+    the one certified by its central generators, the tops of the classical
+    invariants of g: their gradient rows at a sampled point bound it below
+    and the Kirillov corank there bounds it above.  On a pair of kind sl,
+    sp or so of maximal rank or of block type, the rows are read at the
+    point with no polynomial built (``PointwiseInvariants``), and the tops
+    are central by the equivariance certificate.  Everywhere else, and
+    when those rows are not independent at the first point, the tops are
+    polynomials (``contraction_invariants``: the odd block on maximal-rank
+    pairs, weight-echelon tops on the others, each verified central).  The
+    classical invariants of g are built only for the weight-echelon route,
+    once.  For g of dimension at most 10, index(g) is certified the same
+    way by the rows of the classical invariants of g, pointwise where the
+    pair allows, at points sampled from the seed; elimination runs only if
+    the two bounds do not meet.  At a generic Cartan point z, the
+    odd-centralizer dimension is read from the even stabilizer g0^z of
+    ``tr(Z .)``, and ``index(g0^z) = rk g - rk(g, g0)`` is certified from
+    the contraction's index by Rais's identity, with no elimination
+    (``check_regular_stabilizer_index``).
     """
     rep = VerificationReport("summary", str(pair), seed)
     pr = build_pair(pair)
     rk = pr.rank_g
-    maximal = pr.maximal_rank
-    # the classical invariants of g serve the index(g) row and the
-    # weight-echelon route, and are built at most once
-    inv_g = classical_invariants(pr) if pr.g.dim <= 10 or not maximal else None
-    inv = contraction_invariants(pr, seed=seed, classical=None if maximal else inv_g)
-    rep.add("index(k) = rk g", rk, inv.meta["index"])
-    rep.add("b(k) = b(g)", Q(pr.g.dim + rk, 2), Q(inv.meta["b"]),
+    pointwise = pointwise_invariants(pr)
+    meta = pointwise.certify_contraction(seed) if pointwise else None
+    if meta is None:
+        # the symbolic pool; the weight-echelon route and, with no pointwise
+        # rows, the index(g) row share one build of the classical invariants
+        inv_g = None if pr.maximal_rank else classical_invariants(pr)
+        meta = contraction_invariants(pr, seed=seed, classical=inv_g).meta
+    rep.add("index(k) = rk g", rk, meta["index"])
+    rep.add("b(k) = b(g)", Q(pr.g.dim + rk, 2), Q(meta["b"]),
             note="b(g) from dim and rank")
     if pr.g.dim <= 10:
         rng = random.Random(seed)
         points = (sample_covector(pr.g.dim, rng) for _ in range(6))
-        ind_g, _, _ = certified_index(pr.g, inv_g.polys, points)
+        samples = (((mu, pointwise.rows(mu)) for mu in points) if pointwise
+                   else gradients(inv_g.polys, points))
+        ind_g, _, _ = certified_index(pr.g, samples)
         rep.add("index(g) = rk g", rk, ind_g)
-    rep.add("central generator count", rk, inv.meta["count"])
-    if inv.meta["full"]:
-        rep.add("sum of generator degrees = b(k)", inv.meta["b"],
-                inv.meta["sum_degrees"])
-        rep.add("generator Jacobian rank", inv.meta["count"],
-                inv.meta["certified_rank"],
+    rep.add("central generator count", rk, meta["count"])
+    if meta["full"]:
+        rep.add("sum of generator degrees = b(k)", meta["b"], meta["sum_degrees"])
+        rep.add("generator Jacobian rank", meta["count"], meta["certified_rank"],
                 note="full pool certified at the sampled point")
     else:
         rep.add("generator pool certified", True, False,
-                note=f"achieved rank {inv.meta['certified_rank']}")
-    stab = check_regular_stabilizer_index(pr, inv.meta["index"], seed=seed)
+                note=f"achieved rank {meta['certified_rank']}")
+    stab = check_regular_stabilizer_index(pr, meta["index"], seed=seed)
     rep.add("generic odd-centralizer dimension", stab["expected_dim_g1z"],
             stab["dim_g1z"])
     rep.add("index of the generic even centralizer", stab["expected_ind_g0z"],

@@ -3,13 +3,18 @@ top components along the grading (candidate invariants of the contraction),
 the abelian-ideal invariant subalgebra for pairs without black nodes, and a
 graded kernel search for noncommutativity witnesses.
 
-The tops come by one of two routes.  On a maximal-rank pair (a Cartan
-subalgebra of g in g1) they are the characteristic coefficients and
-Pfaffian of the generic element of g1 alone (``_odd_block_tops``); on
-every other pair they are the weight-echelon tops of the classical
-invariants of g (``_weight_echelon_tops``).  Either way they are
-certificates only once ``verify_central`` has checked each top central in
-the contraction and ``certified_index`` has met its bounds with them.
+The ``summary`` suite reads the tops as gradient rows at one integer point,
+with no polynomial built (``PointwiseInvariants``), on every pair of kind
+sl, sp or so that is of maximal rank or whose matrix positions split into
+two classes; there the equivariance certificate makes them central.  As
+polynomials, for ``nonmax``, ``nreg`` and the other pairs, the tops come
+by one of two routes.  On a maximal-rank pair (a Cartan subalgebra of g in
+g1) they are the characteristic coefficients and Pfaffian of the generic
+element of g1 alone (``_odd_block_tops``); on every other pair they are
+the weight-echelon tops of the classical invariants of g
+(``_weight_echelon_tops``).  Either way they are certificates only once
+``verify_central`` has checked each top central in the contraction and
+``certified_index`` has met its bounds with them.
 """
 
 from __future__ import annotations
@@ -17,12 +22,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction as Q
-from math import lcm
+from math import isqrt, lcm
 
 from . import linalg
 from .errors import BudgetError, UnsupportedPairError
-from .poisson import (bracket_with_coordinate, certified_index, pairwise_commuting,
-                      trdeg_lower_bound, verify_central)
+from .poisson import (bracket_with_coordinate, certified_index, gradients,
+                      pairwise_commuting, trdeg_lower_bound, verify_central)
 from .poly import Poly, coeff_num
 from .structure import (LieAlgebra, MatrixRealization, PairRealization, Z2Grading,
                         sample_covector)
@@ -77,25 +82,29 @@ def char_coefficients(x: list[list[Poly]]) -> dict[int, Poly]:
     return out
 
 
+def _generator_degrees(kind: str, n: int) -> list[tuple[int, bool]]:
+    """``(degree, is_pfaffian)`` per generator of an n x n matrix algebra of
+    the type: e_2..e_n for sl, the even e_k for sp and so, with the top so
+    coefficient of even size replaced by the Pfaffian (degree n/2)."""
+    if kind == "sl":
+        return [(k, False) for k in range(2, n + 1)]
+    if kind == "sp":
+        return [(k, False) for k in range(2, n + 1, 2)]
+    if n % 2:
+        return [(k, False) for k in range(2, n, 2)]
+    return [(k, False) for k in range(2, n - 1, 2)] + [(n // 2, True)]
+
+
 def _kind_generators(kind: str, x: list[list[Poly]],
                      pf_matrix=None) -> list[Poly]:
-    """Generator list per classical type: degrees 2..n for sl, the even
-    characteristic coefficients for sp and so, with the top so coefficient
-    of even size replaced by the Pfaffian."""
+    """The generators of ``_generator_degrees``, from the characteristic
+    coefficients of X and the Pfaffian of ``pf_matrix`` (X by default)."""
     coeffs = char_coefficients(x)
     n = len(x)
-    if kind == "sl":
-        return [coeffs[k] for k in range(2, n + 1)]
-    for k in range(1, n + 1, 2):
-        if not coeffs[k].is_zero():
-            raise AssertionError("odd characteristic coefficient survived")
-    if kind == "sp":
-        return [coeffs[k] for k in range(2, n + 1, 2)]
-    top = n - 1 if n % 2 else n - 2
-    gens = [coeffs[k] for k in range(2, top + 1, 2)]
-    if n % 2 == 0:
-        gens.append(linalg.pfaffian(pf_matrix if pf_matrix is not None else x))
-    return gens
+    if kind != "sl" and any(not coeffs[k].is_zero() for k in range(1, n + 1, 2)):
+        raise AssertionError("odd characteristic coefficient survived")
+    return [linalg.pfaffian(x if pf_matrix is None else pf_matrix) if pf else coeffs[k]
+            for k, pf in _generator_degrees(kind, n)]
 
 
 def _dual_matrices(mats) -> list[list[list[Q]]]:
@@ -207,6 +216,217 @@ def classical_invariants(real: MatrixRealization | PairRealization) -> Invariant
 
 
 # ----------------------------------------------------------------------
+# gradient rows at a point, with no polynomial built
+# ----------------------------------------------------------------------
+
+def _position_classes(mats, odd) -> tuple[int, int] | None:
+    """Sizes of a split of the matrix positions into two classes with every
+    even basis matrix inside the classes and every odd one across them, or
+    None when the supports admit none; a position no matrix touches joins
+    the first class.
+
+    The trace-form duals then split the same way: ``tr(B_i B_j) = 0`` for
+    even i and odd j, since no position (a, b) inside the classes has its
+    transpose across them, so the Gram matrix keeps parity and each dual is
+    a combination of basis matrices of its own parity."""
+    n = len(mats[0])
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, m in enumerate(mats):
+        across = int(i in odd)
+        for a, row in enumerate(m):
+            for b, x in enumerate(row):
+                if x:
+                    links[a].append((b, across))
+                    links[b].append((a, across))
+    side: list[int | None] = [None] * n
+    for root in range(n):
+        if side[root] is not None:
+            continue
+        side[root], stack = 0, [root]
+        while stack:
+            a = stack.pop()
+            for b, across in links[a]:
+                if side[b] is None:
+                    side[b] = side[a] ^ across
+                    stack.append(b)
+                elif side[b] != side[a] ^ across:
+                    return None
+    first = side.count(0)
+    return first, n - first
+
+
+def _poly_sqrt(c: list[int]) -> list | None:
+    """The polynomial r with r^2 = c and a positive leading coefficient
+    (coefficient lists, lowest power first), or None for c = 0; raises
+    ``AssertionError`` when c is not a square."""
+    while c and not c[-1]:
+        c = c[:-1]
+    if not c:
+        return None
+    h, rem = divmod(len(c) - 1, 2)
+    lead = isqrt(c[-1]) if c[-1] > 0 else 0
+    if rem or lead * lead != c[-1]:
+        raise AssertionError("determinant is not a square")
+    r = [0] * h + [lead]
+    for m in range(1, h + 1):
+        # the coefficient of s^(2h-m) in r^2 holds 2 r_h r_(h-m) once
+        acc = c[2 * h - m] - sum(r[i] * r[2 * h - m - i] for i in range(h - m + 1, h))
+        r[h - m] = coeff_num(Q(acc, 2 * lead))
+    if _exact_quotient(c, r) != r:      # or the division is inexact
+        raise AssertionError("determinant is not a square")
+    return r
+
+
+def _exact_quotient(num: list, den: list) -> list:
+    """num / den for coefficient lists (lowest power first) when den divides
+    num exactly; den has a nonzero leading coefficient."""
+    num = list(num)
+    d = len(den) - 1
+    out = [0] * max(0, len(num) - d)
+    for j in reversed(range(len(out))):
+        c = out[j] = coeff_num(Q(num[j + d], den[d]))
+        if c:
+            for t, y in enumerate(den):
+                num[j + t] -= c * y
+    if any(num):
+        raise AssertionError("inexact division")
+    return out
+
+
+class PointwiseInvariants:
+    """Gradient rows, at integer points, of the classical invariants of g
+    and of their top components along the grading; no polynomial is built.
+
+    At a point xi = (xi0, xi1), with X0 and X1 the even and odd parts of the
+    generic element X = sum_i xi_i D_i (the trace-form duals, scaled to
+    integers), ``X(s) = X0 + s X1`` has entries in Z[s].  The
+    Faddeev-LeVerrier recursion ``M_1 = I, e_k = tr(X M_k)/k,
+    M_(k+1) = e_k I - X M_k`` gives ``d e_k(H) = tr(M_k H)``, so the
+    gradient of ``e_k(X0 + s X1)`` in the direction of a coordinate is
+    ``tr(M_k D_i)``, times s for an odd coordinate.  The component of odd
+    degree w of e_k is the coefficient of s^w, and its gradient row takes
+    the s^w coefficient of ``tr(M_k D_i)`` on even columns and the s^(w-1)
+    one on odd columns.  The Pfaffian's come from ``d e_n = 2 Pf dPf``,
+    with ``Pf(X(s))`` the square root of ``e_n(X(s)) = det X(s)``, divided
+    exactly in Q[s].  Every row is a nonzero multiple of the exact one,
+    which is all a rank needs.  At s = 1 the full gradients are the rows
+    of the invariants of g themselves (``rows``).
+
+    ``widths`` holds the top odd degree W of each generator, exact by a
+    certificate: k on a maximal-rank pair, where the top of ``e_k(X)`` is
+    ``e_k(X1)`` (``_odd_block_tops``); otherwise at most
+    ``2 min(|A|, |B|, k // 2)`` for e_k and ``min(|A|, |B|)`` for the
+    Pfaffian, with A and B the position classes of ``_position_classes``,
+    which the duals respect:
+    a term of a principal k-minor crosses from A to B as often as back, at
+    most ``min(|S & A|, |S & B|)`` times, and a Pfaffian matching pairs at
+    most ``min(|A|, |B|)`` positions across.  A nonzero row at that bound
+    proves the component there is the top (``top_rows``).
+    """
+
+    def __init__(self, pr: PairRealization, duals, widths: list[int]):
+        self.pr = pr
+        self.duals = duals
+        self.odd = frozenset(pr.grading.odd_idx)
+        self.gens = _generator_degrees(pr.realization.kind, pr.realization.size)
+        self.widths = widths
+
+    def _traces(self, xi) -> list[list[list]]:
+        """``tr(M_k D_i)`` as coefficient lists in s, lowest power first, for
+        each generator and coordinate i; the Pfaffian's entries are
+        ``tr(M_n D_i) / Pf = 2 dPf`` (empty when ``Pf(X(s)) = 0``)."""
+        n = self.pr.realization.size
+        x0 = [[0] * n for _ in range(n)]
+        x1 = [[0] * n for _ in range(n)]
+        for i, d in enumerate(self.duals):
+            if xi[i]:
+                x = x1 if i in self.odd else x0
+                for a, b, v in d:
+                    x[a][b] += xi[i] * v
+        need = {n if pf else k for k, pf in self.gens}
+        last = max(need)
+        pfaffian = self.gens[-1][1]         # the Pfaffian comes last
+        m = [[[int(a == b) for b in range(n)] for a in range(n)]]   # M_1, by powers of s
+        traces, e = {}, []
+        for k in range(1, last + 1):
+            if k in need:
+                traces[k] = [[sum([v * mj[b][a] for a, b, v in d], 0) for mj in m]
+                             for d in self.duals]
+            if k == last and not pfaffian:
+                break
+            xm = [linalg.mat_mul(x0, mj) for mj in m] + [[[0] * n for _ in range(n)]]
+            for j, mj in enumerate(m):
+                xm[j + 1] = [[u + w for u, w in zip(r, t)]
+                             for r, t in zip(xm[j + 1], linalg.mat_mul(x1, mj))]
+            e = [sum(p[a][a] for a in range(n)) // k for p in xm]   # exact
+            if k == last:
+                break
+            m = [[[-v for v in row] for row in p] for p in xm]
+            for j, c in enumerate(e):
+                for a in range(n):
+                    m[j][a][a] += c
+        out = [traces[k] for k, pf in self.gens if not pf]
+        if pfaffian:
+            pf = _poly_sqrt(e)          # e = e_n(X(s)) = det X(s) = Pf^2
+            out.append([_exact_quotient(t, pf) if pf else [] for t in traces[n]])
+        return out
+
+    def rows(self, xi) -> list[list]:
+        """The gradient rows of the generators of g at xi."""
+        return [[sum(t) for t in gen] for gen in self._traces(xi)]
+
+    def top_rows(self, xi) -> list[list]:
+        """The gradient rows of the generators' tops at xi, each read at its
+        width: a zero row means the width is not proven."""
+        return [[t[w - (i in self.odd)] if 0 <= w - (i in self.odd) < len(t) else 0
+                 for i, t in enumerate(gen)]
+                for gen, w in zip(self._traces(xi), self.widths)]
+
+    def certify_contraction(self, seed: int = 1) -> dict | None:
+        """The metadata of ``contraction_invariants`` from the tops' rows at
+        its first sampled point, or None when they are not independent there:
+        the caller then takes the symbolic route.  Independent rows are
+        nonzero, so each width is proven, and the tops are central by the
+        equivariance certificate, with no bracket: each is the top component
+        of an invariant of g."""
+        k = self.pr.contraction
+        point = sample_covector(k.dim, random.Random(seed), bound=10 ** 6)
+        rows = self.top_rows(point)
+        if linalg.rank(dict(enumerate(r)) for r in rows) < len(rows):
+            return None
+        return _pool_meta(self.pr, [d for d, _ in self.gens],
+                          certified_index(k, [(point, rows)]), seed)
+
+
+def pointwise_invariants(pr: PairRealization) -> PointwiseInvariants | None:
+    """The pointwise rows of a pair of kind sl, sp or so, with the widths of
+    its tops certified: by ``pr.maximal_rank`` or by a split of the matrix
+    positions (``_position_classes``).  None for other kinds and when no
+    split exists.  The generic element is proven equivariant first
+    (``_certify_equivariant``), so every row is that of an invariant of g
+    or of the top component of one, which is central in the contraction
+    (Panyushev, Adv. Math. 213 (2007))."""
+    real = pr.realization
+    if real.kind not in ("sl", "sp", "so"):
+        return None
+    gens = _generator_degrees(real.kind, real.size)
+    if pr.maximal_rank:
+        widths = [k for k, _ in gens]
+    else:
+        classes = _position_classes(real.matrices, set(pr.grading.odd_idx))
+        if classes is None:
+            return None
+        narrow = min(classes)
+        widths = [narrow if pf else 2 * min(narrow, k // 2) for k, pf in gens]
+    duals = _dual_matrices(real.matrices)
+    _certify_equivariant(real, duals)
+    den = lcm(1, *(x.denominator for m in duals for row in m for x in row))
+    return PointwiseInvariants(pr, [[(a, b, int(x * den)) for a, row in enumerate(m)
+                                     for b, x in enumerate(row) if x] for m in duals],
+                               widths)
+
+
+# ----------------------------------------------------------------------
 # top components and the contraction invariant pool
 # ----------------------------------------------------------------------
 
@@ -255,10 +475,15 @@ def _weight_echelon_tops(polys: list[Poly], grading: Z2Grading) -> list[Poly]:
     pairs) or degenerate into powers of lower tops (the quaternionic pairs);
     the reduction exposes one genuinely new top per generator.
 
-    The product rows are eliminated once; each invariant's residue against
-    them is zero on their pivots, so the reduced echelon form of the
-    residues is exactly the part of the joint form that the products do
-    not pivot (the joint pivot set is the union of the two).
+    The product rows are eliminated once, as primitive integer rows
+    (``linalg._echelon``); each invariant's residue against them
+    (``linalg._reduced``, a nonzero multiple of the rational residue) is
+    zero on their pivots, so the reduced echelon form of the residues is
+    exactly the part of the joint form that the products do not pivot (the
+    joint pivot set is the union of the two).  A residue row's pivot is its
+    monomial of largest odd weight, so its top component divided by the
+    pivot entry is the top of the rational reduced row; only those terms
+    become Fractions.
     """
     odd = set(grading.odd_idx)
     by_degree: dict[int, list[Poly]] = {}
@@ -272,20 +497,14 @@ def _weight_echelon_tops(polys: list[Poly], grading: Z2Grading) -> list[Poly]:
         monomials = sorted({e for p in prods + group for e in p.terms},
                            key=lambda e: (-sum(e[i] for i in odd), e))
         column = {e: c for c, e in enumerate(monomials)}
-        red, pivots = linalg.rref({column[e]: x for e, x in p.terms.items()}
-                                  for p in prods)
-        residues = []
-        for p in group:
-            row = {column[e]: x for e, x in p.terms.items()}
-            for prow, c in zip(red, pivots):
-                f = row.get(c)
-                if f:
-                    for j, x in prow.items():
-                        row[j] = row.get(j, 0) - f * x
-            residues.append(row)
-        for row in linalg.rref(residues)[0]:
-            poly = Poly(group[0].nvars, {monomials[c]: x for c, x in row.items()})
-            out.append(top_component(poly, grading))
+        red, pivots = linalg._echelon({column[e]: x for e, x in p.terms.items()}
+                                      for p in prods)
+        residues = [linalg._reduced({column[e]: x for e, x in p.terms.items()}, red, pivots)
+                    for p in group]
+        for row, c in zip(*linalg._echelon(residues)):
+            row_poly = Poly(group[0].nvars, {monomials[j]: x for j, x in row.items()})
+            top = top_component(row_poly, grading)
+            out.append(Poly(top.nvars, {e: Q(x, row[c]) for e, x in top.terms.items()}))
         earlier.extend(group)
     return out
 
@@ -323,7 +542,10 @@ def _odd_block_tops(pr: PairRealization) -> list[Poly]:
 def contraction_invariants(pr: PairRealization, seed: int = 1, trials: int = 6,
                            classical: InvariantSet | None = None) -> InvariantSet:
     """Verified central generators of the contraction's Poisson centre: the
-    top components of the classical invariants of g.
+    top components of the classical invariants of g, as polynomials, for
+    the suites that need them (``nonmax``, ``nreg``) and for the pairs that
+    ``PointwiseInvariants.certify_contraction`` leaves to this route; its
+    metadata has the same keys.
 
     On a maximal-rank pair (``pr.maximal_rank``) they come from the odd
     block alone (``_odd_block_tops``), with no expansion over g0 and no
@@ -340,8 +562,9 @@ def contraction_invariants(pr: PairRealization, seed: int = 1, trials: int = 6,
     generator per classical invariant, degree sum b).
 
     ``meta['index']`` is the index of the contraction, certified by the
-    central generators at the sampled point (``certified_index``), or by
-    elimination when that certificate does not close."""
+    gradients of the central generators at the sampled points
+    (``certified_index``), or by elimination when that certificate does not
+    close."""
     if pr.maximal_rank:
         if classical is not None:
             raise ValueError("the classical invariants of g are not used "
@@ -360,18 +583,25 @@ def contraction_invariants(pr: PairRealization, seed: int = 1, trials: int = 6,
         raise AssertionError("top component is not central in the contraction")
     rng = random.Random(seed)
     points = (sample_covector(k.dim, rng, bound=10 ** 6) for _ in range(trials))
-    ind, best_rank, best_point = certified_index(k, tops, points)
-    meta = {
+    meta = _pool_meta(pr, [p.degree() for p in tops],
+                      certified_index(k, gradients(tops, points)), seed)
+    return InvariantSet(k, tops, meta)
+
+
+def _pool_meta(pr: PairRealization, degrees: list[int], certificate, seed: int) -> dict:
+    """The facts reported beside a central generator pool with these
+    degrees, from its index certificate ``(index, rank, point)``."""
+    ind, best_rank, best_point = certificate
+    return {
         "certified_rank": best_rank,
-        "count": len(tops),
-        "sum_degrees": sum(p.degree() for p in tops),
+        "count": len(degrees),
+        "sum_degrees": sum(degrees),
         "index": ind,
-        "b": (k.dim + ind) // 2,          # dim - index is a skew rank: even
+        "b": (pr.contraction.dim + ind) // 2,     # dim - index is a skew rank: even
         "seed": seed,
         "sample_point": [str(c) for c in (best_point or [])],
-        "full": best_rank == len(tops) == pr.rank_g,
+        "full": best_rank == len(degrees) == pr.rank_g,
     }
-    return InvariantSet(k, tops, meta)
 
 
 def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
@@ -438,21 +668,26 @@ def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
     bracket-with-odd-coordinates map.  The candidates are bracketed by
     ``pairwise_commuting``, so (f, g) is the lexicographically first
     noncommuting pair, and every pair is checked against the bracket
-    budgets before any bracket is taken.  When no candidate has an even
-    variable they all commute, since g1 is an abelian ideal of k, and None
-    is returned with no bracket taken.
+    budgets before any bracket is taken.  Since g1 is an abelian ideal of
+    k, an odd-only monomial brackets to zero with every odd coordinate, so
+    the map is built on the other monomials only; and when no kernel vector
+    has a monomial with an even variable in its support, the candidates all
+    commute, and None is returned with no candidate built and no bracket
+    taken.
     """
     k = pr.contraction
     if k.dim > max_dim:
         raise BudgetError(f"dimension {k.dim} exceeds the witness search cap")
-    odd = list(pr.grading.odd_idx)
-    candidates: list[Poly] = []
+    odd, even = pr.grading.odd_idx, pr.grading.even_idx
+    kernels = []
     for d in range(1, degree_bound + 1):
         monos = list(_monomials(k.dim, d))
+        # {x_i, x^e} = 0 for odd i and odd-only e: g1 is an abelian ideal of k
+        mixed = [(c, mono) for c, mono in enumerate(monos) if any(mono[i] for i in even)]
         row_index: dict[tuple[int, tuple], int] = {}
         mat_rows: list[dict[int, Q]] = []
         for e_i in odd:
-            for c, mono in enumerate(monos):
+            for c, mono in mixed:
                 br = bracket_with_coordinate(k, e_i, Poly(k.dim, {mono: 1}))
                 for out_e, coeff in br.terms.items():
                     key = (e_i, out_e)
@@ -460,12 +695,13 @@ def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
                         row_index[key] = len(mat_rows)
                         mat_rows.append({})
                     mat_rows[row_index[key]][c] = coeff
-        for kv in linalg.kernel(mat_rows, range(len(monos))):
-            candidates.append(Poly(k.dim, {monos[c]: x for c, x in kv.items()}))
-    # g1 is an abelian ideal of k: polynomials in the odd coordinates commute
-    even = pr.grading.even_idx
-    if not any(e[i] for p in candidates for e in p.terms for i in even):
+        kernels.append((monos, linalg.kernel(mat_rows, range(len(monos)))))
+    # polynomials in the odd coordinates commute, for the same reason
+    if not any(monos[c][i] for monos, vectors in kernels for kv in vectors
+               for c in kv for i in even):
         return None
+    candidates = [Poly(k.dim, {monos[c]: x for c, x in kv.items()})
+                  for monos, vectors in kernels for kv in vectors]
     ok, witness = pairwise_commuting(k, candidates)
     if ok:
         return None

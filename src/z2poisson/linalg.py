@@ -61,8 +61,9 @@ def _echelon(rows: Iterable[Mapping[int, Q]]) -> tuple[list[dict[int, int]], lis
     order, is the sparsest candidate row, which keeps fill-in low and does
     not change the (unique) result.  A row with entry f at the pivot column
     becomes ``(a/g) row - (f/g) prow``, where a is the pivot entry and
-    ``g = gcd(a, f)``, and is divided by its content again.  Returns only
-    the pivot rows, in pivot order, and the pivot columns.
+    ``g = gcd(a, f)``, and is divided by its content again
+    (:func:`_eliminate`).  Returns only the pivot rows, in pivot order, and
+    the pivot columns.
     """
     pending = [r for r in map(_primitive, rows) if r]
     done: list[dict[int, int]] = []
@@ -75,30 +76,48 @@ def _echelon(rows: Iterable[Mapping[int, Q]]) -> tuple[list[dict[int, int]], lis
             continue
         p = min(hits, key=lambda i: len(pending[i]))
         prow = pending[p]
-        a = prow[c]
         targets = [pending[i] for i in hits if i != p]
         targets += [row for row in done if c in row]
         for row in targets:
-            f = row[c]
-            g = gcd(a, f)
-            s, t = a // g, f // g
-            if s != 1:
-                for j in row:
-                    row[j] *= s
-            for j, x in prow.items():
-                v = row.get(j, 0) - t * x
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-            g = gcd(*row.values())
-            if g != 1:
-                for j in row:
-                    row[j] //= g
+            _eliminate(row, prow, c)
         pending = [row for i, row in enumerate(pending) if i != p and row]
         done.append(prow)
         pivots.append(c)
     return done, pivots
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> None:
+    """In place: ``row`` becomes ``(a/g) row - (f/g) prow``, with a and f
+    the entries of ``prow`` and ``row`` at the pivot column c of ``prow``
+    and ``g = gcd(a, f)``, divided by its content again."""
+    a, f = prow[c], row[c]
+    g = gcd(a, f)
+    s, t = a // g, f // g
+    if s != 1:
+        for j in row:
+            row[j] *= s
+    for j, x in prow.items():
+        v = row.get(j, 0) - t * x
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    g = gcd(*row.values())
+    if g != 1:
+        for j in row:
+            row[j] //= g
+
+
+def _reduced(row: Mapping[int, Q], done: list[dict[int, int]],
+             pivots: list[int]) -> dict[int, int]:
+    """A primitive integer multiple of ``row`` minus a combination of the
+    echelon rows ``done`` of :func:`_echelon`, zero at all their
+    ``pivots``."""
+    row = _primitive(row)
+    for prow, c in zip(done, pivots):
+        if c in row:
+            _eliminate(row, prow, c)
+    return row
 
 
 def rref(rows: Iterable[Mapping[int, Q]]) -> tuple[list[Row], list[int]]:

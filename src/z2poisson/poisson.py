@@ -8,10 +8,13 @@ the coefficients of the powers of a.
 
 One route each: brackets go through ``bracket_with_coordinate``, the
 centrality of a polynomial through ``verify_central``, and the index that
-central polynomials certify through ``certified_index``.  The classical
-invariants of g are the one exception: ``invariants.classical_invariants``
-certifies them by a linear equivariance check of the generic matrix, and
-``verify_central`` is the test oracle for that certificate.
+central polynomials certify through ``certified_index``, which reads their
+gradient rows at sampled points: from the polynomials (``gradients``) or,
+with no polynomial built, from ``invariants.PointwiseInvariants``.  The
+classical invariants of g and their tops are the one exception to
+``verify_central``: ``invariants`` certifies them by a linear equivariance
+check of the generic matrix, and ``verify_central`` is the test oracle for
+that certificate.
 """
 
 from __future__ import annotations
@@ -224,17 +227,32 @@ def trdeg_lower_bound(polys: list[Poly], points,
     return best, best_point
 
 
-def certified_index(q: LieAlgebra, central: list[Poly], points):
-    """(index, rank, point) from verified-central polynomials.
+def gradients(polys: list[Poly], points):
+    """``(point, rows)`` for each point, lazily: the gradients of the
+    polynomials there, the samples ``certified_index`` takes from
+    polynomials."""
+    return ((mu, [p.grad_at(mu) for p in polys]) for mu in points)
 
-    Their differentials lie in the Kirillov kernel everywhere, so their
-    Jacobian rank is a lower bound for the index, and the Kirillov corank at
-    any point is an upper bound.  When the two meet at the point that reached
-    the rank, that value is the index; otherwise the elimination in
-    ``index`` decides.
+
+def certified_index(q: LieAlgebra, samples):
+    """(index, rank, point) from gradient rows of verified-central
+    polynomials.
+
+    ``samples`` yields ``(point, rows)``: the gradients of the polynomials
+    at the point, from ``gradients`` or from any other exact producer.  The
+    differentials lie in the Kirillov kernel everywhere, so their rank is a
+    lower bound for the index, and the Kirillov corank at any point is an
+    upper bound.  The samples are read until the rows are independent; when
+    the best rank meets the corank at the point that reached it, that value
+    is the index, and otherwise the elimination in ``index`` decides.
     """
-    rank, point = trdeg_lower_bound(central, points)
-    if point is not None and len(stabilizer(q, point)) == rank:
-        return rank, rank, point
-    return index(q), rank, point
-
+    best, best_point = 0, None
+    for mu, rows in samples:
+        r = linalg.rank(dict(enumerate(row)) for row in rows)
+        if r > best:
+            best, best_point = r, mu
+        if best == len(rows):
+            break
+    if best_point is not None and len(stabilizer(q, best_point)) == best:
+        return best, best, best_point
+    return index(q), best, best_point

@@ -13,12 +13,13 @@ doubles it along the diagonal, and finds its Cartan vectors by label.
 matrix with entries in the polynomial ring over the dual coordinates is
 reduced by deterministic fraction-free elimination, exploiting the zero block
 that a contraction's abelian ideal creates.  The suites use it for ``g``
-only when the certificate from its classical invariants does not close
-(``poisson.certified_index``).  The index of a contraction is certified from
-its central generators, and the index of the even centralizer ``g0^z`` of a
-generic Cartan point from that one by Rais's semidirect-product identity
-(``check_regular_stabilizer_index``); ``g0^z`` is the even stabilizer of a
-covector (``even_stabilizer``), as in the ``dimstab`` suite.
+only when the certificate from the gradient rows of its classical
+invariants does not close (``poisson.certified_index``).  The index of a
+contraction is certified from its central generators, and the index of the
+even centralizer ``g0^z`` of a generic Cartan point from that one by Rais's
+semidirect-product identity (``check_regular_stabilizer_index``); ``g0^z``
+is the even stabilizer of a covector (``even_stabilizer``), as in the
+``dimstab`` suite.
 
 Realizations are integer matrices, built from their nonzero entries:
 commutators touch only entries that can contribute, and run on ``int``.

@@ -4,14 +4,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import (PairId, UnsupportedPairError, analysis, certified_index,
+from z2poisson import (PairId, Poly, UnsupportedPairError, analysis, certified_index,
                        classical_invariants, index, invariants,
                        parse_pair_name, poisson, structure)
 from z2poisson.analysis import (demonstrate_nonmaximality, report_to_json_text,
                                 verify_dim_stab, verify_main_combinatorics,
                                 verify_nreg, verify_summary)
 from z2poisson.diagram import satake_of
-from z2poisson.poisson import pairwise_commuting
+from z2poisson.poisson import gradients, pairwise_commuting
 
 from test_invariants import LADDER_PAIRS, TIER1_PAIRS
 
@@ -33,9 +33,13 @@ def test_summary_all_supported_pairs():
 
 
 @pytest.mark.parametrize("name, dim_g1z, ind_g0z", [("so8,so7", 1, 3),
-                                                    ("sl6,gl5", 1, 4)])
+                                                    ("sl6,gl5", 1, 4),
+                                                    ("so9,so2+so7", 2, 2),
+                                                    ("sl7,so7", 6, 0)])
 def test_summary_at_the_frontier(name, dim_g1z, ind_g0z):
-    # g0^z is so6 and gl4: eliminating its index did not finish in minutes
+    # g0^z is so6 and gl4: eliminating its index did not finish in minutes;
+    # so9 (weight-echelon tops) and sl7 (odd-block tops) were the slowest
+    # polynomial pools, and are read as rows at one point
     rep = verify_summary(parse_pair_name(name))
     assert rep.passed, rep.to_markdown()
     rows = {c.name: c.computed for c in rep.checks}
@@ -56,10 +60,14 @@ def test_certified_index_of_g_matches_elimination(name, pair):
     for seed in (1, 2, 3):
         rng = random.Random(seed)
         points = (structure.sample_covector(pr.g.dim, rng) for _ in range(6))
-        ind, rank, point = certified_index(pr.g, polys, points)
+        ind, rank, point = certified_index(pr.g, gradients(polys, points))
         # the bounds meet: Jacobian rank = Kirillov corank at the point
         assert ind == rank == eliminated, (name, seed)
         assert len(structure.stabilizer(pr.g, point)) == rank
+        # the pointwise rows of the same invariants, as summary reads them
+        rows = invariants.pointwise_invariants(pr).rows
+        points = (structure.sample_covector(pr.g.dim, random.Random(seed)) for _ in range(6))
+        assert certified_index(pr.g, ((mu, rows(mu)) for mu in points)) == (ind, rank, point)
 
 
 @pytest.mark.parametrize("name", ["so5,so4", "sp4,gl2"])
@@ -86,7 +94,7 @@ def test_certified_index_of_g_falls_back_at_the_zero_covector(pair):
     pr = pair("sl3,so3")
     zero = [Q(0)] * pr.g.dim
     polys = classical_invariants(pr).polys
-    assert certified_index(pr.g, polys, [zero]) == (pr.rank_g, 0, None)
+    assert certified_index(pr.g, gradients(polys, [zero])) == (pr.rank_g, 0, None)
 
 
 def test_summary_propagates_unsupported():
@@ -179,13 +187,56 @@ def test_each_job_contracts_once(run, monkeypatch):
     assert calls == [8]
 
 
+@pytest.mark.parametrize("name", ["so5,so4", "sl5,gl3", "sl4,so4", "so6,so5"])
+@pytest.mark.parametrize("break_route", ["no-split", "zero-row"])
+def test_pointwise_route_falls_back_to_the_same_report(name, break_route, monkeypatch):
+    # with no split of the matrix positions, or with widths above the true
+    # ones (a zero row at the bound), summary takes the symbolic route and
+    # writes the same bytes
+    want = report_to_json_text(verify_summary(parse_pair_name(name)))
+    real = invariants.pointwise_invariants
+    calls = []
+
+    def widened(pr):
+        pw = real(pr)
+        pw.widths = [w + 2 for w in pw.widths]
+        return pw
+
+    if break_route == "no-split":
+        monkeypatch.setattr(invariants, "_position_classes", lambda *args: None)
+    else:
+        monkeypatch.setattr(analysis, "pointwise_invariants", widened)
+    symbolic = analysis.contraction_invariants
+    monkeypatch.setattr(analysis, "contraction_invariants",
+                        lambda *args, **kw: calls.append(1) or symbolic(*args, **kw))
+    got = report_to_json_text(verify_summary(parse_pair_name(name)))
+    assert got == want
+    maximal = structure.build_pair(name).maximal_rank
+    assert calls == ([] if break_route == "no-split" and maximal else [1])
+
+
+@pytest.mark.parametrize("name", ["sl3,so3", "so5,so4", "sl4,so4", "sl5,gl3"])
+def test_pointwise_summary_builds_no_polynomial(name, monkeypatch):
+    # on a pointwise pair no Poly is built, no classical invariant and no
+    # centrality bracket of a top
+    built = []
+    real = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__",
+                        lambda self, *args: built.append(1) or real(self, *args))
+    monkeypatch.setattr(analysis, "classical_invariants", None)
+    monkeypatch.setattr(invariants, "verify_central", None)
+    assert verify_summary(parse_pair_name(name)).passed
+    assert built == []
+
+
 def test_summary_builds_the_classical_invariants_once(monkeypatch):
     # every binding of classical_invariants, so that a call from any layer
-    # is counted: so5,so4 (dim 10, not of maximal rank) needs them for the
-    # index(g) row and the weight-echelon route, and builds them once;
-    # sl4,so4 (dim 15, maximal rank) reads its tops off the odd block
+    # is counted: so5,so4 (block type) and sl4,so4 (maximal rank) read the
+    # rows of index(k) and index(g) at points, with no polynomial; sl4,sp4
+    # (quaternionic, no split of the matrix positions) takes the
+    # weight-echelon route and builds them once
     real = invariants.classical_invariants
-    for name, want in [("so5,so4", [10]), ("sl4,so4", [])]:
+    for name, want in [("so5,so4", []), ("sl4,so4", []), ("sl4,sp4", [15])]:
         calls = []
 
         def counting(pr):

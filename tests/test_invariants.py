@@ -491,8 +491,10 @@ def test_odd_block_tops_match_the_weight_echelon_route(name, pair, monkeypatch):
 
 @pytest.mark.parametrize("name", ["sl3,so3", "sp4,gl2", "so6,so3+so3"])
 def test_odd_block_route_rejects_a_perturbed_dual(name, pair, monkeypatch):
-    # adding a third of the second odd dual to the first keeps X1 in g1 but
-    # breaks its equivariance; verify_central must catch the tops
+    # the symbolic pool that nonmax and nreg use: adding a third of the
+    # second odd dual to the first keeps X1 in g1 but breaks its
+    # equivariance; verify_central must catch the tops (summary's pointwise
+    # route is test_pointwise_route_rejects_a_perturbed_dual)
     real = invariants._dual_matrices
 
     def perturbed(mats):
@@ -509,6 +511,118 @@ def test_odd_block_route_rejects_a_perturbed_dual(name, pair, monkeypatch):
     with pytest.raises(AssertionError, match="not central"):
         contraction_invariants(pair(name))
     assert checked and not verify(pair(name).contraction, checked[-1])
+
+
+# the pairs whose summary reads index(k) off pointwise rows: the tier-1 and
+# ladder pairs that take the route, then five more, three with a Pfaffian
+POINTWISE_PAIRS = ["sl2,so2", "sl3,so3", "sl3,gl2", "sp4,gl2", "so5,so4", "sl4,so4",
+                   "sl5,gl3", "sl4,gl2", "so6,so5", "so7,so6", "so6,so3+so3", "so8,so7"]
+
+
+def test_pointwise_route_pairs(pair):
+    # sl4,sp4 has no split of its matrix positions, the raw tops of
+    # sp4,sp2+sp2 are dependent, and the diagonal kinds are not sl, sp or so
+    taken = []
+    for name in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS + POINTWISE_PAIRS):
+        pw = invariants.pointwise_invariants(pair(name))
+        if pw is not None and pw.certify_contraction() is not None:
+            taken.append(name)
+    assert sorted(taken) == sorted(POINTWISE_PAIRS)
+    assert invariants.pointwise_invariants(pair("sl4,sp4")) is None
+    assert invariants.pointwise_invariants(pair("sl3+sl3,diag")) is None
+    assert invariants.pointwise_invariants(pair("sp4,sp2+sp2")) is not None
+
+
+def _proportional(rows, want) -> bool:
+    """Each row a nonzero multiple of the matching row of ``want``."""
+    for row, w in zip(rows, want, strict=True):
+        i = next(i for i, x in enumerate(w) if x)
+        ratio = Q(row[i]) / w[i]
+        if not ratio or any(x != ratio * y for x, y in zip(row, w, strict=True)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", POINTWISE_PAIRS)
+def test_pointwise_rows_match_the_symbolic_tops(name, pair):
+    # the cross-check of the pointwise route: its widths are the odd degrees
+    # of the raw tops of the classical invariants, which verify_central
+    # checks, and its rows are their gradients up to one scalar per row
+    pr = pair(name)
+    pw = invariants.pointwise_invariants(pr)
+    gens = classical_invariants(pr).polys
+    tops = [top_component(f, pr.grading) for f in gens]
+    k = pr.contraction
+    assert all(verify_central(k, t) for t in tops), name
+    assert pw.widths == [t.weighted_degree(set(pr.grading.odd_idx)) for t in tops]
+    rng = random.Random(5)
+    for _ in range(2):
+        xi = sample_covector(k.dim, rng, bound=50)
+        assert _proportional(pw.top_rows(xi), [t.grad_at(xi) for t in tops]), name
+        assert _proportional(pw.rows(xi), [f.grad_at(xi) for f in gens]), name
+
+
+@pytest.mark.parametrize("name", ["so6,so5", "so6,so3+so3", "so8,so7"])
+def test_pointwise_pfaffian_row(name, pair):
+    # the Pfaffian's row comes from d e_n = 2 Pf dPf, divided exactly in Q[s]
+    pr = pair(name)
+    pw = invariants.pointwise_invariants(pr)
+    assert pw.gens[-1] == (pr.realization.size // 2, True)
+    pf = classical_invariants(pr).polys[-1]
+    top = top_component(pf, pr.grading)
+    assert pf.degree() == pr.realization.size // 2
+    xi = sample_covector(pr.g.dim, random.Random(2), bound=10 ** 6)
+    assert _proportional(pw.top_rows(xi)[-1:], [top.grad_at(xi)])
+    assert _proportional(pw.rows(xi)[-1:], [pf.grad_at(xi)])
+
+
+@pytest.mark.parametrize("name", ["sl3,so3", "so5,so4", "sl5,gl3", "so6,so5"])
+def test_pointwise_route_rejects_a_perturbed_dual(name, pair, monkeypatch):
+    # adding a third of the second dual (even, like the first) to the first
+    # keeps the even duals inside the classes; the equivariance certificate
+    # must fail
+    real = invariants._dual_matrices
+
+    def perturbed(mats):
+        duals = real(mats)
+        first = [[x + Q(1, 3) * y for x, y in zip(r, s)]
+                 for r, s in zip(duals[0], duals[1])]
+        return [first] + duals[1:]
+
+    monkeypatch.setattr(invariants, "_dual_matrices", perturbed)
+    with pytest.raises(AssertionError, match="not equivariant"):
+        invariants.pointwise_invariants(pair(name))
+
+
+def test_position_classes(pair):
+    # even entries inside the classes, odd ones across; a position no
+    # matrix touches joins the first class
+    diag = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    swap = [[0, 2, 0], [2, 0, 0], [0, 0, 0]]
+    corner = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    assert invariants._position_classes([diag, swap], {1}) == (2, 1)
+    # (0, 1) both inside a class and across; an odd entry on the diagonal
+    assert invariants._position_classes([corner, swap], {1}) is None
+    assert invariants._position_classes([swap, diag], {1}) is None
+    # the duals keep the split of the basis matrices
+    for name, sizes in [("sl5,gl3", (2, 3)), ("so7,so6", (6, 1)), ("sp4,sp2+sp2", (2, 2))]:
+        real = pair(name).realization
+        odd = set(pair(name).grading.odd_idx)
+        assert invariants._position_classes(real.matrices, odd) in (sizes, sizes[::-1])
+        assert (invariants._position_classes(_dual_matrices(real.matrices), odd)
+                == invariants._position_classes(real.matrices, odd))
+
+
+def test_poly_sqrt_and_exact_quotient():
+    assert invariants._poly_sqrt([9, 12, 4]) == [3, 2]       # (2s + 3)^2
+    assert invariants._poly_sqrt([0, 0]) is None
+    for bad in ([1, 0, 2], [1, 1]):
+        with pytest.raises(AssertionError, match="not a square"):
+            invariants._poly_sqrt(bad)
+    assert invariants._exact_quotient([6, 7, 2], [3, 2]) == [2, 1]
+    assert invariants._exact_quotient([1, 2], [2]) == [Q(1, 2), 1]
+    with pytest.raises(AssertionError, match="inexact"):
+        invariants._exact_quotient([1, 0, 1], [1, 1])
 
 
 def test_classical_invariants_are_refused_on_a_maximal_rank_pair(pair):

@@ -10,7 +10,7 @@ from z2poisson import (BudgetError, LieAlgebra, Poly, certified_index,
                        poisson_bracket, shift, stabilizer, trdeg_lower_bound,
                        verify_central)
 from z2poisson.invariants import classical_invariants
-from z2poisson.poisson import bracket_with_coordinate
+from z2poisson.poisson import bracket_with_coordinate, gradients
 from z2poisson.structure import sample_covector
 
 from oracles import b_value, bracket, linear, poly_eval
@@ -338,9 +338,9 @@ def test_certified_index(pair):
     pr = pair("sl2,so2")
     k = contract(pr.g, pr.grading)
     gen = Poly.parse("v^2+w^2", k.labels)
-    assert certified_index(k, [gen], [[0, 0, 0], [0, 1, 0]]) == (1, 1, [0, 1, 0])
+    assert certified_index(k, gradients([gen], [[0, 0, 0], [0, 1, 0]])) == (1, 1, [0, 1, 0])
     # no positive rank: the elimination decides
-    assert certified_index(k, [gen], [[0, 0, 0]]) == (1, 0, None)
+    assert certified_index(k, gradients([gen], [[0, 0, 0]])) == (1, 0, None)
 
 
 def regularity_via_differentials(q: LieAlgebra, free_gens: list[Poly], xi) -> bool:
@@ -358,7 +358,7 @@ def regularity_via_differentials(q: LieAlgebra, free_gens: list[Poly], xi) -> bo
         raise ValueError("generator is not central")
     rng = random.Random(7)
     points = (sample_covector(q.dim, rng, bound=997) for _ in range(12))
-    l, rank, _ = certified_index(q, free_gens, points)
+    l, rank, _ = certified_index(q, gradients(free_gens, points))
     if len(free_gens) != l:
         raise ValueError(f"need index-many generators: got {len(free_gens)}, want {l}")
     total = sum(p.degree() for p in free_gens)

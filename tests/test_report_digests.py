@@ -75,7 +75,9 @@ FAMILY_DIGESTS = {
 
 
 # summary jobs outside the benchmark whose g0^z is non-abelian, so that
-# its index was once an elimination and is now certified
+# its index was once an elimination and is now certified; so9,so2+so7 was
+# the slowest summary at dim g <= 36 (25 s of weight-echelon tops) and is
+# read off pointwise rows
 SUMMARY_DIGESTS = {
     "--suite summary --pair so6,so5":
         "591ae9dfb79e74e1ee3fd7c1a7f49507eaa3637650b5286066959c2e85e1c192",
@@ -85,6 +87,8 @@ SUMMARY_DIGESTS = {
         "452ce145dcc0553b5283464afa8068e1ff7bae6b5b9782d6659a5571349232f0",
     "--suite summary --pair sl4+sl4,diag":
         "36165aef22d9e3e88cb9faa160036b2410783d10b567afebf6048425df9bb081",
+    "--suite summary --pair so9,so2+so7":
+        "5e93c2cfba477669784949fb5c68295221f8ddc454e191b71b8fa0e18590b427",
 }
 
 
