@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 
 from . import linalg
 from .diagram import PairId, enumerate_valid_diagrams
-from .errors import GenericityError, UnsupportedPairError
+from .errors import BudgetError, GenericityError, UnsupportedPairError
 from .invariants import (classical_invariants, contraction_invariants,
                          noncommutativity_witness, nreg_subalgebra,
                          pointwise_invariants)
@@ -22,7 +22,8 @@ from .poisson import (certified_index, gradients, mf_family, pairwise_commuting,
                       poisson_bracket, trdeg_lower_bound)
 from .poly import Poly
 from .structure import (build_pair, check_regular_stabilizer_index,
-                        even_stabilizer, sample_covector, stabilizer)
+                        even_stabilizer, kirillov_corank, sample_covector,
+                        stabilizer)
 
 
 class Check:
@@ -131,8 +132,9 @@ def verify_summary(pair: PairId, seed: int = 1) -> VerificationReport:
     meta = pointwise.certify_contraction(seed) if pointwise else None
     if meta is None:
         # the symbolic pool; the weight-echelon route and, with no pointwise
-        # rows, the index(g) row share one build of the classical invariants
-        inv_g = None if pr.maximal_rank else classical_invariants(pr)
+        # rows, the index(g) row share one build of the classical invariants,
+        # on the duals that pointwise_invariants has certified, if it ran
+        inv_g = None if pr.maximal_rank else classical_invariants(pointwise or pr)
         meta = contraction_invariants(pr, seed=seed, classical=inv_g).meta
     rep.add("index(k) = rk g", rk, meta["index"])
     rep.add("b(k) = b(g)", Q(pr.g.dim + rk, 2), Q(meta["b"]),
@@ -165,7 +167,7 @@ def verify_main_combinatorics(max_nodes: int = 6,
     """Exhaustive agreement of the local predicate (no trivial node) with the
     subdiagram-closure predicate on every structurally valid diagram."""
     if max_nodes > 8:
-        raise UnsupportedPairError("enumeration budget tops out at 8 nodes")
+        raise BudgetError("enumeration budget tops out at 8 nodes")
     rep = VerificationReport("main", f"diagrams up to {max_nodes} nodes", seed)
     total = 0
     codim3_count = 0
@@ -200,7 +202,7 @@ def verify_dim_stab(pair: PairId, samples: int = 20,
         eta = sample_covector(k.dim, rng)
         beta = [eta[i] if i in pr.grading.odd_idx else 0 for i in range(k.dim)]
         alpha = [eta[i] if i in even else 0 for i in range(k.dim)]
-        lhs = len(stabilizer(k, eta))
+        lhs = kirillov_corank(k, eta)
         g0b = even_stabilizer(pr, beta)
         codim_orbit = d1 - (d0 - len(g0b))
         rhs = codim_orbit + len(stabilizer(k, alpha, basis=g0b))
@@ -211,7 +213,7 @@ def verify_dim_stab(pair: PairId, samples: int = 20,
     # the degenerate slice beta = 0 reduces to the even Kirillov kernel
     alpha = sample_covector(k.dim, rng)
     alpha = [alpha[i] if i in even else 0 for i in range(k.dim)]
-    lhs = len(stabilizer(k, alpha))
+    lhs = kirillov_corank(k, alpha)
     g0 = [[int(t == i) for t in range(k.dim)] for i in even]
     rhs = d1 + len(stabilizer(k, alpha, basis=g0))
     rep.add("beta = 0 slice", lhs, rhs)
@@ -270,7 +272,7 @@ def demonstrate_nonmaximality(pair: PairId, seed: int = 1) -> VerificationReport
     for _ in range(attempts):
         cand = sample_covector(k.dim, rng)
         cand = [cand[i] if i in pr.grading.odd_idx else 0 for i in range(k.dim)]
-        if len(stabilizer(k, cand)) == inv.meta["index"]:
+        if kirillov_corank(k, cand) == inv.meta["index"]:
             xi = cand
             break
     if xi is None:

@@ -178,15 +178,26 @@ class SatakeDiagram(Value):
         """Rank of the symmetric pair: white nodes minus arrows."""
         return len(self.white_nodes()) - len(self.arrows)
 
-    def trivial_nodes(self) -> set[int]:
-        """White nodes with no arrow attached and only white neighbors."""
+    def trivial_nodes(self, first: bool = False) -> set[int]:
+        """White nodes with no arrow attached and only white neighbors; with
+        ``first``, only the least of them: one pass over the adjacency,
+        which stops there."""
         colors, arrowed = self.colors, self.arrowed_nodes()
-        return {v + 1 for v, nbrs in enumerate(self.graph.adjacency)
-                if colors[v] == "w" and v + 1 not in arrowed
-                and all(colors[u] == "w" for u in nbrs)}
+        out = set()
+        for v, nbrs in enumerate(self.graph.adjacency):
+            if colors[v] != "w" or v + 1 in arrowed:
+                continue
+            for u in nbrs:
+                if colors[u] != "w":
+                    break
+            else:
+                out.add(v + 1)
+                if first:
+                    break
+        return out
 
     def has_codim3(self) -> bool:
-        return not self.trivial_nodes()
+        return not self.trivial_nodes(first=True)
 
     def is_n_regular(self) -> bool:
         return "b" not in self.colors
@@ -238,24 +249,25 @@ class SatakeDiagram(Value):
         """Whether some reduced subpair is a single isolated white node plus
         an all-black rest.  Equivalent to the failure of ``has_codim3`` but
         computed through the subdiagram closure instead of locally."""
-        # bit v - 1 stands for node v; units are disjoint, so their sum is
-        # their union
+        # bit v - 1 stands for node v.  The kept-node masks of all unit
+        # subsets are built by doubling from the all-black rest, each unit
+        # joining every mask so far: 2^units masks, at most 256 on the 8
+        # nodes `main` enumerates.  A kept set with one white node holds no
+        # arrow, as both ends of an arrow are white.
         nbr = self.graph.neighbor_masks
-        full = (1 << len(nbr)) - 1
-        white = sum(1 << v for v, c in enumerate(self.colors) if c == "w")
-        pairs = [(1 << a - 1) | (1 << b - 1) for a, b in self.arrows]
-        free = white & ~sum(pairs)
-        units = [1 << v for v in range(len(nbr)) if free >> v & 1] + pairs
-        for r in range(len(units) + 1):
-            for chosen in itertools.combinations(units, r):
-                kept = full & ~sum(chosen)
-                w = kept & white
-                if not w or w & (w - 1):
-                    continue
-                if any(p & kept == p for p in pairs):
-                    continue
-                if nbr[w.bit_length() - 1] & kept == 0:
-                    return True
+        white = int("0" + self.colors[::-1].replace("b", "0").replace("w", "1"), 2)
+        units = [1 << a - 1 | 1 << b - 1 for a, b in self.arrows]
+        free = white & ~sum(units)
+        while free:
+            units.append(free & -free)
+            free &= free - 1
+        kept = [((1 << len(nbr)) - 1) & ~white]
+        for unit in units:
+            kept += [k | unit for k in kept]
+        for k in kept:
+            w = k & white
+            if w and not w & (w - 1) and not nbr[w.bit_length() - 1] & k:
+                return True
         return False
 
     # -- canonical form / serialization ----------------------------------
@@ -955,15 +967,22 @@ def _partial_matchings(items: list[int]):
             yield [(head, other)] + m
 
 
-def _diagram_automorphisms(graph: DynkinGraph) -> list[tuple[int, ...]]:
+def _own_maps(letter: str, r: int) -> list[tuple[int, ...]]:
+    """The relabelings of the standard ``letter`` component of rank r onto
+    itself."""
+    return _template_maps(letter, list(range(1, r + 1)),
+                          *_edge_index(range(1, r + 1), component_edges(letter, r)))
+
+
+def _diagram_automorphisms(graph: DynkinGraph,
+                           own_maps=None) -> list[tuple[int, ...]]:
     """The automorphism group of ``graph`` (equal components adjacent):
     permutations of equal components times each component's own
-    relabelings onto itself.  An element ``g`` puts the 0-based node
-    ``g[p]`` at position ``p``."""
+    relabelings onto itself (``_own_maps``; ``own_maps`` may hold them by
+    component type, computed once for many graphs).  An element ``g`` puts
+    the 0-based node ``g[p]`` at position ``p``."""
     comps, offsets = graph.components, graph.offsets()
-    own = [_template_maps(letter, list(range(1, r + 1)),
-                          *_edge_index(range(1, r + 1), component_edges(letter, r)))
-           for letter, r in comps]
+    own = [own_maps[c] if own_maps else _own_maps(*c) for c in comps]
     blocks = [list(g) for _, g in itertools.groupby(range(len(comps)),
                                                    key=comps.__getitem__)]
     out = []
@@ -978,7 +997,7 @@ def _diagram_automorphisms(graph: DynkinGraph) -> list[tuple[int, ...]]:
 
 def _joins_all(arrows, comp_of: list[int], k: int) -> bool:
     """Whether ``arrows`` tie all ``k`` components together (union-find on
-    component indices; ``comp_of`` is indexed by 1-based node)."""
+    component indices; ``comp_of[a]`` is the component of arrow end ``a``)."""
     parent = list(range(k))
 
     def find(i: int) -> int:
@@ -1023,17 +1042,18 @@ def enumerate_valid_diagrams(max_nodes: int):
                 extend(partial + [t], remaining - sizes[t], pool[i:])
 
     extend([], max_nodes, types)
-    # per (m, k): the partial matchings of m white nodes as index pairs into
-    # their sorted list, in the order of _partial_matchings(range(m)), less
-    # those with too few pairs to join k components
-    patterns: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
+    own_maps = {t: _own_maps(*t) for t in types}
+    # per (k, component index of each white node): the partial matchings of
+    # the white nodes whose arrows join all k components, as index pairs
+    # into their sorted list, in the order of _partial_matchings
+    patterns: dict[tuple[int, tuple[int, ...]], list[list[tuple[int, int]]]] = {}
     for comps in multisets:
         n, k = sum(r for _, r in comps), len(comps)
         if 2 * (k - 1) > n:  # k - 1 arrows cannot fit on n nodes
             continue
         graph = DynkinGraph(comps)
         identity = tuple(range(n))
-        others = [(g, itemgetter(*g)) for g in _diagram_automorphisms(graph)
+        others = [(g, itemgetter(*g)) for g in _diagram_automorphisms(graph, own_maps)
                   if g != identity]
         comp_of = [0] + [i for i, (_, r) in enumerate(comps) for _ in range(r)]
         for bits in itertools.product("wb", repeat=n):
@@ -1052,16 +1072,15 @@ def enumerate_valid_diagrams(max_nodes: int):
                     stab.append(relabel)
             else:
                 whites = [i + 1 for i, c in enumerate(colors) if c == "w"]
-                m = len(whites)
-                if (m, k) not in patterns:
-                    patterns[m, k] = [p for p in _partial_matchings(list(range(m)))
-                                      if len(p) >= k - 1]
-                for pattern in patterns[m, k]:
+                key = (k, tuple([comp_of[w] for w in whites]))
+                if key not in patterns:
+                    patterns[key] = [p for p in _partial_matchings(list(range(len(whites))))
+                                     if _joins_all(p, key[1], k)]
+                for pattern in patterns[key]:
                     arrows = tuple([(whites[i], whites[j]) for i, j in pattern])
-                    if k > 1 and not _joins_all(arrows, comp_of, k):
-                        continue
-                    if any(tuple(sorted(tuple(sorted((h[a], h[b])))
-                                        for a, b in arrows)) < arrows
-                           for h in stab):
+                    if stab and any(
+                            tuple(sorted([(h[a], h[b]) if h[a] < h[b] else (h[b], h[a])
+                                          for a, b in arrows])) < arrows
+                            for h in stab):
                         continue
                     yield SatakeDiagram(graph, colors, arrows)

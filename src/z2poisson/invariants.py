@@ -182,17 +182,24 @@ def _certify_equivariant(real: MatrixRealization, duals) -> None:
             raise AssertionError("generic element is not equivariant")
 
 
-def classical_invariants(real: MatrixRealization | PairRealization) -> InvariantSet:
+def classical_invariants(real: MatrixRealization | PairRealization
+                         | PointwiseInvariants) -> InvariantSet:
     """Free generators of the invariant algebra of the matrix algebra:
     characteristic coefficients, plus the Pfaffian for even orthogonal types.
     All generators are certified central by the linear equivariance check
-    ``_certify_equivariant``; none is bracketed."""
+    ``_certify_equivariant``; none is bracketed.  Given the
+    ``PointwiseInvariants`` of a pair, they are built on the duals it has
+    already certified, so that the check runs once."""
+    mats = None
+    if isinstance(real, PointwiseInvariants):
+        real, mats = real.pr, real.certified
     if isinstance(real, PairRealization):
         real = real.realization
     alg = real.algebra
     nvars = alg.dim
-    mats = _dual_matrices(real.matrices)
-    _certify_equivariant(real, mats)
+    if mats is None:
+        mats = _dual_matrices(real.matrices)
+        _certify_equivariant(real, mats)
     size = len(mats[0])
     kind = real.kind
     if kind.startswith("diag_"):
@@ -324,9 +331,14 @@ class PointwiseInvariants:
     proves the component there is the top (``top_rows``).
     """
 
-    def __init__(self, pr: PairRealization, duals, widths: list[int]):
+    def __init__(self, pr: PairRealization, certified, widths: list[int]):
         self.pr = pr
-        self.duals = duals
+        # the trace-form duals, proven equivariant, and their nonzero
+        # entries (a, b, value) scaled to integers
+        self.certified = certified
+        den = lcm(1, *(x.denominator for m in certified for row in m for x in row))
+        self.duals = [[(a, b, int(x * den)) for a, row in enumerate(m)
+                       for b, x in enumerate(row) if x] for m in certified]
         self.odd = frozenset(pr.grading.odd_idx)
         self.gens = _generator_degrees(pr.realization.kind, pr.realization.size)
         self.widths = widths
@@ -420,10 +432,7 @@ def pointwise_invariants(pr: PairRealization) -> PointwiseInvariants | None:
         widths = [narrow if pf else 2 * min(narrow, k // 2) for k, pf in gens]
     duals = _dual_matrices(real.matrices)
     _certify_equivariant(real, duals)
-    den = lcm(1, *(x.denominator for m in duals for row in m for x in row))
-    return PointwiseInvariants(pr, [[(a, b, int(x * den)) for a, row in enumerate(m)
-                                     for b, x in enumerate(row) if x] for m in duals],
-                               widths)
+    return PointwiseInvariants(pr, duals, widths)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from operator import add as _add
 from . import linalg
 from .errors import BudgetError
 from .poly import TERM_BUDGET, Poly
-from .structure import LieAlgebra, index, stabilizer
+from .structure import LieAlgebra, index, kirillov_corank
 
 BRACKET_DEGREE_BUDGET = 10_000
 
@@ -253,6 +253,6 @@ def certified_index(q: LieAlgebra, samples):
             best, best_point = r, mu
         if best == len(rows):
             break
-    if best_point is not None and len(stabilizer(q, best_point)) == best:
+    if best_point is not None and kirillov_corank(q, best_point) == best:
         return best, best, best_point
     return index(q), best, best_point

@@ -782,8 +782,14 @@ def stabilizer(q: LieAlgebra, xi, basis=None) -> list[list[Q]]:
              for j in range(q.dim)] for v in linalg.kernel(rows, range(len(basis)))]
 
 
+def kirillov_corank(q: LieAlgebra, xi) -> int:
+    """dim q^xi, the corank of the Kirillov form at a point: counted from
+    the rank of its integer echelon, with no kernel vector built."""
+    return q.dim - linalg.rank(dict(enumerate(row)) for row in q.kirillov_at(xi))
+
+
 def is_regular(q: LieAlgebra, xi) -> bool:
-    return len(stabilizer(q, xi)) == index(q)
+    return kirillov_corank(q, xi) == index(q)
 
 
 def trace_covector(pr: PairRealization, v) -> list:

@@ -4,8 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import (PairId, Poly, UnsupportedPairError, analysis, certified_index,
-                       classical_invariants, index, invariants,
+from z2poisson import (BudgetError, PairId, Poly, UnsupportedPairError, analysis,
+                       certified_index, classical_invariants, index, invariants,
                        parse_pair_name, poisson, structure)
 from z2poisson.analysis import (demonstrate_nonmaximality, report_to_json_text,
                                 verify_dim_stab, verify_main_combinatorics,
@@ -110,7 +110,7 @@ def test_main_theorem_small_counts():
         assert rep.passed
         assert rep.checks[0].note == \
             f"{total} diagrams enumerated, {codim3} with codim-3"
-    with pytest.raises(UnsupportedPairError):
+    with pytest.raises(BudgetError):
         verify_main_combinatorics(max_nodes=9)
 
 
@@ -249,6 +249,34 @@ def test_summary_builds_the_classical_invariants_once(monkeypatch):
         monkeypatch.undo()
         assert rep.passed, name
         assert calls == want, name
+
+
+@pytest.mark.parametrize("name", ["sp4,sp2+sp2", "sp6,sp2+sp4", "sp8,sp2+sp6"])
+def test_summary_certifies_the_generic_element_once(name, monkeypatch):
+    # the raw tops of these pairs are dependent at the first point, so the
+    # pointwise route falls back to the weight-echelon tops; the classical
+    # invariants of g are built on the duals the pointwise route certified.
+    # On sp8 the run stops once the pool is handed to contraction_invariants,
+    # which certifies nothing when given the classical invariants
+    calls = []
+    certify = invariants._certify_equivariant
+    monkeypatch.setattr(invariants, "_certify_equivariant",
+                        lambda *args: calls.append(1) or certify(*args))
+
+    class Stop(Exception):
+        pass
+
+    def stop(pr, seed, classical):
+        assert classical is not None
+        raise Stop
+
+    if name == "sp8,sp2+sp6":
+        monkeypatch.setattr(analysis, "contraction_invariants", stop)
+        with pytest.raises(Stop):
+            verify_summary(parse_pair_name(name))
+    else:
+        assert verify_summary(parse_pair_name(name)).passed
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("run", [

@@ -172,6 +172,13 @@ def test_verify_main(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_verify_main_above_the_node_cap_exits_5(capsys):
+    # the 8-node cap is a budget on the enumeration's work
+    code, out, err = run(["verify", "--suite", "main", "--max-nodes", "9"], capsys)
+    assert code == 5 and "budget" in err and "8 nodes" in err and out == ""
+    assert "Traceback" not in err
+
+
 def test_verify_requires_pair(capsys):
     code, _, err = run(["verify", "--suite", "summary"], capsys)
     assert code == 4

@@ -636,6 +636,33 @@ def test_enumeration_order_is_pinned():
         "7ff54d367b319c6398abe08d78a14b990eb4b94ef6fb2004e22d0e149ccc0d65")
 
 
+def test_enumeration_order_is_pinned_at_7_nodes():
+    # the digest of the 7-node sequence (50,757 diagrams) as the enumeration
+    # with one matchings list per white count yielded it
+    text = "\n".join(d.serialize() for d in enumerate_valid_diagrams(7))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "eccf5be47042701b4332a981bb3e212aaee43e7afa44f8b5573e5dbf17f076bc")
+
+
+def test_enumeration_builds_each_types_own_maps_once(monkeypatch):
+    # the relabelings of each component type onto itself come from one
+    # template search per call, shared by every multiset that holds it;
+    # the list of types is fixed first, as its identification searches too
+    types = connected_dynkin_types(6)
+    assert len(types) == 21
+    monkeypatch.setattr(diagram, "connected_dynkin_types", lambda n: types)
+    calls = []
+    raw = diagram._template_maps
+
+    def counted(letter, nodes, *args):
+        calls.append((letter, len(nodes)))
+        return raw(letter, nodes, *args)
+
+    monkeypatch.setattr(diagram, "_template_maps", counted)
+    assert sum(1 for _ in enumerate_valid_diagrams(6)) == 8755
+    assert sorted(calls) == sorted(types)
+
+
 def test_enumeration_counts_at_7_nodes():
     (check,) = verify_main_combinatorics(7).checks
     assert check.computed == [] and check.passed
