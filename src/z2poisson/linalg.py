@@ -111,8 +111,9 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> None:
 def _reduced(row: Mapping[int, Q], done: list[dict[int, int]],
              pivots: list[int]) -> dict[int, int]:
     """A primitive integer multiple of ``row`` minus a combination of the
-    echelon rows ``done`` of :func:`_echelon`, zero at all their
-    ``pivots``."""
+    rows ``done``, zero at all their ``pivots``: the echelon rows of
+    :func:`_echelon`, or earlier residues appended in order, each zero at
+    the pivots before its own."""
     row = _primitive(row)
     for prow, c in zip(done, pivots):
         if c in row:

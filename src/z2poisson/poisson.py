@@ -12,7 +12,8 @@ central polynomials certify through ``certified_index``, which reads their
 gradient rows at sampled points: from the polynomials (``gradients``) or,
 with no polynomial built, from ``invariants.PointwiseInvariants``.  The
 classical invariants of g and their tops are the one exception to
-``verify_central``: ``invariants`` certifies them by a linear equivariance
+``verify_central``: they are built on the trace-form duals that
+``structure.MatrixRealization.duals`` certifies by a linear equivariance
 check of the generic matrix, and ``verify_central`` is the test oracle for
 that certificate.
 """

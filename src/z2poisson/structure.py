@@ -29,6 +29,9 @@ built here is Lie by construction (``_span_algebra``, ``contract``), so the
 exhaustive ``LieAlgebra.check_jacobi`` runs only on outside input, in
 ``LieAlgebra.from_json``.  A stabilizer inside a subalgebra needs no
 algebra built: ``stabilizer(q, xi, basis)`` restricts the Kirillov form.
+A realization's trace-form duals (``MatrixRealization.duals``) are
+certified equivariant once, when first read: the one route to the
+centrality of every classical invariant of g and of its top components.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import random
 import re
 from fractions import Fraction as Q
 from functools import cached_property
+from math import lcm
 
 from . import linalg
 from .diagram import PairId, SatakeDiagram, _catalog_diagram, parse_pair_name
@@ -104,31 +108,25 @@ class LieAlgebra:
         Greedy over the basis in index order: an ``e_i`` outside the
         subalgebra generated so far joins the set, and the subalgebra is
         closed again by bracketing every new member of its basis with every
-        earlier one.  One incremental sparse echelon (each row keyed by its
-        least column) decides membership.  The pass over all basis vectors
+        earlier one.  Membership is decided by the shared integer echelon
+        (``linalg._reduced``): a vector joins when its residue against the
+        rows admitted so far is nonzero, and that residue is appended with
+        its least column as pivot.  The pass over all basis vectors
         always ends at the whole algebra; an abelian algebra needs every
         index.
         """
         n = self.dim
-        rows: dict[int, dict[int, Q]] = {}   # pivot -> row with row[pivot] == 1
+        done: list[dict[int, int]] = []      # integer echelon rows, in admission order
+        pivots: list[int] = []
         span: list[dict[int, Q]] = []        # the subalgebra's basis, unreduced
         pending: list[dict[int, Q]] = []
 
         def admit(v: dict[int, Q]) -> bool:
-            v = dict(v)
-            for p in sorted(rows):
-                c = v.get(p)
-                if c:
-                    for col, x in rows[p].items():
-                        s = v.get(col, 0) - c * x
-                        if s:
-                            v[col] = s
-                        else:
-                            del v[col]
-            if not v:
+            row = linalg._reduced(v, done, pivots)
+            if not row:
                 return False
-            lead = Q(v[min(v)])
-            rows[min(v)] = {col: x / lead for col, x in v.items()}
+            done.append(row)
+            pivots.append(min(row))
             return True
 
         def bracket(x: dict[int, Q], y: dict[int, Q]) -> dict[int, Q]:
@@ -145,13 +143,13 @@ class LieAlgebra:
 
         gens = []
         for i in range(n):
-            if len(rows) == n:
+            if len(done) == n:
                 break
             if not admit({i: 1}):
                 continue
             gens.append(i)
             close({i: 1})
-            while pending and len(rows) < n:
+            while pending and len(done) < n:
                 v = pending.pop()
                 if v and admit(v):
                     close(v)
@@ -275,6 +273,16 @@ class MatrixRealization:
         self.form = form
         self.cartan = [] if cartan is None else cartan
 
+    @cached_property
+    def duals(self) -> list[Mat]:
+        """The trace-form duals ``D_k``, proven equivariant on first read
+        (``_certify_equivariant``): every conjugation-invariant polynomial of
+        ``X(xi) = sum_k xi_k D_k`` is an invariant of g, and its top components
+        are central in the contraction (Panyushev, Adv. Math. 213 (2007))."""
+        duals = _dual_matrices(self.matrices)
+        _certify_equivariant(self, duals)
+        return duals
+
 
 class PairRealization:
     """A symmetric pair realized on a basis adapted to its involution."""
@@ -319,6 +327,85 @@ class PairRealization:
     def contraction(self) -> LieAlgebra:
         """The contraction ``k = g0 ⋉ g1``, built once per realization."""
         return contract(self.g, self.grading)
+
+
+# ----------------------------------------------------------------------
+# the trace-form duals and their equivariance certificate
+# ----------------------------------------------------------------------
+
+def _dual_matrices(mats) -> list[list[list[Q]]]:
+    """Trace-form dual basis: tr(D_i B_j) = delta_ij.
+
+    The generic element must be written through this identification of the
+    dual space with the algebra; coordinates against the plain basis are not
+    equivariant unless the basis happens to be self-dual.  The Gram matrix
+    ``tr(B_i B_j) = sum_ab (B_i)_ab (B_j)_ba`` and the duals are summed over
+    nonzero entries only: each position (a, b) meets its transpose (b, a).
+    """
+    n = len(mats)
+    size = len(mats[0])
+    entries = [[(a, b, x) for a, row in enumerate(m) for b, x in enumerate(row) if x]
+               for m in mats]
+    at: dict[tuple[int, int], list[tuple[int, Q]]] = {}
+    for i, ent in enumerate(entries):
+        for a, b, x in ent:
+            at.setdefault((a, b), []).append((i, x))
+    t = [[0] * n for _ in range(n)]
+    for (a, b), here in at.items():
+        for j, y in at.get((b, a), ()):
+            for i, x in here:
+                t[i][j] += x * y
+    tinv = linalg.invert(t)
+    dual = []
+    for i in range(n):
+        d = [[Q(0)] * size for _ in range(size)]
+        for j in range(n):
+            c = tinv[j][i]
+            if c:
+                for a, b, x in entries[j]:
+                    d[a][b] += c * x
+        dual.append(d)
+    return dual
+
+
+def _certify_equivariant(real: MatrixRealization, duals) -> None:
+    """Raise ``AssertionError`` unless ``X(xi) = sum_k xi_k D_k`` is
+    equivariant: ``sum_j c_ij^k D_j + [B_i, D_k] = 0`` for all i and k, with
+    ``{x_i, x_j} = sum_k c_ij^k x_k`` and B_i the matrix of e_i.  Then
+    ``{x_i, P(X)} = dP_X(-[B_i, X]) = 0`` for every conjugation-invariant P.
+    The Pfaffian of F X is only so(F)-invariant, so every ``F B_i`` must be
+    antisymmetric, with F a symmetric involution (F = I without a form); for
+    ``diag_*`` every B_i must be block diagonal, so that each block's
+    coefficients stay invariant."""
+    mats, kind, half, f = real.matrices, real.kind, real.size, real.form
+    if f is not None and (f != [list(col) for col in zip(*f)] or linalg.mat_mul(f, f)
+                          != [[int(a == b) for b in range(len(f))] for a in range(len(f))]):
+        raise AssertionError("form is not a symmetric involution")
+    if kind in ("so", "so_split", "diag_so"):
+        for m in mats if f is None else (linalg.mat_mul(f, m) for m in mats):
+            if any(m[a][b] != -m[b][a] for a in range(len(m)) for b in range(a + 1)):
+                raise AssertionError("basis matrix is not antisymmetric under the form")
+    if kind.startswith("diag_") and any(x and (a < half) != (b < half) for m in mats
+                                        for a, row in enumerate(m) for b, x in enumerate(row)):
+        raise AssertionError("basis matrix leaves the diagonal blocks")
+    # sparse rows of (column, value); the duals scaled to integers by den
+    den = lcm(1, *(x.denominator for m in duals for row in m for x in row))
+    d_rows = [[[(b, int(x * den)) for b, x in enumerate(row) if x] for row in m] for m in duals]
+    b_rows = [[[(b, x) for b, x in enumerate(row) if x] for row in m] for m in mats]
+    ident = [[(a, 1)] for a in range(len(mats[0]))]
+    for i, row in enumerate(real.algebra.bracket_rows):
+        acc = [{} for _ in duals]       # den * (sum_j c_ij^k D_j + [B_i, D_k])
+        terms = [(acc[k], sign * c, ident, d_rows[j])
+                 for j, sign, entry in row for k, c in entry.items()]
+        for k, dk in enumerate(d_rows):
+            terms += [(acc[k], 1, b_rows[i], dk), (acc[k], -1, dk, b_rows[i])]
+        for out, s, left, right in terms:   # out += s * left * right
+            for a, l_row in enumerate(left):
+                for b, x in l_row:
+                    for c, y in right[b]:
+                        out[a, c] = out.get((a, c), 0) + s * x * y
+        if any(v for out in acc for v in out.values()):
+            raise AssertionError("generic element is not equivariant")
 
 
 # ----------------------------------------------------------------------

@@ -251,23 +251,29 @@ def test_summary_builds_the_classical_invariants_once(monkeypatch):
         assert calls == want, name
 
 
+def _counting_certificates(monkeypatch) -> list:
+    """Record every run of the equivariance certificate; it runs when a
+    realization first reads its duals, so only a pair built after this
+    patch (as every suite builds its own) is counted."""
+    calls = []
+    certify = structure._certify_equivariant
+    monkeypatch.setattr(structure, "_certify_equivariant",
+                        lambda *args: calls.append(1) or certify(*args))
+    return calls
+
+
 @pytest.mark.parametrize("name", ["sp4,sp2+sp2", "sp6,sp2+sp4", "sp8,sp2+sp6"])
 def test_summary_certifies_the_generic_element_once(name, monkeypatch):
     # the raw tops of these pairs are dependent at the first point, so the
-    # pointwise route falls back to the weight-echelon tops; the classical
-    # invariants of g are built on the duals the pointwise route certified.
-    # On sp8 the run stops once the pool is handed to contraction_invariants,
-    # which certifies nothing when given the classical invariants
-    calls = []
-    certify = invariants._certify_equivariant
-    monkeypatch.setattr(invariants, "_certify_equivariant",
-                        lambda *args: calls.append(1) or certify(*args))
+    # pointwise rows fall back to the weight-echelon tops, whose classical
+    # invariants are built on the duals the pointwise rows read.  On sp8 the
+    # run stops once the pool is asked for, to skip its weight-echelon step
+    calls = _counting_certificates(monkeypatch)
 
     class Stop(Exception):
         pass
 
-    def stop(pr, seed, classical):
-        assert classical is not None
+    def stop(pr, seed):
         raise Stop
 
     if name == "sp8,sp2+sp6":
@@ -276,6 +282,21 @@ def test_summary_certifies_the_generic_element_once(name, monkeypatch):
             verify_summary(parse_pair_name(name))
     else:
         assert verify_summary(parse_pair_name(name)).passed
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("run, name", [
+    (demonstrate_nonmaximality, "sl3,so3"),
+    (verify_nreg, "sl3+sl3,diag"),
+    (None, "sp4,gl2"),
+], ids=["nonmax", "nreg", "classical-twice"])
+def test_each_realization_certifies_its_duals_once(run, name, monkeypatch):
+    calls = _counting_certificates(monkeypatch)
+    if run is None:
+        real = structure.build_pair(name).realization
+        assert classical_invariants(real).polys == classical_invariants(real).polys
+    else:
+        assert run(parse_pair_name(name)).passed
     assert calls == [1]
 
 

@@ -144,6 +144,22 @@ def test_verify_nreg_unsupported_exit(capsys):
     assert code == 4
 
 
+def test_verify_nreg_above_the_witness_cap_exits_5_before_the_pool(capsys, monkeypatch):
+    # dim k = 48: refused before the central generator pool is built
+    from z2poisson import invariants
+    monkeypatch.setattr(invariants, "contraction_invariants",
+                        lambda *args, **kw: pytest.fail("the pool was built"))
+    code, out, err = run(["verify", "--suite", "nreg", "--pair", "sl7,gl4"], capsys)
+    assert code == 5 and "dimension 48 exceeds the witness search cap" in err
+    assert out == ""
+
+
+def test_verify_nreg_checks_black_nodes_before_the_witness_cap(capsys):
+    # sl8,sp8 (dim 63) is over the cap too, but its black nodes come first
+    code, out, err = run(["verify", "--suite", "nreg", "--pair", "sl8,sp8"], capsys)
+    assert code == 4 and "black nodes" in err and out == ""
+
+
 def test_a_printed_pair_name_runs_as_given(capsys):
     code, out, _ = run(["verify", "--suite", "dimstab", "--pair", "(sl3+sl3, diag)",
                         "--samples", "2"], capsys)

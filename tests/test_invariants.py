@@ -12,13 +12,13 @@ from z2poisson import (LieAlgebra, Poly, UnsupportedPairError,
                        pairwise_commuting, poisson_bracket, top_component,
                        verify_central)
 from z2poisson import invariants, linalg, poisson, structure
-from z2poisson.invariants import (_dual_matrices, _generic_matrix, _weight_echelon_tops,
-                                  char_coefficients)
+from z2poisson.invariants import _generic_matrix, _weight_echelon_tops, char_coefficients
 from z2poisson.linalg import pfaffian
 from z2poisson.poisson import bracket_with_coordinate
 from z2poisson.poly import Poly as P
-from z2poisson.structure import (_span_algebra, even_stabilizer, sample_covector,
-                                 stabilizer)
+from z2poisson.structure import (MatrixRealization, _certify_equivariant, _dual_matrices,
+                                 _span_algebra, build_pair, even_stabilizer,
+                                 sample_covector, stabilizer)
 
 from oracles import (b_value, bracket, centralizer_of_cartan, degrees, kirillov_at,
                      linear, span_structure_constants, subalgebra,
@@ -95,7 +95,7 @@ def test_classical_invariants_take_no_bracket(pair, monkeypatch):
 def test_equivariance_certificate_rejects_wrong_duals(name, pair):
     real = pair(name).realization
     duals = _dual_matrices(real.matrices)
-    invariants._certify_equivariant(real, duals)
+    _certify_equivariant(real, duals)
     perturbed = [[row[:] for row in m] for m in duals]
     a, b = next((a, b) for a, row in enumerate(perturbed[0]) for b, x in enumerate(row) if x)
     perturbed[0][a][b] += Q(1, 3)
@@ -103,27 +103,27 @@ def test_equivariance_certificate_rejects_wrong_duals(name, pair):
     swapped[0], swapped[-1] = swapped[-1], swapped[0]
     for bad in (perturbed, swapped):
         with pytest.raises(AssertionError, match="not equivariant"):
-            invariants._certify_equivariant(real, bad)
+            _certify_equivariant(real, bad)
 
 
 def test_equivariance_certificate_rejects_wrong_form_or_blocks(pair):
-    from z2poisson.structure import MatrixRealization
+    # each realization is new, so reading its duals runs the certificate
     real = pair("so8,gl4").realization
     size = len(real.matrices[0])
     plain = MatrixRealization(real.algebra, real.matrices, "so_split", size,
                               form=[[int(a == b) for b in range(size)] for a in range(size)])
     with pytest.raises(AssertionError, match="not antisymmetric"):
-        invariants._certify_equivariant(plain, _dual_matrices(real.matrices))
+        plain.duals
     doubled = MatrixRealization(real.algebra, real.matrices, "so_split", size,
                                 form=[[2 * x for x in row] for row in real.form])
     with pytest.raises(AssertionError, match="symmetric involution"):
-        invariants._certify_equivariant(doubled, _dual_matrices(real.matrices))
+        doubled.duals
     real = pair("sl3+sl3,diag").realization
     mats = [[row[:] for row in m] for m in real.matrices]
     mats[0][0][-1] = 1
     leaky = MatrixRealization(real.algebra, mats, real.kind, real.size)
     with pytest.raises(AssertionError, match="diagonal blocks"):
-        invariants._certify_equivariant(leaky, _dual_matrices(real.matrices))
+        leaky.duals
 
 
 def test_sl2_casimir_value(pair):
@@ -414,6 +414,31 @@ def test_generating_set_spans(pair):
         assert len(span) == q.dim, name
 
 
+# q.generating_set of g and of its contraction k, the same on every pair here
+GENERATING_SETS = {
+    "sl2,so2": (0, 1),
+    "sl3,so3": (0, 1, 3),
+    "sl3,gl2": (0, 1, 2, 3, 4, 6),
+    "sl4,sp4": (0, 1, 2, 4, 7, 10),
+    "so5,so4": (0, 1, 2, 6),
+    "sp4,sp2+sp2": (0, 1, 2, 3, 4, 5, 6),
+    "sl2+sl2,diag": (0, 1, 2, 3),
+    "sl3+sl3,diag": (0, 1, 2, 3, 4, 6, 8),
+    "sp4,gl2": (0, 1, 2, 4, 7),
+    "sl4,so4": (0, 1, 2, 6),
+    "sl5,gl3": (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 18),
+}
+
+
+def test_generating_set_is_pinned(pair):
+    # membership in a span is exact, so the greedy choice does not depend on
+    # how the echelon normalizes its rows
+    for name in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS):
+        pr = pair(name)
+        assert pr.g.generating_set == GENERATING_SETS[name], name
+        assert pr.contraction.generating_set == GENERATING_SETS[name], name
+
+
 def test_generating_set_of_abelian_algebra_is_every_coordinate():
     q = LieAlgebra(("a", "b", "c", "d"), {})
     assert q.generating_set == (0, 1, 2, 3)
@@ -489,28 +514,35 @@ def test_odd_block_tops_match_the_weight_echelon_route(name, pair, monkeypatch):
     assert [p.terms for p in got] == want
 
 
-@pytest.mark.parametrize("name", ["sl3,so3", "sp4,gl2", "so6,so3+so3"])
-def test_odd_block_route_rejects_a_perturbed_dual(name, pair, monkeypatch):
-    # the symbolic pool that nonmax and nreg use: adding a third of the
-    # second odd dual to the first keeps X1 in g1 but breaks its
-    # equivariance; verify_central must catch the tops (summary's pointwise
-    # route is test_pointwise_route_rejects_a_perturbed_dual)
-    real = invariants._dual_matrices
-
+def _perturbing(real, first: int, second: int):
+    """``_dual_matrices`` with a third of dual ``second`` added to dual
+    ``first``."""
     def perturbed(mats):
         duals = real(mats)
-        first = [[x + Q(1, 3) * y for x, y in zip(r, s)]
-                 for r, s in zip(duals[0], duals[1])]
-        return [first] + duals[1:]
+        duals[first] = [[x + Q(1, 3) * y for x, y in zip(r, s)]
+                        for r, s in zip(duals[first], duals[second])]
+        return duals
 
-    checked = []
-    verify = invariants.verify_central
-    monkeypatch.setattr(invariants, "_dual_matrices", perturbed)
-    monkeypatch.setattr(invariants, "verify_central",
-                        lambda q, f: checked.append(f) or verify(q, f))
-    with pytest.raises(AssertionError, match="not central"):
-        contraction_invariants(pair(name))
-    assert checked and not verify(pair(name).contraction, checked[-1])
+    return perturbed
+
+
+@pytest.mark.parametrize("name", ["sl3,so3", "sp4,gl2", "so6,so3+so3"])
+def test_odd_block_route_rejects_a_perturbed_dual(name, monkeypatch):
+    # the symbolic pool that nonmax and nreg use: adding a third of the
+    # second odd dual to the first keeps X1 in g1 but breaks its
+    # equivariance, and the certificate must refuse the duals; without it,
+    # the oracle finds a top that is not central (summary's pointwise route
+    # is test_pointwise_route_rejects_a_perturbed_dual).  Each pair is built
+    # here: a realization that has read its duals keeps them
+    odd = build_pair(name).grading.odd_idx
+    monkeypatch.setattr(structure, "_dual_matrices",
+                        _perturbing(structure._dual_matrices, odd[0], odd[1]))
+    with pytest.raises(AssertionError, match="not equivariant"):
+        contraction_invariants(build_pair(name))
+    monkeypatch.setattr(structure, "_certify_equivariant", lambda *args: None)
+    pr = build_pair(name)
+    tops = contraction_invariants(pr).polys
+    assert not all(verify_central(pr.contraction, t) for t in tops), name
 
 
 # the pairs whose summary reads index(k) off pointwise rows: the tier-1 and
@@ -577,21 +609,14 @@ def test_pointwise_pfaffian_row(name, pair):
 
 
 @pytest.mark.parametrize("name", ["sl3,so3", "so5,so4", "sl5,gl3", "so6,so5"])
-def test_pointwise_route_rejects_a_perturbed_dual(name, pair, monkeypatch):
+def test_pointwise_route_rejects_a_perturbed_dual(name, monkeypatch):
     # adding a third of the second dual (even, like the first) to the first
     # keeps the even duals inside the classes; the equivariance certificate
-    # must fail
-    real = invariants._dual_matrices
-
-    def perturbed(mats):
-        duals = real(mats)
-        first = [[x + Q(1, 3) * y for x, y in zip(r, s)]
-                 for r, s in zip(duals[0], duals[1])]
-        return [first] + duals[1:]
-
-    monkeypatch.setattr(invariants, "_dual_matrices", perturbed)
+    # must fail on a realization built after the patch
+    monkeypatch.setattr(structure, "_dual_matrices",
+                        _perturbing(structure._dual_matrices, 0, 1))
     with pytest.raises(AssertionError, match="not equivariant"):
-        invariants.pointwise_invariants(pair(name))
+        invariants.pointwise_invariants(build_pair(name))
 
 
 def test_position_classes(pair):
@@ -623,12 +648,6 @@ def test_poly_sqrt_and_exact_quotient():
     assert invariants._exact_quotient([1, 2], [2]) == [Q(1, 2), 1]
     with pytest.raises(AssertionError, match="inexact"):
         invariants._exact_quotient([1, 0, 1], [1, 1])
-
-
-def test_classical_invariants_are_refused_on_a_maximal_rank_pair(pair):
-    pr = pair("sl3,so3")
-    with pytest.raises(ValueError, match="maximal-rank"):
-        contraction_invariants(pr, classical=classical_invariants(pr))
 
 
 def test_top_component(pair):
@@ -685,6 +704,37 @@ def test_contraction_invariants_full_for_supported_pairs(pair):
         assert inv.meta["sum_degrees"] == inv.meta["b"], name
         assert len(inv.polys) == pr.rank_g
         assert all(verify_central(inv.algebra, p) for p in inv.polys)
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(
+    TIER1_PAIRS + LADDER_PAIRS + ["sp6,gl3", "so8,so4+so4", "sl3+sl3,diag"])))
+def test_pool_tops_are_central_by_brackets(name, pair):
+    # the oracle for the certificate the pool relies on: every polynomial
+    # top, odd-block or weight-echelon, is central by coordinate brackets
+    pr = pair(name)
+    inv = contraction_invariants(pr)
+    assert inv.polys, name
+    assert all(verify_central(pr.contraction, p) for p in inv.polys), name
+
+
+@pytest.mark.parametrize("name", ["sl3,so3", "sp4,sp2+sp2", "sl3+sl3,diag"])
+def test_pool_and_nreg_take_no_bracket(name, monkeypatch):
+    calls = []
+    raw = poisson.bracket_with_coordinate
+
+    def counted(*args):
+        calls.append(1)
+        return raw(*args)
+
+    monkeypatch.setattr(poisson, "bracket_with_coordinate", counted)
+    monkeypatch.setattr(invariants, "bracket_with_coordinate", counted)
+    pr = build_pair(name)
+    contraction_invariants(pr)
+    if pr.satake.is_n_regular():
+        nreg_subalgebra(pr)
+    assert calls == []
+    verify_central(pr.contraction, Poly.var(pr.g.dim, 0))
+    assert calls                          # the counter does see brackets
 
 
 def test_contraction_invariants_commute(pair):
