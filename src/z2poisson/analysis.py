@@ -13,7 +13,8 @@ import random
 from fractions import Fraction as Q
 
 from . import linalg
-from .diagram import PairId, enumerate_valid_diagrams
+from .diagram import (PairId, SatakeDiagram, _colorings, _has_isolated_white,
+                      _open_whites, _white_mask)
 from .errors import BudgetError, GenericityError, UnsupportedPairError
 from .invariants import (_check_witness_cap, classical_invariants,
                          contraction_invariants, noncommutativity_witness,
@@ -160,21 +161,33 @@ def verify_summary(pair: PairId, seed: int = 1) -> VerificationReport:
 def verify_main_combinatorics(max_nodes: int = 6,
                                       seed: int = 1) -> VerificationReport:
     """Exhaustive agreement of the local predicate (no trivial node) with the
-    subdiagram-closure predicate on every structurally valid diagram."""
+    subdiagram-closure predicate on every structurally valid diagram.
+
+    The diagrams come one coloring at a time from ``_colorings``.  The white
+    mask and the open-white mask (``_open_whites``) are taken once per
+    coloring; per matching, a trivial node exists when an open white node
+    has no arrow, and the closure is ``_has_isolated_white``.  A diagram is
+    built only to name an exception."""
     if max_nodes > 8:
         raise BudgetError("enumeration budget tops out at 8 nodes")
     rep = VerificationReport("main", f"diagrams up to {max_nodes} nodes", seed)
     total = 0
     codim3_count = 0
     exceptions = []
-    for d in enumerate_valid_diagrams(max_nodes):
-        total += 1
-        lhs = d.has_codim3()
-        rhs = not d.has_bad_rank1_subpair()
-        if lhs:
-            codim3_count += 1
-        if lhs != rhs:
-            exceptions.append(d.serialize())
+    for graph, colors, matchings in _colorings(max_nodes):
+        nbr = graph.neighbor_masks
+        white = _white_mask(colors)
+        open_white = sum(1 << v for v in _open_whites(colors, graph.adjacency))
+        total += len(matchings)
+        for arrows in matchings:
+            arrowed = 0
+            for a, b in arrows:
+                arrowed |= 1 << a - 1 | 1 << b - 1
+            trivial = open_white & ~arrowed != 0
+            if not trivial:
+                codim3_count += 1
+            if trivial != _has_isolated_white(nbr, white, arrows):
+                exceptions.append(SatakeDiagram(graph, colors, arrows).serialize())
     rep.add("predicate equivalence exceptions", [], exceptions,
             note=f"{total} diagrams enumerated, {codim3_count} with codim-3")
     return rep

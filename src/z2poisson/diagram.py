@@ -179,18 +179,13 @@ class SatakeDiagram(Value):
         return len(self.white_nodes()) - len(self.arrows)
 
     def trivial_nodes(self, first: bool = False) -> set[int]:
-        """White nodes with no arrow attached and only white neighbors; with
-        ``first``, only the least of them: one pass over the adjacency,
-        which stops there."""
-        colors, arrowed = self.colors, self.arrowed_nodes()
-        out = set()
-        for v, nbrs in enumerate(self.graph.adjacency):
-            if colors[v] != "w" or v + 1 in arrowed:
-                continue
-            for u in nbrs:
-                if colors[u] != "w":
-                    break
-            else:
+        """White nodes with no arrow attached and only white neighbors: the
+        ``_open_whites`` of the coloring minus the arrowed nodes.  With
+        ``first``, only the least of them, and the pass over the adjacency
+        stops there."""
+        arrowed, out = self.arrowed_nodes(), set()
+        for v in _open_whites(self.colors, self.graph.adjacency):
+            if v + 1 not in arrowed:
                 out.add(v + 1)
                 if first:
                     break
@@ -248,27 +243,10 @@ class SatakeDiagram(Value):
     def has_bad_rank1_subpair(self) -> bool:
         """Whether some reduced subpair is a single isolated white node plus
         an all-black rest.  Equivalent to the failure of ``has_codim3`` but
-        computed through the subdiagram closure instead of locally."""
-        # bit v - 1 stands for node v.  The kept-node masks of all unit
-        # subsets are built by doubling from the all-black rest, each unit
-        # joining every mask so far: 2^units masks, at most 256 on the 8
-        # nodes `main` enumerates.  A kept set with one white node holds no
-        # arrow, as both ends of an arrow are white.
-        nbr = self.graph.neighbor_masks
-        white = int("0" + self.colors[::-1].replace("b", "0").replace("w", "1"), 2)
-        units = [1 << a - 1 | 1 << b - 1 for a, b in self.arrows]
-        free = white & ~sum(units)
-        while free:
-            units.append(free & -free)
-            free &= free - 1
-        kept = [((1 << len(nbr)) - 1) & ~white]
-        for unit in units:
-            kept += [k | unit for k in kept]
-        for k in kept:
-            w = k & white
-            if w and not w & (w - 1) and not nbr[w.bit_length() - 1] & k:
-                return True
-        return False
+        computed through the subdiagram closure instead of locally, by
+        ``_has_isolated_white`` on the white mask of the coloring."""
+        return _has_isolated_white(self.graph.neighbor_masks,
+                                   _white_mask(self.colors), self.arrows)
 
     # -- canonical form / serialization ----------------------------------
     def canonical(self) -> "SatakeDiagram":
@@ -297,6 +275,60 @@ class SatakeDiagram(Value):
 
     def __str__(self) -> str:
         return self.serialize()
+
+
+# ----------------------------------------------------------------------
+# the two predicates' kernels, shared by the ``SatakeDiagram`` methods and
+# the ``main`` suite, which feeds them inputs taken once per coloring
+# ----------------------------------------------------------------------
+
+def _open_whites(colors: str, adjacency) -> Iterator[int]:
+    """The 0-based white nodes whose neighbors are all white, in order: one
+    pass over the adjacency lists, linear in the graph's size."""
+    for v, nbrs in enumerate(adjacency):
+        if colors[v] == "w":
+            for u in nbrs:
+                if colors[u] != "w":
+                    break
+            else:
+                yield v
+
+
+def _white_mask(colors: str) -> int:
+    """The white nodes of a coloring as a bitmask, bit ``v - 1`` for node v."""
+    return int("0" + colors[::-1].replace("b", "0").replace("w", "1"), 2)
+
+
+def _has_isolated_white(neighbor_masks: Sequence[int], white: int,
+                        arrows) -> bool:
+    """Whether removing some union of removal units (an arrow pair, or an
+    arrow-free white node) leaves one white node, none of whose neighbors
+    is kept, with an all-black rest.  ``white`` is the white mask and
+    ``arrows`` the 1-based arrow pairs.
+
+    The kept-node masks of all unit subsets are built by doubling from the
+    all-black rest, each unit joining every mask so far, and each new mask
+    is tested as it is made: the search returns at the first hit, and with
+    no hit it visits all 2^units masks, at most 256 on the 8 nodes ``main``
+    enumerates.  A kept set with one white node holds no arrow, as both
+    ends of an arrow are white."""
+    units, free = [], white
+    for a, b in arrows:
+        unit = 1 << a - 1 | 1 << b - 1
+        units.append(unit)
+        free &= ~unit
+    while free:
+        units.append(free & -free)
+        free &= free - 1
+    kept = [((1 << len(neighbor_masks)) - 1) & ~white]
+    for unit in units:
+        for k in kept:
+            k |= unit
+            w = k & white       # never 0: k holds the white unit
+            if not w & (w - 1) and not neighbor_masks[w.bit_length() - 1] & k:
+                return True
+        kept += [k | unit for k in kept]
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -1014,7 +1046,7 @@ def _joins_all(arrows, comp_of: list[int], k: int) -> bool:
     return joined == k - 1
 
 
-def enumerate_valid_diagrams(max_nodes: int):
+def enumerate_valid_diagrams(max_nodes: int) -> Iterator[SatakeDiagram]:
     """Yield every structurally valid Satake diagram (up to isomorphism)
     whose underlying graph has at most ``max_nodes`` nodes and which is
     connected once arrows are counted as edges.
@@ -1028,8 +1060,20 @@ def enumerate_valid_diagrams(max_nodes: int):
     ``canonical`` minimizes over the same relabelings, so every yielded
     diagram is its own canonical form, and no set of earlier diagrams is
     kept.  The order is by component multiset, then by coloring, then by
-    matching.
+    matching: the flattening of ``_colorings``.
     """
+    for graph, colors, matchings in _colorings(max_nodes):
+        for arrows in matchings:
+            yield SatakeDiagram(graph, colors, arrows)
+
+
+def _colorings(max_nodes: int):
+    """Yield ``(graph, colors, matchings)`` for every least coloring of every
+    component multiset with at most ``max_nodes`` nodes that some matching
+    makes a valid diagram, in the order of ``enumerate_valid_diagrams``:
+    ``matchings`` lists those arrow tuples, each the least in its orbit
+    under the coloring's stabilizer, so that whatever depends only on the
+    graph and the coloring is computed once for all of them."""
     types = connected_dynkin_types(max_nodes)
     sizes = {t: t[1] for t in types}
     multisets: list[tuple[tuple[str, int], ...]] = []
@@ -1053,22 +1097,25 @@ def enumerate_valid_diagrams(max_nodes: int):
             continue
         graph = DynkinGraph(comps)
         identity = tuple(range(n))
-        others = [(g, itemgetter(*g)) for g in _diagram_automorphisms(graph, own_maps)
-                  if g != identity]
+        # every other automorphism as the map of a coloring onto its image,
+        # and as a map from 1-based node to 1-based position
+        others = []
+        for g in _diagram_automorphisms(graph, own_maps):
+            if g != identity:
+                relabel = [0] * (n + 1)
+                for p, v in enumerate(g, start=1):
+                    relabel[v + 1] = p
+                others.append((itemgetter(*g), relabel))
         comp_of = [0] + [i for i, (_, r) in enumerate(comps) for _ in range(r)]
         for bits in itertools.product("wb", repeat=n):
             colors = "".join(bits)
-            # keep the least coloring of its orbit, and its stabilizer as
-            # maps from 1-based node to 1-based position
+            # keep the least coloring of its orbit, and its stabilizer
             stab = []
-            for g, image_of in others:
+            for image_of, relabel in others:
                 image = "".join(image_of(colors))
                 if image < colors:
                     break
                 if image == colors:
-                    relabel = [0] * (n + 1)
-                    for p, v in enumerate(g, start=1):
-                        relabel[v + 1] = p
                     stab.append(relabel)
             else:
                 whites = [i + 1 for i, c in enumerate(colors) if c == "w"]
@@ -1076,11 +1123,14 @@ def enumerate_valid_diagrams(max_nodes: int):
                 if key not in patterns:
                     patterns[key] = [p for p in _partial_matchings(list(range(len(whites))))
                                      if _joins_all(p, key[1], k)]
+                matchings = []
                 for pattern in patterns[key]:
                     arrows = tuple([(whites[i], whites[j]) for i, j in pattern])
-                    if stab and any(
-                            tuple(sorted([(h[a], h[b]) if h[a] < h[b] else (h[b], h[a])
-                                          for a, b in arrows])) < arrows
-                            for h in stab):
-                        continue
-                    yield SatakeDiagram(graph, colors, arrows)
+                    for h in stab:
+                        if tuple(sorted([(h[a], h[b]) if h[a] < h[b] else (h[b], h[a])
+                                         for a, b in arrows])) < arrows:
+                            break
+                    else:
+                        matchings.append(arrows)
+                if matchings:
+                    yield graph, colors, matchings

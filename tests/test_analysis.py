@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import io
+import itertools
 import json
 import random
 from fractions import Fraction as Q
@@ -5,12 +9,12 @@ from fractions import Fraction as Q
 import pytest
 
 from z2poisson import (BudgetError, PairId, Poly, UnsupportedPairError, analysis,
-                       certified_index, classical_invariants, index, invariants,
-                       parse_pair_name, poisson, structure)
+                       certified_index, classical_invariants, cli, diagram, index,
+                       invariants, parse_pair_name, poisson, structure)
 from z2poisson.analysis import (demonstrate_nonmaximality, report_to_json_text,
                                 verify_dim_stab, verify_main_combinatorics,
                                 verify_nreg, verify_summary)
-from z2poisson.diagram import satake_of
+from z2poisson.diagram import enumerate_valid_diagrams, satake_of
 from z2poisson.poisson import gradients, pairwise_commuting
 
 from test_invariants import LADDER_PAIRS, TIER1_PAIRS
@@ -112,6 +116,37 @@ def test_main_theorem_small_counts():
             f"{total} diagrams enumerated, {codim3} with codim-3"
     with pytest.raises(BudgetError):
         verify_main_combinatorics(max_nodes=9)
+
+
+def test_main_at_its_cap():
+    # the 8-node report as the suite wrote it when it built a diagram and
+    # ran both predicate methods on every matching
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--suite", "main", "--max-nodes", "8", "--seed", "1"])
+    assert code == 0
+    (check,) = json.loads(out.getvalue())["checks"]
+    assert check["note"] == "313621 diagrams enumerated, 99205 with codim-3"
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "069f17d629f87aa56f3c1dcfb819583fb3b0e4e32ed78d6e6354f311dde6cb32")
+
+
+def test_main_reports_the_diagram_whose_predicates_disagree(monkeypatch):
+    # flip the closure kernel on the 100th call: the suite calls it once per
+    # diagram in enumeration order, and builds a diagram only to name it
+    calls = itertools.count()
+    closure = analysis._has_isolated_white
+    monkeypatch.setattr(analysis, "_has_isolated_white",
+                        lambda *args: closure(*args) != (next(calls) == 100))
+    built = []
+    monkeypatch.setattr(analysis, "SatakeDiagram",
+                        lambda *args: built.append(args) or diagram.SatakeDiagram(*args))
+    rep = verify_main_combinatorics(5)
+    assert not rep.passed
+    (check,) = rep.checks
+    assert check.computed == [list(enumerate_valid_diagrams(5))[100].serialize()]
+    assert check.note == "1545 diagrams enumerated, 712 with codim-3"
+    assert len(built) == 1 and next(calls) == 1545
 
 
 def test_dim_stab(pair):

@@ -450,15 +450,26 @@ def test_diagram_node_count_is_rank_of_g():
 
 
 def test_bitmask_predicates_match_list_oracles():
-    diagrams = list(enumerate_valid_diagrams(6))
-    assert len(diagrams) == 8755
-    diagrams += [satake_of(p) for p in _catalog_pairs()]
-    for d in diagrams:
-        trivial = _list_trivial_nodes(d)
-        assert d.trivial_nodes() == trivial, d.serialize()
-        assert d.has_codim3() == (not trivial), d.serialize()
-        assert d.has_bad_rank1_subpair() == _list_has_bad_rank1_subpair(d), \
-            d.serialize()
+    # the kernels fed the inputs that `main` takes once per coloring, on
+    # every diagram up to 7 nodes and every catalog diagram, against the
+    # methods and the list oracles
+    groups = list(diagram._colorings(7))
+    groups += [(d.graph, d.colors, [d.arrows])
+               for d in map(satake_of, _catalog_pairs())]
+    assert sum(len(matchings) for *_, matchings in groups) == 50757 + 156
+    for graph, colors, matchings in groups:
+        white = diagram._white_mask(colors)
+        open_white = {v + 1 for v in diagram._open_whites(colors, graph.adjacency)}
+        for arrows in matchings:
+            d = SatakeDiagram(graph, colors, arrows)
+            trivial = _list_trivial_nodes(d)
+            assert open_white - d.arrowed_nodes() == trivial, d.serialize()
+            assert d.trivial_nodes() == trivial, d.serialize()
+            assert d.has_codim3() == (not trivial), d.serialize()
+            bad = _list_has_bad_rank1_subpair(d)
+            assert diagram._has_isolated_white(
+                graph.neighbor_masks, white, arrows) == bad, d.serialize()
+            assert d.has_bad_rank1_subpair() == bad, d.serialize()
 
 
 def test_local_predicate_is_linear():
@@ -642,6 +653,17 @@ def test_enumeration_order_is_pinned_at_7_nodes():
     text = "\n".join(d.serialize() for d in enumerate_valid_diagrams(7))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "eccf5be47042701b4332a981bb3e212aaee43e7afa44f8b5573e5dbf17f076bc")
+
+
+def test_colorings_flatten_to_the_enumeration():
+    # one group per least coloring that takes a matching, holding all of
+    # its matchings, in the order of the enumeration
+    groups = list(diagram._colorings(7))
+    assert len({(graph, colors) for graph, colors, _ in groups}) == len(groups)
+    assert all(matchings for *_, matchings in groups)
+    assert [SatakeDiagram(graph, colors, arrows) for graph, colors, matchings in groups
+            for arrows in matchings] == list(enumerate_valid_diagrams(7))
+    assert sum(1 for _ in diagram._colorings(6)) == 1806
 
 
 def test_enumeration_builds_each_types_own_maps_once(monkeypatch):
