@@ -23,8 +23,7 @@ from .poisson import (certified_index, gradients, mf_family, pairwise_commuting,
                       poisson_bracket, trdeg_lower_bound)
 from .poly import Poly
 from .structure import (build_pair, check_regular_stabilizer_index,
-                        even_stabilizer, kirillov_corank, sample_covector,
-                        stabilizer)
+                        even_stabilizer, kirillov_corank, sample_covector)
 
 
 class Check:
@@ -118,11 +117,11 @@ def verify_summary(pair: PairId, seed: int = 1) -> VerificationReport:
     certificate, which the realization runs once.  For g of dimension at
     most 10, index(g) is certified the same way by the rows of the
     classical invariants of g, pointwise where the pair allows, at points
-    sampled from the seed; elimination runs only if the two bounds do not
-    meet.  At a generic Cartan point z, the odd-centralizer dimension is
-    read from the even stabilizer g0^z of ``tr(Z .)``, and
-    ``index(g0^z) = rk g - rk(g, g0)`` is certified from the contraction's
-    index by Rais's identity, with no elimination
+    sampled from the seed.  No index is eliminated: a certificate whose
+    bounds do not meet raises :class:`GenericityError`.  At a generic
+    Cartan point z, the odd-centralizer dimension is read from the even
+    stabilizer g0^z of ``tr(Z .)``, and ``index(g0^z) = rk g - rk(g, g0)``
+    is certified from the contraction's index by Rais's identity
     (``check_regular_stabilizer_index``).
     """
     rep = VerificationReport("summary", str(pair), seed)
@@ -140,7 +139,7 @@ def verify_summary(pair: PairId, seed: int = 1) -> VerificationReport:
         points = (sample_covector(pr.g.dim, rng) for _ in range(6))
         samples = (((mu, pointwise.rows(mu)) for mu in points) if pointwise
                    else gradients(classical_invariants(pr).polys, points))
-        ind_g, _, _ = certified_index(pr.g, samples)
+        ind_g, _ = certified_index(pr.g, samples)
         rep.add("index(g) = rk g", rk, ind_g)
     rep.add("central generator count", rk, meta["count"])
     if meta["full"]:
@@ -213,7 +212,7 @@ def verify_dim_stab(pair: PairId, samples: int = 20,
         lhs = kirillov_corank(k, eta)
         g0b = even_stabilizer(pr, beta)
         codim_orbit = d1 - (d0 - len(g0b))
-        rhs = codim_orbit + len(stabilizer(k, alpha, basis=g0b))
+        rhs = codim_orbit + kirillov_corank(k, alpha, basis=g0b)
         if lhs != rhs:
             failures.append({"sample": s, "lhs": lhs, "rhs": rhs})
     rep.add("stabilizer dimension identity failures", [], failures,
@@ -223,7 +222,7 @@ def verify_dim_stab(pair: PairId, samples: int = 20,
     alpha = [alpha[i] if i in even else 0 for i in range(k.dim)]
     lhs = kirillov_corank(k, alpha)
     g0 = [[int(t == i) for t in range(k.dim)] for i in even]
-    rhs = d1 + len(stabilizer(k, alpha, basis=g0))
+    rhs = d1 + kirillov_corank(k, alpha, basis=g0)
     rep.add("beta = 0 slice", lhs, rhs)
     return rep
 

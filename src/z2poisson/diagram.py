@@ -15,7 +15,7 @@ import math
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import (BudgetError, DiagramSyntaxError, DiagramValidationError,
@@ -35,7 +35,6 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"E": 8, "F": 4, "G": 2}
 
 
-@lru_cache(maxsize=None)
 def component_edges(letter: str, rank: int) -> tuple[Edge, ...]:
     """Edges of the standard component in local 1-based numbering."""
     if letter == "A":

@@ -33,7 +33,7 @@ class BudgetError(Z2PoissonError):
 
 class GenericityError(Z2PoissonError):
     """Random sampling failed to produce a generic point within the retry
-    budget."""
+    budget: a sampled certificate whose two bounds do not meet."""
 
 
 class PolyParseError(Z2PoissonError):

@@ -318,7 +318,7 @@ class PointwiseInvariants:
         nonzero, so each width is proven; the tops are central by the
         certificate of the duals, with no bracket."""
         k = self.pr.contraction
-        point = sample_covector(k.dim, random.Random(seed), bound=10 ** 6)
+        point = sample_covector(k.dim, random.Random(seed))
         rows = self.top_rows(point)
         if linalg.rank(dict(enumerate(r)) for r in rows) < len(rows):
             return None
@@ -458,8 +458,7 @@ def _odd_block_tops(pr: PairRealization) -> list[Poly]:
     return sorted(tops, key=Poly.degree)
 
 
-def contraction_invariants(pr: PairRealization, seed: int = 1,
-                           trials: int = 6) -> InvariantSet:
+def contraction_invariants(pr: PairRealization, seed: int = 1) -> InvariantSet:
     """Central generators of the contraction's Poisson centre: the top
     components of the classical invariants of g, as polynomials, for the
     suites that need them (``nonmax``, ``nreg``) and for the pairs that
@@ -475,10 +474,10 @@ def contraction_invariants(pr: PairRealization, seed: int = 1,
     with no bracket taken.
 
     ``meta['index']`` is the index of the contraction, certified by the
-    gradients of the tops at the sampled points (``certified_index``), or
-    by elimination when that certificate does not close; ``meta['full']``
-    is set when the pool has full rank (one free generator per classical
-    invariant, degree sum b)."""
+    gradients of the tops at six sampled points (``certified_index``,
+    which raises :class:`GenericityError` when its bounds do not meet);
+    ``meta['full']`` is set when the pool has full rank (one free generator
+    per classical invariant, degree sum b)."""
     if pr.maximal_rank:
         tops = _odd_block_tops(pr)
     else:
@@ -491,7 +490,7 @@ def contraction_invariants(pr: PairRealization, seed: int = 1,
                 for p in _weight_echelon_tops(integral, pr.grading)]
     k = pr.contraction
     rng = random.Random(seed)
-    points = (sample_covector(k.dim, rng, bound=10 ** 6) for _ in range(trials))
+    points = (sample_covector(k.dim, rng) for _ in range(6))
     meta = _pool_meta(pr, [p.degree() for p in tops],
                       certified_index(k, gradients(tops, points)), seed)
     return InvariantSet(k, tops, meta)
@@ -499,17 +498,17 @@ def contraction_invariants(pr: PairRealization, seed: int = 1,
 
 def _pool_meta(pr: PairRealization, degrees: list[int], certificate, seed: int) -> dict:
     """The facts reported beside a central generator pool with these
-    degrees, from its index certificate ``(index, rank, point)``."""
-    ind, best_rank, best_point = certificate
+    degrees, from its index certificate ``(index, point)``, index = rank."""
+    ind, point = certificate
     return {
-        "certified_rank": best_rank,
+        "certified_rank": ind,
         "count": len(degrees),
         "sum_degrees": sum(degrees),
         "index": ind,
         "b": (pr.contraction.dim + ind) // 2,     # dim - index is a skew rank: even
         "seed": seed,
-        "sample_point": [str(c) for c in (best_point or [])],
-        "full": best_rank == len(degrees) == pr.rank_g,
+        "sample_point": [str(c) for c in point],
+        "full": ind == len(degrees) == pr.rank_g,
     }
 
 
@@ -535,7 +534,7 @@ def nreg_subalgebra(pr: PairRealization, seed: int = 1) -> InvariantSet:
     target = pool.meta["b"]
     m = len(pr.satake.arrows)
     rng = random.Random(seed)
-    points = [sample_covector(k.dim, rng, bound=10 ** 6) for _ in range(4)]
+    points = [sample_covector(k.dim, rng) for _ in range(4)]
     even = pr.grading.even_idx
     echelons = [([], []) for _ in points]   # per point: picked even rows, pivots
     selected, current = list(coords), len(coords)
@@ -575,13 +574,12 @@ def _monomials(nvars: int, degree: int):
 WITNESS_DIM_CAP = 40        # dim k above which no witness is searched for
 
 
-def _check_witness_cap(k: LieAlgebra, max_dim: int = WITNESS_DIM_CAP) -> None:
-    if k.dim > max_dim:
+def _check_witness_cap(k: LieAlgebra) -> None:
+    if k.dim > WITNESS_DIM_CAP:
         raise BudgetError(f"dimension {k.dim} exceeds the witness search cap")
 
 
-def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
-                             max_dim: int = WITNESS_DIM_CAP):
+def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2):
     """Searches the odd-coordinate invariants up to the degree bound for a
     pair with a nonzero mutual bracket.
 
@@ -598,7 +596,7 @@ def noncommutativity_witness(pr: PairRealization, degree_bound: int = 2,
     taken.
     """
     k = pr.contraction
-    _check_witness_cap(k, max_dim)
+    _check_witness_cap(k)
     odd, even = pr.grading.odd_idx, pr.grading.even_idx
     kernels = []
     for d in range(1, degree_bound + 1):

@@ -10,7 +10,8 @@ One route each: brackets go through ``bracket_with_coordinate``, the
 centrality of a polynomial through ``verify_central``, and the index that
 central polynomials certify through ``certified_index``, which reads their
 gradient rows at sampled points: from the polynomials (``gradients``) or,
-with no polynomial built, from ``invariants.PointwiseInvariants``.  The
+with no polynomial built, from ``invariants.PointwiseInvariants``, and
+raises :class:`GenericityError` when its bounds do not meet.  The
 classical invariants of g and their tops are the one exception to
 ``verify_central``: they are built on the trace-form duals that
 ``structure.MatrixRealization.duals`` certifies by a linear equivariance
@@ -24,9 +25,9 @@ from math import lcm, prod
 from operator import add as _add
 
 from . import linalg
-from .errors import BudgetError
+from .errors import BudgetError, GenericityError
 from .poly import TERM_BUDGET, Poly
-from .structure import LieAlgebra, index, kirillov_corank
+from .structure import LieAlgebra, kirillov_corank
 
 BRACKET_DEGREE_BUDGET = 10_000
 
@@ -211,49 +212,45 @@ def jacobian_rank_at(polys: list[Poly], mu) -> int:
     return linalg.rank([dict(enumerate(p.grad_at(mu))) for p in polys])
 
 
-def trdeg_lower_bound(polys: list[Poly], points,
-                      stop: int | None = None) -> tuple[int, list | None]:
-    """Certified lower bound for the transcendence degree: the largest
-    Jacobian rank over the points, with the first point that reaches it
-    (None when no point gives a positive rank).  Stops once the rank is
-    ``stop``, a proven upper bound for it; len(polys) by default."""
-    stop = len(polys) if stop is None else stop
-    best, best_point = 0, None
-    for mu in points:
-        r = jacobian_rank_at(polys, mu)
-        if r > best:
-            best, best_point = r, mu
-        if best == stop:
-            break
-    return best, best_point
-
-
-def gradients(polys: list[Poly], points):
-    """``(point, rows)`` for each point, lazily: the gradients of the
-    polynomials there, the samples ``certified_index`` takes from
-    polynomials."""
-    return ((mu, [p.grad_at(mu) for p in polys]) for mu in points)
-
-
-def certified_index(q: LieAlgebra, samples):
-    """(index, rank, point) from gradient rows of verified-central
-    polynomials.
-
-    ``samples`` yields ``(point, rows)``: the gradients of the polynomials
-    at the point, from ``gradients`` or from any other exact producer.  The
-    differentials lie in the Kirillov kernel everywhere, so their rank is a
-    lower bound for the index, and the Kirillov corank at any point is an
-    upper bound.  The samples are read until the rows are independent; when
-    the best rank meets the corank at the point that reached it, that value
-    is the index, and otherwise the elimination in ``index`` decides.
-    """
+def _max_rank(samples, stop: int | None = None) -> tuple[int, list | None]:
+    """The largest rank of the rows over ``(point, rows)`` samples and the
+    first point that reaches it (None for rank 0); stops at rank ``stop``,
+    a proven upper bound, by default the row count."""
     best, best_point = 0, None
     for mu, rows in samples:
         r = linalg.rank(dict(enumerate(row)) for row in rows)
         if r > best:
             best, best_point = r, mu
-        if best == len(rows):
+        if best == (len(rows) if stop is None else stop):
             break
-    if best_point is not None and kirillov_corank(q, best_point) == best:
-        return best, best, best_point
-    return index(q), best, best_point
+    return best, best_point
+
+
+def trdeg_lower_bound(polys: list[Poly], points,
+                      stop: int | None = None) -> tuple[int, list | None]:
+    """Certified lower bound for the transcendence degree: ``_max_rank`` of
+    the polynomials' gradients at the points; ``stop`` is len(polys) by default."""
+    return _max_rank(gradients(polys, points), stop)
+
+
+def gradients(polys: list[Poly], points):
+    """``(point, rows)`` for each point, lazily: the gradients of the
+    polynomials there, as ``certified_index`` and ``_max_rank`` read them."""
+    return ((mu, [p.grad_at(mu) for p in polys]) for mu in points)
+
+
+def certified_index(q: LieAlgebra, samples) -> tuple[int, list]:
+    """(index, point) from gradient rows of verified-central polynomials.
+
+    ``samples`` yields ``(point, rows)``: the gradients of the polynomials
+    at the point, from ``gradients`` or from any other exact producer.  The
+    differentials lie in the Kirillov kernel everywhere, so their rank is a
+    lower bound for the index, and the Kirillov corank at any point is an
+    upper bound.  The samples are read until the rows are independent; the
+    best rank is the index when it meets the corank at the point that
+    reached it, and otherwise :class:`GenericityError` is raised.
+    """
+    best, point = _max_rank(samples)
+    if point is None or kirillov_corank(q, point) != best:
+        raise GenericityError(f"index certificate does not close: best rank {best}")
+    return best, point

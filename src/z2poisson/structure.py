@@ -12,14 +12,13 @@ doubles it along the diagonal, and finds its Cartan vectors by label.
 ``index`` is the reference route to the index of an algebra: the Kirillov
 matrix with entries in the polynomial ring over the dual coordinates is
 reduced by deterministic fraction-free elimination, exploiting the zero block
-that a contraction's abelian ideal creates.  The suites use it for ``g``
-only when the certificate from the gradient rows of its classical
-invariants does not close (``poisson.certified_index``).  The index of a
-contraction is certified from its central generators, and the index of the
-even centralizer ``g0^z`` of a generic Cartan point from that one by Rais's
-semidirect-product identity (``check_regular_stabilizer_index``); ``g0^z``
-is the even stabilizer of a covector (``even_stabilizer``), as in the
-``dimstab`` suite.
+that a contraction's abelian ideal creates.  No suite runs it: the index of
+g and of a contraction is certified from the gradient rows of central
+polynomials (``poisson.certified_index``), and the index of the even
+centralizer ``g0^z`` of a generic Cartan point from the contraction's by
+Rais's semidirect-product identity (``check_regular_stabilizer_index``);
+``g0^z`` is the even stabilizer of a covector (``even_stabilizer``), as in
+the ``dimstab`` suite.  Every stabilizer count is ``kirillov_corank``.
 
 Realizations are integer matrices, built from their nonzero entries:
 commutators touch only entries that can contribute, and run on ``int``.
@@ -28,7 +27,7 @@ its members and all their brackets (``_span_algebra``).  Every algebra
 built here is Lie by construction (``_span_algebra``, ``contract``), so the
 exhaustive ``LieAlgebra.check_jacobi`` runs only on outside input, in
 ``LieAlgebra.from_json``.  A stabilizer inside a subalgebra needs no
-algebra built: ``stabilizer(q, xi, basis)`` restricts the Kirillov form.
+algebra built: ``kirillov_corank(q, xi, basis)`` restricts the Kirillov form.
 A realization's trace-form duals (``MatrixRealization.duals``) are
 certified equivariant once, when first read: the one route to the
 centrality of every classical invariant of g and of its top components.
@@ -212,13 +211,18 @@ class LieAlgebra:
     @staticmethod
     def from_json(data: dict) -> "LieAlgebra":
         """Inverse of ``to_json``; any malformed or non-Lie input raises
-        :class:`AlgebraValidationError`."""
+        :class:`AlgebraValidationError`, as does a row or target given twice."""
         try:
             labels = data["labels"]
             if len(labels) != data["dim"]:
                 raise ValueError("label count does not match dim")
-            sc = {(i - 1, j - 1): {k - 1: Q(c) for k, c in entry}
-                  for i, j, entry in data["sc"]}
+            sc: dict[tuple[int, int], dict[int, Q]] = {}
+            for i, j, entry in data["sc"]:
+                key = (_typed(i, int) - 1, _typed(j, int) - 1)
+                row = {_typed(k, int) - 1: Q(_typed(c, int, str)) for k, c in entry}
+                if key in sc or len(row) != len(entry):
+                    raise ValueError(f"row ({i},{j}) or one of its targets is given twice")
+                sc[key] = row
             alg = LieAlgebra(labels, sc)
             alg.check_jacobi()
             return alg
@@ -226,6 +230,14 @@ class LieAlgebra:
             raise AlgebraValidationError(f"not a Lie algebra: missing {e}") from None
         except (TypeError, ValueError, ZeroDivisionError) as e:
             raise AlgebraValidationError(f"not a Lie algebra: {e}") from None
+
+
+def _typed(v, *types):
+    """A value of an algebra file whose type is one of ``types`` exactly: a
+    JSON float would be read as its binary value, and a boolean as 0 or 1."""
+    if type(v) not in types:
+        raise ValueError(f"{v!r} is not {' or '.join(t.__name__ for t in types)}")
+    return v
 
 
 class Z2Grading(Value):
@@ -844,35 +856,27 @@ def _kernel_on(rows: list[dict[int, Q]], cols, dim: int) -> list[list[Q]]:
     return [[v.get(j, zero) for j in range(dim)] for v in linalg.kernel(rows, cols)]
 
 
-def stabilizer(q: LieAlgebra, xi, basis=None) -> list[list[Q]]:
-    """Exact kernel basis of the Kirillov form at a point.
+def stabilizer(q: LieAlgebra, xi) -> list[list[Q]]:
+    """Exact kernel basis of the Kirillov form at a point."""
+    rows = [dict(enumerate(row)) for row in q.kirillov_at(xi)]
+    return _kernel_on(rows, range(q.dim), q.dim)
 
-    Given ``basis`` (vectors of q spanning a subalgebra), the kernel of the
-    restricted form ``xi([x, y])`` for x and y in its span instead: the
-    stabilizer of xi restricted to that subalgebra, in q's coordinates.
-    The form is read on the span of the members as primitive integer rows."""
+
+def kirillov_corank(q: LieAlgebra, xi, basis=None) -> int:
+    """dim q^xi, the corank of the Kirillov form at a point, from the rank
+    of its integer echelon with no kernel vector built.  Given ``basis``
+    (independent vectors of q spanning a subalgebra, each read as a
+    primitive integer row), the corank of the restricted form ``xi([x, y])``
+    on its span instead: the stabilizer dimension of xi in that subalgebra."""
+    form = q.kirillov_at(xi)
     if basis is None:
-        rows = [dict(enumerate(row)) for row in q.kirillov_at(xi)]
-        return _kernel_on(rows, range(q.dim), q.dim)
-    xi = [coeff_num(x) for x in xi]
+        return q.dim - linalg.rank(dict(enumerate(row)) for row in form)
     support = [linalg._primitive(dict(enumerate(v))) for v in basis]
-    span = sorted({i for s in support for i in s})
-    form = {(i, j): sum([c * xi[k] for k, c in q.bracket_basis(i, j).items()], 0)
-            for i in span for j in span}
-    rows: list[dict[int, Q]] = [{} for _ in basis]
-    for b, sb in enumerate(support):
-        # xi([e_i, basis[b]]) on the support, then xi([basis[a], basis[b]])
-        u = {i: sum([y * form[i, j] for j, y in sb.items()], 0) for i in span}
-        for a, sa in enumerate(support):
-            rows[a][b] = sum([x * u[i] for i, x in sa.items()], 0)
-    return [[sum((c * support[b].get(j, 0) for b, c in v.items()), Q(0))
-             for j in range(q.dim)] for v in linalg.kernel(rows, range(len(basis)))]
-
-
-def kirillov_corank(q: LieAlgebra, xi) -> int:
-    """dim q^xi, the corank of the Kirillov form at a point: counted from
-    the rank of its integer echelon, with no kernel vector built."""
-    return q.dim - linalg.rank(dict(enumerate(row)) for row in q.kirillov_at(xi))
+    # xi([e_i, basis[b]]) for every i, then xi([basis[a], basis[b]])
+    cols = [[sum([y * row[j] for j, y in sb.items()], 0) for row in form] for sb in support]
+    return len(basis) - linalg.rank(
+        {b: sum([x * col[i] for i, x in sa.items()], 0) for b, col in enumerate(cols)}
+        for sa in support)
 
 
 def is_regular(q: LieAlgebra, xi) -> bool:
@@ -935,7 +939,7 @@ def check_regular_stabilizer_index(pr: PairRealization, index_k: int,
             continue
         alpha = sample_covector(pr.d0, rng) + [0] * pr.d1    # the even part is first
         lower = index_k - dim_g1z
-        if lower != len(stabilizer(pr.contraction, alpha, basis=g0z)):
+        if lower != kirillov_corank(pr.contraction, alpha, basis=g0z):
             continue
         expected_ind = pr.rank_g - rk_pair
         return {

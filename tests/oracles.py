@@ -70,6 +70,16 @@ def graded_centralizer(pr: PairRealization, v) -> tuple[list[list[Q]], list[list
     return restricted_kernel(pr.grading.even_idx), restricted_kernel(pr.grading.odd_idx)
 
 
+def restricted_stabilizer(q: LieAlgebra, xi, basis) -> list[list[Q]]:
+    """Kernel basis of the form ``xi([x, y])`` on the span of ``basis``, in
+    q's coordinates: the stabilizer of xi in that subalgebra, from the Gram
+    matrix of the form on the basis vectors, summed in Fractions."""
+    gram = [{b: sum((Q(x) * c for x, c in zip(xi, bracket(q, u, v))), Q(0))
+             for b, v in enumerate(basis)} for u in basis]
+    return [[sum((c * Q(basis[b][j]) for b, c in v.items()), Q(0)) for j in range(q.dim)]
+            for v in linalg.kernel(gram, range(len(basis)))]
+
+
 def subalgebra(q: LieAlgebra, vectors) -> LieAlgebra:
     """The bracket-closed span of ``vectors`` in its own basis, each bracket
     solved in the span on its own."""

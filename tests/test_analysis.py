@@ -8,7 +8,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import (BudgetError, PairId, Poly, UnsupportedPairError, analysis,
+from z2poisson import (BudgetError, GenericityError, PairId, Poly,
+                       UnsupportedPairError, analysis,
                        certified_index, classical_invariants, cli, diagram, index,
                        invariants, parse_pair_name, poisson, structure)
 from z2poisson.analysis import (demonstrate_nonmaximality, report_to_json_text,
@@ -64,14 +65,14 @@ def test_certified_index_of_g_matches_elimination(name, pair):
     for seed in (1, 2, 3):
         rng = random.Random(seed)
         points = (structure.sample_covector(pr.g.dim, rng) for _ in range(6))
-        ind, rank, point = certified_index(pr.g, gradients(polys, points))
+        ind, point = certified_index(pr.g, gradients(polys, points))
         # the bounds meet: Jacobian rank = Kirillov corank at the point
-        assert ind == rank == eliminated, (name, seed)
-        assert len(structure.stabilizer(pr.g, point)) == rank
+        assert ind == eliminated, (name, seed)
+        assert len(structure.stabilizer(pr.g, point)) == ind
         # the pointwise rows of the same invariants, as summary reads them
         rows = invariants.pointwise_invariants(pr).rows
         points = (structure.sample_covector(pr.g.dim, random.Random(seed)) for _ in range(6))
-        assert certified_index(pr.g, ((mu, rows(mu)) for mu in points)) == (ind, rank, point)
+        assert certified_index(pr.g, ((mu, rows(mu)) for mu in points)) == (ind, point)
 
 
 @pytest.mark.parametrize("name", ["so5,so4", "sp4,gl2"])
@@ -92,13 +93,14 @@ def test_summary_does_not_eliminate_on_g(name, pair, monkeypatch):
     assert dims == []     # nor on g0^z: its index is certified
 
 
-def test_certified_index_of_g_falls_back_at_the_zero_covector(pair):
-    # no Jacobian rank at the zero covector, so the bounds cannot meet and
-    # the elimination decides
+def test_certified_index_of_g_refuses_the_zero_covector(pair):
+    # no Jacobian rank at the zero covector, so the bounds cannot meet, and
+    # no elimination decides instead
     pr = pair("sl3,so3")
     zero = [Q(0)] * pr.g.dim
     polys = classical_invariants(pr).polys
-    assert certified_index(pr.g, gradients(polys, [zero])) == (pr.rank_g, 0, None)
+    with pytest.raises(GenericityError, match="rank"):
+        certified_index(pr.g, gradients(polys, [zero]))
 
 
 def test_summary_propagates_unsupported():
@@ -360,24 +362,20 @@ def test_nonmaximality_demonstration():
 
 def _rank_row_calls(monkeypatch, keep_stop=True) -> list:
     """Patch the rank row of the nonmax suite: record the points at which
-    its Jacobian rank is taken, and with ``keep_stop=False`` drop the
-    certified stop so that every point is evaluated."""
-    calls, inside = [], []
-    real_rank, real_bound = poisson.jacobian_rank_at, analysis.trdeg_lower_bound
+    its Jacobian rank is taken, the points it draws (they are drawn one at
+    a time), and with ``keep_stop=False`` drop the certified stop so that
+    every point is evaluated."""
+    calls = []
+    real_bound = analysis.trdeg_lower_bound
 
-    def rank(polys, mu):
-        if inside:
+    def drawn(points):
+        for mu in points:
             calls.append(mu)
-        return real_rank(polys, mu)
+            yield mu
 
     def bound(polys, points, stop=None):
-        inside.append(True)
-        try:
-            return real_bound(polys, points, stop=stop if keep_stop else None)
-        finally:
-            inside.pop()
+        return real_bound(polys, drawn(points), stop=stop if keep_stop else None)
 
-    monkeypatch.setattr(poisson, "jacobian_rank_at", rank)
     monkeypatch.setattr(analysis, "trdeg_lower_bound", bound)
     return calls
 

@@ -35,3 +35,34 @@ def test_every_src_function_has_a_src_caller():
                       if name not in referenced | traced | ENTRY_POINTS
                       and not (name.startswith("__") and name.endswith("__")))
     assert uncalled == []
+
+
+def test_no_function_is_cached_at_module_level():
+    # a functools cache outlives every caller and hands each the same result;
+    # per-instance cached_property is not one
+    cached = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = getattr(target, "attr", getattr(target, "id", None))
+                    if name in {"cache", "lru_cache"}:
+                        cached.append(f"{node.name} ({path.name}:{node.lineno})")
+    assert cached == []
+
+
+def test_suite_modules_never_eliminate():
+    # every index the suites report is certified by bounds that meet or
+    # raises GenericityError: these modules name no symbolic index, neither
+    # imported nor as an attribute of the structure module
+    for module in ("analysis.py", "invariants.py", "poisson.py"):
+        named = set()
+        for node in ast.walk(ast.parse((SRC / module).read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                named |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "structure":
+                named.add(node.attr)
+        assert named & {"index", "is_regular"} == set(), module

@@ -363,8 +363,18 @@ NOT_JACOBI = {"dim": 3, "labels": ["a", "b", "c"],
     (json.dumps(dict(SL2_JSON, sc=[[1, 2, [[4, "1"]]]])), 3, "target"),
     (json.dumps(dict(SL2_JSON, labels=["e", "e", "h"])), 3, "not distinct"),
     (json.dumps(dict(SL2_JSON, labels=["e f", "f", "h"])), 3, "variable name"),
+    (json.dumps(dict(SL2_JSON, sc=[[1.0, 2, [[3, 1]]]])), 3, "1.0 is not int"),
+    (json.dumps(dict(SL2_JSON, sc=[[True, 2, [[3, 1]]]])), 3, "True is not int"),
+    (json.dumps(dict(SL2_JSON, sc=SL2_JSON["sc"] + [[1, 2, [[3, "2"]]]])), 3,
+     "row (1,2) or one of its targets is given twice"),
+    (json.dumps(dict(SL2_JSON, sc=[[1, 2, [[3, "1"], [3, "2"]]]])), 3,
+     "row (1,2) or one of its targets is given twice"),
+    (json.dumps(dict(SL2_JSON, sc=[[1, 2, [[3, 0.1]]]])), 3, "0.1 is not int or str"),
+    (json.dumps(dict(SL2_JSON, sc=[[1, 2, [[3, True]]]])), 3, "True is not int or str"),
 ], ids=["label-count", "invalid-json", "missing-file", "jacobi", "target-0",
-        "target-past-dim", "duplicate-label", "label-not-a-name"])
+        "target-past-dim", "duplicate-label", "label-not-a-name", "float-index",
+        "bool-index", "duplicate-row", "duplicate-target", "float-coefficient",
+        "bool-coefficient"])
 def test_bad_algebra_file(tmp_path, capsys, text, code, message):
     path = tmp_path / "algebra.json"
     if text is not None:

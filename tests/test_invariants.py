@@ -5,24 +5,24 @@ from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import (LieAlgebra, Poly, UnsupportedPairError,
+from z2poisson import (GenericityError, LieAlgebra, Poly, UnsupportedPairError,
                        check_regular_stabilizer_index, classical_invariants,
-                       contract, contraction_invariants, index, matrix_algebra,
+                       contract, contraction_invariants, matrix_algebra,
                        noncommutativity_witness, nreg_subalgebra,
                        pairwise_commuting, poisson_bracket, top_component,
                        verify_central)
 from z2poisson import invariants, linalg, poisson, structure
 from z2poisson.invariants import _generic_matrix, _weight_echelon_tops, char_coefficients
 from z2poisson.linalg import pfaffian
-from z2poisson.poisson import bracket_with_coordinate
+from z2poisson.poisson import bracket_with_coordinate, certified_index, gradients
 from z2poisson.poly import Poly as P
 from z2poisson.structure import (MatrixRealization, _certify_equivariant, _dual_matrices,
                                  _span_algebra, build_pair, even_stabilizer,
-                                 sample_covector, stabilizer)
+                                 kirillov_corank, sample_covector, stabilizer)
 
 from oracles import (b_value, bracket, centralizer_of_cartan, degrees, kirillov_at,
-                     linear, span_structure_constants, subalgebra,
-                     weight_echelon_tops)
+                     linear, restricted_stabilizer, span_structure_constants,
+                     subalgebra, weight_echelon_tops)
 
 
 # ----------------------------------------------------------------------
@@ -367,23 +367,24 @@ def test_derived_structure_constants_match_solved_brackets(pair, monkeypatch):
 
 def test_restricted_stabilizer_matches_the_built_subalgebra(pair):
     # the kernel of alpha([x, y]) on V is the stabilizer of alpha restricted
-    # to the subalgebra V, built in its own basis
+    # to the subalgebra V, built in its own basis; kirillov_corank counts it
     for name in dict.fromkeys(TIER1_PAIRS + LADDER_PAIRS):
         pr = pair(name)
         k = pr.contraction
         for eta, g0b in _dimstab_points(pr, 3):
             alpha = [eta[i] if i in pr.grading.even_idx else Q(0) for i in range(k.dim)]
             for vectors in (g0b, _even_units(pr)):
-                got = stabilizer(k, alpha, basis=vectors)
+                got = kirillov_corank(k, alpha, basis=vectors)
+                kernel = restricted_stabilizer(k, alpha, vectors)
                 alpha_hat = [sum((alpha[i] * v[i] for i in range(k.dim)), Q(0))
                              for v in vectors]
                 want = stabilizer(subalgebra(pr.g, vectors), alpha_hat)
-                assert len(got) == len(want), name
+                assert got == len(kernel) == len(want), name
                 # in k's coordinates: members of the span, killed by the form
-                assert linalg.rank([dict(enumerate(v)) for v in vectors + got]) \
+                assert linalg.rank([dict(enumerate(v)) for v in vectors + kernel]) \
                     == len(vectors), name
                 assert all(sum((a * b for a, b in zip(alpha, bracket(k, x, v))), Q(0)) == 0
-                           for x in got for v in vectors), name
+                           for x in kernel for v in vectors), name
 
 
 def test_weight_echelon_tops_match_two_eliminations(pair):
@@ -752,14 +753,16 @@ def test_diagonal_pool_contains_a_mixed_generator(pair):
     assert any(p.weighted_degree(even) > 0 for p in inv.polys)
 
 
-def test_index_fallback_without_samples(pair):
-    # with no sampled point the certificate has no bounds, and the index
-    # comes from the elimination
+def test_index_certificate_without_samples(pair, monkeypatch):
+    # with no sampled point, or none of positive rank, the certificate has
+    # no bounds, and no elimination supplies the index instead
     pr = pair("sl3,so3")
-    inv = contraction_invariants(pr, trials=0)
-    assert inv.meta["certified_rank"] == 0
-    assert inv.meta["index"] == index(contract(pr.g, pr.grading)) == 2
-    assert inv.meta["b"] == 5
+    tops = contraction_invariants(pr).polys
+    with pytest.raises(GenericityError, match="rank"):
+        certified_index(pr.contraction, gradients(tops, []))
+    monkeypatch.setattr(invariants, "sample_covector", lambda dim, rng: [0] * dim)
+    with pytest.raises(GenericityError, match="rank"):
+        contraction_invariants(pr)
 
 
 def test_invariant_set_record(pair):
@@ -916,7 +919,8 @@ def test_witness_brackets_through_pairwise_commuting(pair, monkeypatch):
     assert counts["bracket_with_coordinate"] <= matrix_build + len(candidates) * k.dim
 
 
-def test_witness_budget_cap(pair):
+def test_witness_budget_cap(pair, monkeypatch):
     from z2poisson import BudgetError
+    monkeypatch.setattr(invariants, "WITNESS_DIM_CAP", 2)
     with pytest.raises(BudgetError):
-        noncommutativity_witness(pair("sl2,so2"), degree_bound=2, max_dim=2)
+        noncommutativity_witness(pair("sl2,so2"), degree_bound=2)

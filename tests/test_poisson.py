@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from z2poisson import (BudgetError, LieAlgebra, Poly, certified_index,
+from z2poisson import (BudgetError, GenericityError, LieAlgebra, Poly,
+                       certified_index, structure,
                        contract, contraction_invariants, jacobian_rank_at,
                        mf_family, pairwise_commuting, poisson,
                        poisson_bracket, shift, stabilizer, trdeg_lower_bound,
@@ -338,9 +339,13 @@ def test_certified_index(pair):
     pr = pair("sl2,so2")
     k = contract(pr.g, pr.grading)
     gen = Poly.parse("v^2+w^2", k.labels)
-    assert certified_index(k, gradients([gen], [[0, 0, 0], [0, 1, 0]])) == (1, 1, [0, 1, 0])
-    # no positive rank: the elimination decides
-    assert certified_index(k, gradients([gen], [[0, 0, 0]])) == (1, 0, None)
+    assert certified_index(k, gradients([gen], [[0, 0, 0], [0, 1, 0]])) == (1, [0, 1, 0])
+    # no positive rank, or a rank below the corank at its point: the bounds
+    # do not meet, and no elimination decides instead
+    with pytest.raises(GenericityError, match="rank"):
+        certified_index(k, gradients([gen], [[0, 0, 0]]))
+    with pytest.raises(GenericityError, match="does not close"):
+        certified_index(k, [([1, 0, 0], [[0, 0, 1]])])
 
 
 def regularity_via_differentials(q: LieAlgebra, free_gens: list[Poly], xi) -> bool:
@@ -349,24 +354,23 @@ def regularity_via_differentials(q: LieAlgebra, free_gens: list[Poly], xi) -> bo
     linearly independent.
 
     Preconditions (asserted): the generators are central, there are
-    index-many of them, their degrees sum to b(q), and they are
-    algebraically independent.  The index comes from the generators' own
-    certificate (``certified_index``).  The verdict is cross-checked against
-    the Kirillov-kernel notion of regularity.
+    index-many of them, and their degrees sum to b(q).  The index comes
+    from the generators' own certificate (``certified_index``), whose rank
+    is the index, so index-many generators are algebraically independent.
+    The verdict is cross-checked against the Kirillov-kernel notion of
+    regularity.
     """
     if not all(verify_central(q, g) for g in free_gens):
         raise ValueError("generator is not central")
     rng = random.Random(7)
     points = (sample_covector(q.dim, rng, bound=997) for _ in range(12))
-    l, rank, _ = certified_index(q, gradients(free_gens, points))
+    l, _ = certified_index(q, gradients(free_gens, points))
     if len(free_gens) != l:
         raise ValueError(f"need index-many generators: got {len(free_gens)}, want {l}")
     total = sum(p.degree() for p in free_gens)
     b = Q(q.dim + l, 2)
     if total != b:
         raise ValueError(f"degree sum {total} does not match b = {b}")
-    if rank < l:
-        raise ValueError("generators are not algebraically independent")
     verdict = jacobian_rank_at(free_gens, xi) == l
     if verdict != (len(stabilizer(q, xi)) == l):
         raise AssertionError(
@@ -396,8 +400,8 @@ def test_regularity_preconditions(pair):
         regularity_via_differentials(k, [gen * gen], [0, 1, 0])
     with pytest.raises(ValueError, match="not central"):
         regularity_via_differentials(k, [Poly.parse("u^2", k.labels)], [0, 1, 0])
-    # no generators certify nothing: the elimination supplies the index
-    with pytest.raises(ValueError, match="index-many"):
+    # no generators certify nothing, and nothing else supplies the index
+    with pytest.raises(GenericityError, match="rank"):
         regularity_via_differentials(k, [], [0, 1, 0])
 
 
@@ -407,7 +411,7 @@ def test_regularity_via_differentials_needs_no_elimination(pair, monkeypatch):
     def no_elimination(q):
         raise AssertionError("index was eliminated")
 
-    monkeypatch.setattr(poisson, "index", no_elimination)
+    monkeypatch.setattr(structure, "index", no_elimination)
     pr = pair("sl3,so3")
     k = contract(pr.g, pr.grading)
     gens = contraction_invariants(pr).polys
